@@ -7,12 +7,14 @@
 //! information-cost accumulation): an algorithmic change that shifts any
 //! digit of any deterministic table fails here, not in review.
 //!
-//! Randomized experiments (seeded Monte-Carlo) are *reproducible* but
-//! their numbers legitimately move whenever an implementation changes how
-//! it consumes its RNG stream (E12 did exactly that when it moved to the
-//! sparse lane with per-trial seeds), so for those we assert only shape:
-//! at least one table, a row per grid point in the first table, and
-//! consistent row widths.
+//! Seeded Monte-Carlo experiments are *reproducible*: a fixed seed gives
+//! fixed bytes. The ones that ride the exact combinadic subset codec (E1,
+//! E10, E18, E19) are snapshotted too, so a codec change that alters a
+//! single transmitted bit, or a change in how they consume their RNG
+//! stream, fails here and becomes an explicit, reviewed re-bless. The
+//! remaining randomized experiments are checked for shape only: at least
+//! one table, a row per grid point in the first table, and consistent row
+//! widths.
 //!
 //! Regenerate snapshots after an intentional change:
 //!
@@ -29,10 +31,11 @@ const DETERMINISTIC: &[&str] = &[
     "e2", "e3", "e5", "e8", "e9", "e11", "e13", "e16", "e17", "e20",
 ];
 
-/// Seeded Monte-Carlo experiments: shape-checked only.
-const RANDOMIZED: &[&str] = &[
-    "e1", "e4", "e6", "e7", "e10", "e12", "e14", "e15", "e18", "e19",
-];
+/// Seeded Monte-Carlo experiments over the exact subset codec: snapshotted.
+const SEEDED: &[&str] = &["e1", "e10", "e18", "e19"];
+
+/// Other seeded Monte-Carlo experiments: shape-checked only.
+const RANDOMIZED: &[&str] = &["e4", "e6", "e7", "e12", "e14", "e15"];
 
 fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -40,10 +43,11 @@ fn golden_path(id: &str) -> PathBuf {
         .join(format!("{id}.txt"))
 }
 
-#[test]
-fn deterministic_reports_match_golden_snapshots() {
+/// Renders each id serially and compares it to its snapshot, or rewrites
+/// the snapshot under `UPDATE_GOLDEN`.
+fn check_snapshots(ids: &[&str]) {
     let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
-    for id in DETERMINISTIC {
+    for id in ids {
         let rendered = report_by_id(id, 1).expect("registered").render_text();
         let path = golden_path(id);
         if bless {
@@ -68,10 +72,21 @@ fn deterministic_reports_match_golden_snapshots() {
 }
 
 #[test]
+fn deterministic_reports_match_golden_snapshots() {
+    check_snapshots(DETERMINISTIC);
+}
+
+#[test]
+fn seeded_reports_match_golden_snapshots() {
+    check_snapshots(SEEDED);
+}
+
+#[test]
 fn deterministic_snapshots_are_worker_count_independent() {
-    // The snapshot test runs serial; the same bytes must come out of a
-    // parallel pool (including any TrialSplit chunking).
-    for id in ["e13", "e16"] {
+    // The snapshot tests run serial; the same bytes must come out of a
+    // parallel pool (including any TrialSplit chunking: e19 splits its 16
+    // trials into chunks of 4).
+    for id in ["e13", "e16", "e19"] {
         let serial = report_by_id(id, 1).expect("registered").render_text();
         let parallel = report_by_id(id, 3).expect("registered").render_text();
         assert_eq!(serial, parallel, "{id}");
@@ -104,9 +119,14 @@ fn randomized_reports_keep_their_shape() {
 
 #[test]
 fn every_registry_id_is_classified() {
-    // A new experiment must be placed in exactly one of the two lists, so
-    // the golden suite can't silently skip it.
-    let mut ids: Vec<&str> = DETERMINISTIC.iter().chain(RANDOMIZED).copied().collect();
+    // A new experiment must be placed in exactly one of the three lists,
+    // so the golden suite can't silently skip it.
+    let mut ids: Vec<&str> = DETERMINISTIC
+        .iter()
+        .chain(SEEDED)
+        .chain(RANDOMIZED)
+        .copied()
+        .collect();
     ids.sort_unstable();
     let mut registered: Vec<&str> = bci_bench::suite::suite_ids();
     registered.sort_unstable();
