@@ -10,6 +10,13 @@
 //! * `C(m, j−1) = C(m, j) · j / (m−j+1)`
 //!
 //! all of which are exact integer operations in this order.
+//!
+//! Walks that only need the coefficients at a few stops (the combinadic
+//! rank, [`binomial`] itself) fold runs of consecutive moves into a step
+//! group: one `u64` numerator and one `u64` denominator, applied as
+//! a single multiply and a single exact divide when the next factor would
+//! overflow either word, or at a stop. Every point of a Pascal walk is a
+//! binomial coefficient, so each group's division is exact.
 
 use crate::bignum::BigUint;
 
@@ -34,27 +41,78 @@ pub fn binomial(n: u64, k: u64) -> BigUint {
     }
     let k = k.min(n - k);
     let mut v = BigUint::one();
+    let mut group = StepGroup::new();
     for i in 1..=k {
-        // Multiply before dividing: the running product of i consecutive
-        // binomial steps is always divisible by i.
-        v.mul_assign_u64(n - k + i);
-        let rem = v.div_assign_u64(i);
-        debug_assert_eq!(rem, 0, "binomial intermediate not divisible");
+        // C(n−k+i, i) = C(n−k+i−1, i−1) · (n−k+i) / i.
+        group.push(&mut v, n - k + i, i);
     }
+    group.flush(&mut v);
     v
 }
 
 /// The exact number of bits needed to index one of the `C(n, k)` subsets:
 /// `⌈log₂ C(n, k)⌉` (and `0` when `C(n,k) ≤ 1`).
 pub fn binomial_code_len(n: u64, k: u64) -> u32 {
-    let c = binomial(n, k);
+    index_code_len(&binomial(n, k))
+}
+
+/// `⌈log₂ c⌉`, the bits needed to index one of `c` objects (`0` when
+/// `c ≤ 1`).
+pub(crate) fn index_code_len(c: &BigUint) -> u32 {
     if c.is_zero() {
         return 0;
     }
     // ⌈log₂ c⌉ = bit_length(c - 1) for c ≥ 1.
-    let mut m = c;
+    let mut m = c.clone();
     m.sub_assign(&BigUint::one());
     m.bit_length() as u32
+}
+
+/// A run of Pascal-walk moves folded into one ratio `num / den` of machine
+/// words, so the run costs one big-integer multiply and one exact divide
+/// instead of one of each per move.
+///
+/// The caller must [`flush`](Self::flush) wherever it reads the walked
+/// value; [`push`](Self::push) flushes on its own before a word would
+/// overflow. Both leave the value on a binomial coefficient, which is what
+/// makes the division exact.
+#[derive(Debug)]
+pub(crate) struct StepGroup {
+    num: u64,
+    den: u64,
+}
+
+impl StepGroup {
+    pub(crate) fn new() -> Self {
+        StepGroup { num: 1, den: 1 }
+    }
+
+    /// Appends one move, which multiplies the walked value by `num / den`.
+    pub(crate) fn push(&mut self, value: &mut BigUint, num: u64, den: u64) {
+        debug_assert!(num > 0 && den > 0, "a move onto or off a zero coefficient");
+        match (self.num.checked_mul(num), self.den.checked_mul(den)) {
+            (Some(n), Some(d)) => {
+                self.num = n;
+                self.den = d;
+            }
+            _ => {
+                self.flush(value);
+                self.num = num;
+                self.den = den;
+            }
+        }
+    }
+
+    /// Applies the pending moves to `value`.
+    pub(crate) fn flush(&mut self, value: &mut BigUint) {
+        if self.num != self.den {
+            value.mul_assign_u64(self.num);
+            let rem = value.div_assign_u64(self.den);
+            debug_assert_eq!(rem, 0, "step group did not end on a binomial");
+        }
+        self.num = 1;
+        self.den = 1;
+    }
 }
 
 /// A cursor over Pascal's triangle holding the exact value of `C(m, j)` and

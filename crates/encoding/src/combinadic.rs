@@ -7,13 +7,15 @@
 //! `log₂(e·k)` bits *per coordinate* instead of `log₂ z` bits per coordinate.
 //!
 //! The index of a subset `{c₀ < c₁ < … < c_{b−1}}` is the standard combinadic
-//! rank `Σ_j C(c_j, j+1)`; ranking and unranking walk Pascal's triangle with
-//! the O(1)-per-step moves of
-//! [`BinomialWalker`], so both directions
-//! run in `O(z)` big-integer operations.
+//! rank `Σ_j C(c_j, j+1)`. Unranking walks Pascal's triangle down from
+//! `C(z−1, b)` with the O(1)-per-step moves of [`BinomialWalker`], in `O(z)`
+//! big-integer operations. Ranking only reads the walk at the `b` elements,
+//! so it starts at `C(c_{b−1}, b)` and folds the moves between two elements
+//! into a few word-sized ratios, each applied as one big-integer multiply
+//! and one exact divide.
 
 use crate::bignum::BigUint;
-use crate::binomial::{binomial, binomial_code_len, BinomialWalker};
+use crate::binomial::{binomial, index_code_len, BinomialWalker, StepGroup};
 use crate::bitio::{BitReader, BitWriter};
 
 /// Fixed-size-subset codec: encodes `b`-element subsets of `{0, …, z−1}`.
@@ -37,6 +39,8 @@ use crate::bitio::{BitReader, BitWriter};
 pub struct SubsetCodec {
     z: u64,
     b: u64,
+    /// `C(z, b)`, the number of codewords; every valid rank lies below it.
+    count: BigUint,
     code_len: u32,
 }
 
@@ -48,10 +52,12 @@ impl SubsetCodec {
     /// Panics if `b > z` (no such subsets exist).
     pub fn new(z: u64, b: u64) -> Self {
         assert!(b <= z, "cannot choose {b} elements from {z}");
+        let count = binomial(z, b);
         SubsetCodec {
             z,
             b,
-            code_len: binomial_code_len(z, b),
+            code_len: index_code_len(&count),
+            count,
         }
     }
 
@@ -92,27 +98,33 @@ impl SubsetCodec {
             assert!(last < self.z, "element {last} outside universe {}", self.z);
         }
         let mut rank = BigUint::zero();
-        if self.b == 0 {
+        // Term t is C(c_t, t+1), which is zero exactly when c_t = t; then
+        // c_i = i for every i ≤ t, so all the remaining terms are zero too.
+        let Some((&top, rest)) = subset.split_last() else {
+            return rank;
+        };
+        let (mut m, mut j) = (top, self.b);
+        if m < j {
             return rank;
         }
-        // Walk m from z−1 down; when m hits the t-th largest element, the
-        // walker currently holds C(m, j) with the right j.
-        let mut walker = BinomialWalker::new(self.z - 1, self.b);
-        let mut next = subset.len(); // index one past the next element to match
-        let mut m = self.z - 1;
-        loop {
-            if next > 0 && subset[next - 1] == m {
-                rank.add_assign(walker.value());
-                next -= 1;
-                if next == 0 {
-                    break;
-                }
-                walker.dec_m();
-                walker.dec_j();
-            } else {
-                walker.dec_m();
+        let mut value = binomial(m, j);
+        rank.add_assign(&value);
+        let mut group = StepGroup::new();
+        for (t, &c) in rest.iter().enumerate().rev() {
+            if c == t as u64 {
+                break;
             }
+            // Hit move C(m, j) → C(m−1, j−1), then gap moves
+            // C(m, j) → C(m−1, j) down to m = c_t.
+            group.push(&mut value, j, m);
             m -= 1;
+            j -= 1;
+            while m > c {
+                group.push(&mut value, m - j, m);
+                m -= 1;
+            }
+            group.flush(&mut value);
+            rank.add_assign(&value);
         }
         rank
     }
@@ -123,10 +135,7 @@ impl SubsetCodec {
     ///
     /// Panics if `rank ≥ C(z, b)`.
     pub fn unrank(&self, rank: &BigUint) -> Vec<u64> {
-        assert!(
-            rank.cmp_big(&binomial(self.z, self.b)) == std::cmp::Ordering::Less,
-            "rank out of range"
-        );
+        assert!(rank < &self.count, "rank out of range");
         let mut out = vec![0u64; self.b as usize];
         if self.b == 0 {
             return out;
@@ -183,7 +192,7 @@ impl SubsetCodec {
             bits.push(reader.read_bit()?);
         }
         let rank = BigUint::from_bits_lsb(bits);
-        if rank.cmp_big(&binomial(self.z, self.b)) != std::cmp::Ordering::Less {
+        if rank >= self.count {
             return None;
         }
         Some(self.unrank(&rank))

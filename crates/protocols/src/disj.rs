@@ -283,6 +283,9 @@ pub mod batched {
 
     struct ExactSink {
         board: Board,
+        /// The batch codec of the current cycle (`z` and `b` are fixed
+        /// within a cycle), built at the cycle's first batch.
+        codec: Option<SubsetCodec>,
     }
 
     impl Sink for ExactSink {
@@ -292,7 +295,13 @@ pub mod batched {
                 Turn::Pass => w.write_bit(false),
                 Turn::Batch { indices } => {
                     w.write_bit(true);
-                    SubsetCodec::new(z as u64, b as u64).encode(indices, &mut w);
+                    let (z, b) = (z as u64, b as u64);
+                    let codec = match self.codec.take() {
+                        Some(c) if c.universe() == z && c.subset_size() == b => c,
+                        _ => SubsetCodec::new(z, b),
+                    };
+                    codec.encode(indices, &mut w);
+                    self.codec = Some(codec);
                 }
                 Turn::Naive { indices } => {
                     let width = index_width(z);
@@ -315,6 +324,7 @@ pub mod batched {
     pub fn run(inputs: &[BitSet]) -> DisjRun {
         let mut sink = ExactSink {
             board: Board::new(),
+            codec: None,
         };
         let (output, cycles, coords_written) = simulate(inputs, &mut sink);
         let bits = sink.board.total_bits();
@@ -438,6 +448,60 @@ pub mod batched {
     /// `log₂(e·k)` bits per coordinate.
     pub fn per_coordinate_bound(k: usize) -> f64 {
         (std::f64::consts::E * k as f64).log2()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::workload;
+        use bci_encoding::bignum::BigUint;
+        use bci_encoding::binomial::{binomial, binomial_code_len};
+        use rand::SeedableRng;
+
+        /// Writes every turn as [`ExactSink`] does, except that each batch
+        /// is ranked term by term, `Σ_t C(c_t, t+1)`, with no Pascal walk
+        /// and no [`SubsetCodec`].
+        struct OracleSink(ExactSink);
+
+        impl Sink for OracleSink {
+            fn emit(&mut self, player: PlayerId, turn: &Turn, z: usize, b: usize) {
+                let Turn::Batch { indices } = turn else {
+                    return self.0.emit(player, turn, z, b);
+                };
+                let mut rank = BigUint::zero();
+                for (t, &c) in indices.iter().enumerate() {
+                    rank.add_assign(&binomial(c, t as u64 + 1));
+                }
+                let mut w = BitWriter::new();
+                w.write_bit(true);
+                for i in 0..u64::from(binomial_code_len(z as u64, b as u64)) {
+                    w.write_bit(rank.bit(i));
+                }
+                self.0.board.write(player, w.into_bits());
+            }
+        }
+
+        #[test]
+        fn run_boards_equal_term_by_term_oracle_boards() {
+            let mut r = rand_chacha::ChaCha8Rng::seed_from_u64(47);
+            for trial in 0..24 {
+                let n = [64, 300, 1024, 2048][trial % 4];
+                let k = [2, 3, 4, 8, 16, 5][trial % 6];
+                let inputs = match trial % 3 {
+                    0 => workload::planted_zero_cover(n, k, 0.1, &mut r),
+                    1 => workload::planted_intersection(n, k, 2, 0.4, &mut r),
+                    _ => workload::random_sets(n, k, 0.5, &mut r),
+                };
+                let mut oracle = OracleSink(ExactSink {
+                    board: Board::new(),
+                    codec: None,
+                });
+                let (output, cycles, _) = simulate(&inputs, &mut oracle);
+                let got = run(&inputs);
+                assert_eq!((got.output, got.cycles), (output, cycles), "trial {trial}");
+                assert_eq!(got.board, oracle.0.board, "trial {trial}");
+            }
+        }
     }
 }
 
