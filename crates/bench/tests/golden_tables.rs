@@ -8,13 +8,13 @@
 //! digit of any deterministic table fails here, not in review.
 //!
 //! Seeded Monte-Carlo experiments are *reproducible*: a fixed seed gives
-//! fixed bytes. The ones that ride the exact combinadic subset codec (E1,
-//! E10, E18, E19) are snapshotted too, so a codec change that alters a
-//! single transmitted bit, or a change in how they consume their RNG
-//! stream, fails here and becomes an explicit, reviewed re-bless. The
-//! remaining randomized experiments are checked for shape only: at least
-//! one table, a row per grid point in the first table, and consistent row
-//! widths.
+//! fixed bytes, so they are snapshotted too. A codec change that alters a
+//! single transmitted bit (E1, E10, E18 and E19 ride the exact combinadic
+//! subset codec), a change in how an experiment consumes its RNG stream,
+//! or an engine change that reorders a turn (E4 cross-checks its decision
+//! rule against engine execution) fails here and becomes an explicit,
+//! reviewed re-bless. Their shape is checked as well: at least one table,
+//! a fixed number of rows per grid point, and consistent row widths.
 //!
 //! Regenerate snapshots after an intentional change:
 //!
@@ -31,11 +31,10 @@ const DETERMINISTIC: &[&str] = &[
     "e2", "e3", "e5", "e8", "e9", "e11", "e13", "e16", "e17", "e20",
 ];
 
-/// Seeded Monte-Carlo experiments over the exact subset codec: snapshotted.
-const SEEDED: &[&str] = &["e1", "e10", "e18", "e19"];
-
-/// Other seeded Monte-Carlo experiments: shape-checked only.
-const RANDOMIZED: &[&str] = &["e4", "e6", "e7", "e12", "e14", "e15"];
+/// Seeded Monte-Carlo experiments: snapshotted and shape-checked.
+const SEEDED: &[&str] = &[
+    "e1", "e4", "e6", "e7", "e10", "e12", "e14", "e15", "e18", "e19",
+];
 
 fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -95,7 +94,7 @@ fn deterministic_snapshots_are_worker_count_independent() {
 
 #[test]
 fn randomized_reports_keep_their_shape() {
-    for id in RANDOMIZED {
+    for id in SEEDED {
         let exp = find(id).expect("registered");
         let report = report_by_id(id, 1).expect("registered");
         assert!(!report.tables.is_empty(), "{id}: no tables");
@@ -119,14 +118,9 @@ fn randomized_reports_keep_their_shape() {
 
 #[test]
 fn every_registry_id_is_classified() {
-    // A new experiment must be placed in exactly one of the three lists,
+    // A new experiment must be placed in exactly one of the two lists,
     // so the golden suite can't silently skip it.
-    let mut ids: Vec<&str> = DETERMINISTIC
-        .iter()
-        .chain(SEEDED)
-        .chain(RANDOMIZED)
-        .copied()
-        .collect();
+    let mut ids: Vec<&str> = DETERMINISTIC.iter().chain(SEEDED).copied().collect();
     ids.sort_unstable();
     let mut registered: Vec<&str> = bci_bench::suite::suite_ids();
     registered.sort_unstable();
