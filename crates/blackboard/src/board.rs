@@ -1,6 +1,7 @@
 //! The shared blackboard: an append-only sequence of attributed messages.
 
 use bci_encoding::bitio::BitVec;
+use bci_encoding::wire::Wire;
 use std::fmt;
 
 use crate::PlayerId;
@@ -92,23 +93,10 @@ impl Board {
     /// integers little-endian.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.total_bits / 8 + 8 * self.messages.len());
-        out.extend_from_slice(&(self.messages.len() as u32).to_le_bytes());
+        (self.messages.len() as u32).encode(&mut out);
         for m in &self.messages {
-            out.extend_from_slice(&(m.speaker as u32).to_le_bytes());
-            out.extend_from_slice(&(m.bits.len() as u32).to_le_bytes());
-            let mut byte = 0u8;
-            for (i, bit) in m.bits.iter().enumerate() {
-                if bit {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    out.push(byte);
-                    byte = 0;
-                }
-            }
-            if m.bits.len() % 8 != 0 {
-                out.push(byte);
-            }
+            (m.speaker as u32).encode(&mut out);
+            m.bits.encode(&mut out);
         }
         out
     }
@@ -120,28 +108,15 @@ impl Board {
     /// Returns [`ParseBoardError`] on truncated or malformed input
     /// (including trailing bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseBoardError> {
-        fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, ParseBoardError> {
-            let end = pos.checked_add(4).ok_or(ParseBoardError)?;
-            let slice = bytes.get(*pos..end).ok_or(ParseBoardError)?;
-            *pos = end;
-            Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
-        }
-        let mut pos = 0usize;
-        let count = take_u32(bytes, &mut pos)? as usize;
+        let mut input = bytes;
+        let count = u32::decode(&mut input).map_err(|_| ParseBoardError)?;
         let mut board = Board::new();
         for _ in 0..count {
-            let speaker = take_u32(bytes, &mut pos)? as usize;
-            let bit_len = take_u32(bytes, &mut pos)? as usize;
-            let byte_len = bit_len.div_ceil(8);
-            let payload = bytes.get(pos..pos + byte_len).ok_or(ParseBoardError)?;
-            pos += byte_len;
-            let mut bits = BitVec::with_capacity(bit_len);
-            for i in 0..bit_len {
-                bits.push(payload[i / 8] >> (i % 8) & 1 == 1);
-            }
-            board.write(speaker, bits);
+            let speaker = u32::decode(&mut input).map_err(|_| ParseBoardError)?;
+            let bits = BitVec::decode(&mut input).map_err(|_| ParseBoardError)?;
+            board.write(speaker as PlayerId, bits);
         }
-        if pos != bytes.len() {
+        if !input.is_empty() {
             return Err(ParseBoardError);
         }
         Ok(board)

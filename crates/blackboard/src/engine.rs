@@ -1,29 +1,42 @@
-//! The sans-io turn engine: one protocol state machine for every driver.
+//! The sans-io turn engine: one protocol state machine for every driver
+//! and every communication model.
 //!
 //! The paper's broadcast model is a pure state machine — the board alone
 //! determines the next speaker — yet historically each transport in this
 //! repo re-implemented the turn-drive loop: the serial runner, the two
 //! in-process fabric transports, the v1 TCP coordinator, and the mux
-//! daemon's park/resume table. [`TurnEngine`] extracts that loop into one
+//! daemon's park/resume table. [`Engine`] extracts that loop into one
 //! place with **no I/O, no threads, and no clocks** inside:
 //!
-//! * [`TurnEngine::poll`] asks the protocol whose turn it is and returns a
+//! * [`Engine::poll`] asks the protocol whose turn it is and returns a
 //!   [`Step`]: either a [`Grant`] (speaker + turn number + the parked
 //!   session-RNG state, when the engine holds one) or [`Step::Halted`].
 //! * The *driver* performs the granted turn wherever it likes — on the
 //!   calling thread, on a player thread, or on the far side of a TCP
 //!   socket — and hands the written bits (plus the post-message RNG
-//!   state) back via [`TurnEngine::apply`].
+//!   state) back via [`Engine::apply`].
 //!
 //! The engine owns the board, the turn cursor, the serialized
 //! [`STATE_LEN`]-byte ChaCha8 session-RNG state between turns, the
 //! runaway step guard, and bits-written accounting. Everything a protocol
-//! can do wrong — naming an out-of-range speaker, never halting, a reply
-//! without an outstanding grant, the wrong speaker replying, a malformed
-//! RNG state — is a structured [`ProtocolViolation`] whose `Display` is
+//! can do wrong — naming an out-of-range speaker, granting an illegal
+//! link, never halting, a reply without an outstanding grant, the wrong
+//! speaker replying, a malformed RNG state — is a structured [`ProtocolViolation`] whose `Display` is
 //! the canonical abort-reason string shared by every transport, so the
 //! fabric's `SessionOutcome` taxonomy is populated identically no matter
 //! which driver detected the violation.
+//!
+//! # Transcript models
+//!
+//! The engine is generic over a [`TranscriptModel`]: the board it owns,
+//! the *route* a granted message travels on, the schedule, a legality
+//! check on each granted route, and how a reply is recorded. Every
+//! blackboard [`Protocol`] is a model through `&P` (a [`Board`], route
+//! `()`, no check), and [`TurnEngine`] is that instance. The
+//! message-passing models of `bci-topology` are a second instance whose
+//! route is a link and whose check is the topology's link rule, so both
+//! models share one grant discipline, one RNG parking slot, one runaway
+//! budget, and one violation taxonomy.
 //!
 //! # Determinism
 //!
@@ -89,36 +102,39 @@ use crate::PlayerId;
 
 /// What the engine asks its driver to do next.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
+pub enum Step<R = ()> {
     /// A turn is granted: the driver must have `speaker` compute its
-    /// message and hand the bits back via [`TurnEngine::apply`].
-    Grant(Grant),
-    /// The protocol halted; the board is final and
-    /// [`TurnEngine::output`] is defined.
+    /// message and hand the bits back via [`Engine::apply`].
+    Grant(Grant<R>),
+    /// The protocol halted; the board is final and [`Engine::output`] is
+    /// defined.
     Halted,
 }
 
 /// One granted turn.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grant {
+pub struct Grant<R = ()> {
     /// The player whose turn it is.
     pub speaker: PlayerId,
     /// Zero-based turn number (== board writes so far).
     pub turn: usize,
     /// The serialized session-RNG state the speaker must resume from,
     /// when the engine holds the RNG (engines built with
-    /// [`TurnEngine::with_rng`]). `None` for external-RNG engines
-    /// ([`TurnEngine::new`]), where the driver owns the random source.
+    /// [`Engine::with_rng`]). `None` for external-RNG engines
+    /// ([`Engine::new`]), where the driver owns the random source.
     pub rng_state: Option<[u8; STATE_LEN]>,
+    /// Where the message travels ([`TranscriptModel::Route`]): `()` on
+    /// the blackboard.
+    pub route: R,
 }
 
-impl Grant {
+impl<R> Grant<R> {
     /// Resumes the session RNG from the grant's serialized state.
     ///
     /// # Panics
     ///
-    /// Panics if the engine was built without an RNG
-    /// ([`TurnEngine::new`]); external-RNG drivers bring their own.
+    /// Panics if the engine was built without an RNG ([`Engine::new`]);
+    /// external-RNG drivers bring their own.
     pub fn resume_rng(&self) -> ChaCha8Rng {
         let state = self
             .rng_state
@@ -152,12 +168,21 @@ pub enum ProtocolViolation {
         /// Roster size `k`.
         players: usize,
     },
+    /// The model's [`check`](TranscriptModel::check) refused the granted
+    /// route: a malformed link, a link that does not start at the
+    /// speaker, or one the topology forbids.
+    IllegalLink {
+        /// The granted speaker.
+        speaker: PlayerId,
+        /// The model's rendered reason (the `Display` string).
+        reason: String,
+    },
     /// The protocol did not halt within the step budget.
     Runaway {
-        /// The configured cap ([`TurnEngine::with_max_steps`]).
+        /// The configured cap ([`Engine::with_max_steps`]).
         max_steps: usize,
     },
-    /// [`TurnEngine::apply`] was called with no grant outstanding.
+    /// [`Engine::apply`] was called with no grant outstanding.
     ReplyWithoutGrant {
         /// The player that replied.
         speaker: PlayerId,
@@ -187,6 +212,7 @@ impl fmt::Display for ProtocolViolation {
             ProtocolViolation::SpeakerOutOfRange { speaker, players } => {
                 write!(f, "protocol named speaker {speaker} of {players}")
             }
+            ProtocolViolation::IllegalLink { reason, .. } => f.write_str(reason),
             ProtocolViolation::Runaway { max_steps } => {
                 write!(f, "protocol exceeded {max_steps} turns")
             }
@@ -205,6 +231,66 @@ impl fmt::Display for ProtocolViolation {
 
 impl std::error::Error for ProtocolViolation {}
 
+/// The transcript model an [`Engine`] drives: the board it owns, the
+/// route a message travels on, whose turn it is, whether the granted
+/// route is legal, and what the final board means.
+///
+/// Every blackboard [`Protocol`] is a model through `&P`; see the
+/// [module docs](self).
+pub trait TranscriptModel {
+    /// The transcript the engine owns.
+    type Board: Default + Clone + fmt::Debug;
+    /// Where a granted message travels: `()` on the blackboard.
+    type Route: Copy + fmt::Debug + Eq;
+    /// What a final board means.
+    type Output;
+
+    /// Number of players `k`; every speaker must lie in `0..k`.
+    fn num_players(&self) -> usize;
+
+    /// Whose turn it is and on which route, or `None` once halted. Must
+    /// be a function of the board alone.
+    fn next_turn(&self, board: &Self::Board) -> Option<(PlayerId, Self::Route)>;
+
+    /// Whether `speaker` may write on `route`. The engine checks this
+    /// after the speaker's range and before the runaway budget.
+    ///
+    /// # Errors
+    ///
+    /// The model's [`ProtocolViolation::IllegalLink`].
+    fn check(&self, _speaker: PlayerId, _route: Self::Route) -> Result<(), ProtocolViolation> {
+        Ok(())
+    }
+
+    /// Appends the granted speaker's `bits` to the board.
+    fn record(&self, board: &mut Self::Board, speaker: PlayerId, route: Self::Route, bits: BitVec);
+
+    /// The output determined by `board`.
+    fn output(&self, board: &Self::Board) -> Self::Output;
+}
+
+impl<P: Protocol> TranscriptModel for &P {
+    type Board = Board;
+    type Route = ();
+    type Output = P::Output;
+
+    fn num_players(&self) -> usize {
+        P::num_players(self)
+    }
+
+    fn next_turn(&self, board: &Board) -> Option<(PlayerId, ())> {
+        P::next_speaker(self, board).map(|speaker| (speaker, ()))
+    }
+
+    fn record(&self, board: &mut Board, speaker: PlayerId, _route: (), bits: BitVec) {
+        board.write(speaker, bits);
+    }
+
+    fn output(&self, board: &Board) -> P::Output {
+        P::output(self, board)
+    }
+}
+
 /// Where the session RNG lives right now.
 #[derive(Debug, Clone)]
 enum RngSlot {
@@ -212,30 +298,35 @@ enum RngSlot {
     External,
     /// Parked in the engine between turns.
     Parked([u8; STATE_LEN]),
-    /// Out with the granted speaker. The copy lets [`TurnEngine::poll`]
+    /// Out with the granted speaker. The copy lets [`Engine::poll`]
     /// re-issue an identical grant (idempotence), e.g. for a
     /// reconnect-and-regrant driver.
     Lent([u8; STATE_LEN]),
 }
 
-/// The sans-io protocol state machine driving one session.
+/// The sans-io state machine driving one session of transcript model `M`.
 ///
 /// See the [module docs](self) for the contract and an example driver.
-pub struct TurnEngine<'p, P: Protocol> {
-    protocol: &'p P,
-    board: Board,
+#[derive(Clone)]
+pub struct Engine<M: TranscriptModel> {
+    model: M,
+    board: M::Board,
     rng: RngSlot,
     steps: usize,
+    bits: usize,
     max_steps: usize,
-    granted: Option<PlayerId>,
+    granted: Option<(PlayerId, M::Route)>,
     halted: bool,
 }
 
-// Manual impls: a derive would demand `P: Debug` / `P: Clone`, but the
-// engine only holds `&P`.
-impl<P: Protocol> fmt::Debug for TurnEngine<'_, P> {
+/// The blackboard engine: a [`Protocol`] writing on one shared [`Board`].
+pub type TurnEngine<'p, P> = Engine<&'p P>;
+
+// Manual impl: a derive would demand `M: Debug`, and a protocol need not
+// be.
+impl<M: TranscriptModel> fmt::Debug for Engine<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TurnEngine")
+        f.debug_struct("Engine")
             .field("board", &self.board)
             .field("rng", &self.rng)
             .field("steps", &self.steps)
@@ -246,21 +337,7 @@ impl<P: Protocol> fmt::Debug for TurnEngine<'_, P> {
     }
 }
 
-impl<P: Protocol> Clone for TurnEngine<'_, P> {
-    fn clone(&self) -> Self {
-        TurnEngine {
-            protocol: self.protocol,
-            board: self.board.clone(),
-            rng: self.rng.clone(),
-            steps: self.steps,
-            max_steps: self.max_steps,
-            granted: self.granted,
-            halted: self.halted,
-        }
-    }
-}
-
-impl<'p, P: Protocol> TurnEngine<'p, P> {
+impl<M: TranscriptModel> Engine<M> {
     /// An engine whose driver owns the random source (grants carry no
     /// RNG state). Used by the serial runner, whose public API accepts
     /// any `&mut dyn RngCore`.
@@ -268,9 +345,9 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     /// # Errors
     ///
     /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
-    pub fn new(protocol: &'p P, input_count: usize) -> Result<Self, ProtocolViolation> {
-        Self::build(protocol, input_count, RngSlot::External)
+    /// `model.num_players()`.
+    pub fn new(model: M, input_count: usize) -> Result<Self, ProtocolViolation> {
+        Self::build(model, input_count, RngSlot::External)
     }
 
     /// An engine that parks the serialized ChaCha8 session-RNG state
@@ -280,28 +357,29 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     /// # Errors
     ///
     /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
+    /// `model.num_players()`.
     pub fn with_rng(
-        protocol: &'p P,
+        model: M,
         input_count: usize,
         rng: &ChaCha8Rng,
     ) -> Result<Self, ProtocolViolation> {
-        Self::build(protocol, input_count, RngSlot::Parked(rng.state_bytes()))
+        Self::build(model, input_count, RngSlot::Parked(rng.state_bytes()))
     }
 
-    fn build(protocol: &'p P, input_count: usize, rng: RngSlot) -> Result<Self, ProtocolViolation> {
-        let expected = protocol.num_players();
+    fn build(model: M, input_count: usize, rng: RngSlot) -> Result<Self, ProtocolViolation> {
+        let expected = model.num_players();
         if input_count != expected {
             return Err(ProtocolViolation::InputCount {
                 expected,
                 got: input_count,
             });
         }
-        Ok(TurnEngine {
-            protocol,
-            board: Board::new(),
+        Ok(Engine {
+            model,
+            board: M::Board::default(),
             rng,
             steps: 0,
+            bits: 0,
             max_steps: MAX_STEPS,
             granted: None,
             halted: false,
@@ -323,42 +401,43 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     ///
     /// # Errors
     ///
-    /// * [`ProtocolViolation::SpeakerOutOfRange`] — `next_speaker` named
-    ///   a player `>= num_players`;
+    /// In check order:
+    ///
+    /// * [`ProtocolViolation::SpeakerOutOfRange`] — the schedule named a
+    ///   player `>= num_players`;
+    /// * the model's [`check`](TranscriptModel::check) — e.g.
+    ///   [`ProtocolViolation::IllegalLink`];
     /// * [`ProtocolViolation::Runaway`] — the step budget is exhausted
     ///   and the protocol still wants to speak.
-    pub fn poll(&mut self) -> Result<Step, ProtocolViolation> {
+    pub fn poll(&mut self) -> Result<Step<M::Route>, ProtocolViolation> {
         if self.halted {
             return Ok(Step::Halted);
         }
-        if let Some(speaker) = self.granted {
-            return Ok(Step::Grant(self.issue(speaker)));
+        if let Some((speaker, route)) = self.granted {
+            return Ok(Step::Grant(self.issue(speaker, route)));
         }
-        match self.protocol.next_speaker(&self.board) {
-            None => {
-                self.halted = true;
-                Ok(Step::Halted)
-            }
-            Some(speaker) if speaker >= self.protocol.num_players() => {
-                Err(ProtocolViolation::SpeakerOutOfRange {
-                    speaker,
-                    players: self.protocol.num_players(),
-                })
-            }
-            Some(_) if self.steps >= self.max_steps => Err(ProtocolViolation::Runaway {
+        let Some((speaker, route)) = self.model.next_turn(&self.board) else {
+            self.halted = true;
+            return Ok(Step::Halted);
+        };
+        let players = self.model.num_players();
+        if speaker >= players {
+            return Err(ProtocolViolation::SpeakerOutOfRange { speaker, players });
+        }
+        self.model.check(speaker, route)?;
+        if self.steps >= self.max_steps {
+            return Err(ProtocolViolation::Runaway {
                 max_steps: self.max_steps,
-            }),
-            Some(speaker) => {
-                self.granted = Some(speaker);
-                if let RngSlot::Parked(state) = self.rng {
-                    self.rng = RngSlot::Lent(state);
-                }
-                Ok(Step::Grant(self.issue(speaker)))
-            }
+            });
         }
+        self.granted = Some((speaker, route));
+        if let RngSlot::Parked(state) = self.rng {
+            self.rng = RngSlot::Lent(state);
+        }
+        Ok(Step::Grant(self.issue(speaker, route)))
     }
 
-    fn issue(&self, speaker: PlayerId) -> Grant {
+    fn issue(&self, speaker: PlayerId, route: M::Route) -> Grant<M::Route> {
         Grant {
             speaker,
             turn: self.steps,
@@ -366,11 +445,13 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
                 RngSlot::External => None,
                 RngSlot::Parked(state) | RngSlot::Lent(state) => Some(state),
             },
+            route,
         }
     }
 
-    /// Applies the granted speaker's reply: writes `bits` on the board,
-    /// re-parks the returned RNG state, and advances the turn cursor.
+    /// Applies the granted speaker's reply: records `bits` on the granted
+    /// route, re-parks the returned RNG state, and advances the turn
+    /// cursor.
     ///
     /// `rng_state` must be the speaker's post-message serialized state
     /// for engines built with [`with_rng`](Self::with_rng); external-RNG
@@ -389,7 +470,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
         bits: BitVec,
         rng_state: Option<&[u8]>,
     ) -> Result<(), ProtocolViolation> {
-        let Some(granted) = self.granted else {
+        let Some((granted, route)) = self.granted else {
             return Err(ProtocolViolation::ReplyWithoutGrant { speaker });
         };
         if speaker != granted {
@@ -411,18 +492,19 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
             self.rng = RngSlot::Parked(state);
         }
         self.granted = None;
-        self.board.write(speaker, bits);
+        self.bits += bits.len();
+        self.model.record(&mut self.board, speaker, route, bits);
         self.steps += 1;
         Ok(())
     }
 
-    /// The protocol this engine drives.
-    pub fn protocol(&self) -> &'p P {
-        self.protocol
+    /// The transcript model (the protocol) this engine drives.
+    pub fn model(&self) -> &M {
+        &self.model
     }
 
     /// The board (= the transcript so far).
-    pub fn board(&self) -> &Board {
+    pub fn board(&self) -> &M::Board {
         &self.board
     }
 
@@ -433,12 +515,12 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
 
     /// Total bits written — the communication cost so far.
     pub fn bits_written(&self) -> usize {
-        self.board.total_bits()
+        self.bits
     }
 
     /// The player holding an outstanding grant, if any.
     pub fn granted(&self) -> Option<PlayerId> {
-        self.granted
+        self.granted.map(|(speaker, _)| speaker)
     }
 
     /// `true` once [`poll`](Self::poll) has observed the halt.
@@ -461,13 +543,13 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     /// whatever the protocol makes of it. May panic if the *protocol's*
     /// `output` does — drivers that must contain that wrap this call in
     /// `catch_unwind`.
-    pub fn output(&self) -> P::Output {
-        self.protocol.output(&self.board)
+    pub fn output(&self) -> M::Output {
+        self.model.output(&self.board)
     }
 
     /// Consumes the engine, returning the board (for drivers that seal a
     /// session result with the partial transcript).
-    pub fn into_board(self) -> Board {
+    pub fn into_board(self) -> M::Board {
         self.board
     }
 }
@@ -509,10 +591,109 @@ mod tests {
         }
     }
 
+    /// Never halts: player 0 speaks forever.
+    struct NeverHalts;
+
+    impl Protocol for NeverHalts {
+        type Input = ();
+        type Output = ();
+        fn num_players(&self) -> usize {
+            1
+        }
+        fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
+            Some(0)
+        }
+        fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
+            BitVec::from_bools(&[true])
+        }
+        fn output(&self, _board: &Board) {}
+    }
+
+    /// A directed `(from, to)` edge of a message-passing schedule.
+    type Edge = (PlayerId, PlayerId);
+
+    /// The coordinator-star link rule with hub 0: the edge starts at the
+    /// speaker and exactly one endpoint is the hub.
+    fn star_check(speaker: PlayerId, (from, to): Edge) -> Result<(), ProtocolViolation> {
+        if from == speaker && (from == 0) != (to == 0) {
+            Ok(())
+        } else {
+            Err(ProtocolViolation::IllegalLink {
+                speaker,
+                reason: format!(
+                    "player {speaker} granted link {from}->{to}, not allowed under the star topology"
+                ),
+            })
+        }
+    }
+
+    /// A routed star schedule: each spoke in turn sends one bit up to hub
+    /// 0, `rounds` times over (`usize::MAX`: never halts).
+    struct Star {
+        k: usize,
+        rounds: usize,
+    }
+
+    impl TranscriptModel for Star {
+        type Board = Vec<(PlayerId, Edge, BitVec)>;
+        type Route = Edge;
+        type Output = usize;
+
+        fn num_players(&self) -> usize {
+            self.k
+        }
+
+        fn next_turn(&self, board: &Self::Board) -> Option<(PlayerId, Edge)> {
+            let spoke = 1 + board.len() % (self.k - 1);
+            (board.len() / (self.k - 1) < self.rounds).then_some((spoke, (spoke, 0)))
+        }
+
+        fn check(&self, speaker: PlayerId, edge: Edge) -> Result<(), ProtocolViolation> {
+            star_check(speaker, edge)
+        }
+
+        fn record(&self, board: &mut Self::Board, speaker: PlayerId, edge: Edge, bits: BitVec) {
+            board.push((speaker, edge, bits));
+        }
+
+        fn output(&self, board: &Self::Board) -> usize {
+            board.len()
+        }
+    }
+
+    /// Grants the same `(speaker, edge)` forever, under the star rule.
+    struct Fixed {
+        turn: (PlayerId, Edge),
+    }
+
+    impl TranscriptModel for Fixed {
+        type Board = Vec<BitVec>;
+        type Route = Edge;
+        type Output = ();
+
+        fn num_players(&self) -> usize {
+            3
+        }
+
+        fn next_turn(&self, _board: &Self::Board) -> Option<(PlayerId, Edge)> {
+            Some(self.turn)
+        }
+
+        fn check(&self, speaker: PlayerId, edge: Edge) -> Result<(), ProtocolViolation> {
+            star_check(speaker, edge)
+        }
+
+        fn record(&self, board: &mut Self::Board, _speaker: PlayerId, _edge: Edge, bits: BitVec) {
+            board.push(bits);
+        }
+
+        fn output(&self, _board: &Self::Board) {}
+    }
+
     fn drive(engine: &mut TurnEngine<'_, RoundRobin>, inputs: &[()]) {
         while let Step::Grant(grant) = engine.poll().expect("no violation") {
             let mut rng = grant.resume_rng();
-            let bits = engine.protocol().message(
+            let bits = engine.model().message(
                 grant.speaker,
                 &inputs[grant.speaker],
                 engine.board(),
@@ -522,6 +703,118 @@ mod tests {
                 .apply(grant.speaker, bits, Some(&rng.state_bytes()))
                 .expect("apply");
         }
+    }
+
+    /// Re-polling re-issues the identical grant, route included.
+    fn check_idempotent_poll<M: TranscriptModel>(model: M, speaker: PlayerId, route: M::Route) {
+        let k = model.num_players();
+        let mut engine = Engine::with_rng(model, k, &ChaCha8Rng::seed_from_u64(0)).unwrap();
+        let first = engine.poll().unwrap();
+        assert_eq!(
+            engine.poll().unwrap(),
+            first,
+            "re-poll re-issues the same grant"
+        );
+        let Step::Grant(grant) = first else {
+            panic!("expected a grant")
+        };
+        assert_eq!(
+            (grant.speaker, grant.turn, grant.route),
+            (speaker, 0, route)
+        );
+        assert!(grant.rng_state.is_some());
+        assert_eq!(engine.granted(), Some(speaker));
+    }
+
+    /// The reply contract: no grant, wrong speaker, bad RNG state — each a
+    /// structured violation that leaves the engine where it was — and
+    /// then a good reply that lands and re-parks the RNG.
+    fn check_reply_contract<M: TranscriptModel>(model: M) {
+        let k = model.num_players();
+        let mut engine = Engine::with_rng(model, k, &ChaCha8Rng::seed_from_u64(1)).unwrap();
+        let err = engine.apply(0, BitVec::new(), None).unwrap_err();
+        assert_eq!(err, ProtocolViolation::ReplyWithoutGrant { speaker: 0 });
+        assert_eq!(
+            err.to_string(),
+            "player 0 replied without an outstanding grant"
+        );
+
+        let Step::Grant(grant) = engine.poll().unwrap() else {
+            panic!("grant expected")
+        };
+        let granted = grant.speaker;
+        let other = (granted + 1) % k;
+        let err = engine
+            .apply(other, BitVec::new(), Some(&[0u8; STATE_LEN]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolViolation::WrongSpeaker {
+                granted,
+                speaker: other
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("player {other} replied on player {granted}'s grant")
+        );
+
+        let err = engine
+            .apply(granted, BitVec::new(), Some(&[1, 2, 3]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolViolation::BadRngState {
+                speaker: granted,
+                len: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("player {granted} returned a bad RNG state")
+        );
+        let err = engine.apply(granted, BitVec::new(), None).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolViolation::BadRngState {
+                speaker: granted,
+                len: 0
+            }
+        );
+        assert_eq!(engine.steps(), 0);
+
+        let mut rng = grant.resume_rng();
+        let bits = BitVec::from_bools(&[rng.next_u32() & 1 == 1]);
+        engine
+            .apply(granted, bits, Some(&rng.state_bytes()))
+            .expect("valid reply");
+        assert_eq!(engine.steps(), 1);
+        assert_eq!(engine.bits_written(), 1);
+        assert_eq!(engine.rng_state(), Some(&rng.state_bytes()));
+    }
+
+    /// A never-halting model lands exactly `max_steps` writes, then trips
+    /// the runaway guard.
+    fn check_runaway<M: TranscriptModel>(model: M) {
+        let k = model.num_players();
+        let mut engine = Engine::new(model, k).unwrap().with_max_steps(16);
+        let mut applied = 0usize;
+        let err = loop {
+            match engine.poll() {
+                Ok(Step::Grant(grant)) => {
+                    engine
+                        .apply(grant.speaker, BitVec::from_bools(&[true]), None)
+                        .unwrap();
+                    applied += 1;
+                }
+                Ok(Step::Halted) => panic!("a never-halting model halted"),
+                Err(v) => break v,
+            }
+        };
+        assert_eq!(applied, 16, "exactly max_steps writes land");
+        assert_eq!(engine.steps(), 16);
+        assert_eq!(err, ProtocolViolation::Runaway { max_steps: 16 });
+        assert_eq!(err.to_string(), "protocol exceeded 16 turns");
     }
 
     #[test]
@@ -584,88 +877,25 @@ mod tests {
 
     #[test]
     fn poll_is_idempotent_while_a_grant_is_outstanding() {
-        let protocol = RoundRobin { k: 2 };
-        let rng = ChaCha8Rng::seed_from_u64(0);
-        let mut engine = TurnEngine::with_rng(&protocol, 2, &rng).unwrap();
-        let first = engine.poll().unwrap();
-        let again = engine.poll().unwrap();
-        assert_eq!(first, again, "re-poll re-issues the same grant");
-        let Step::Grant(grant) = first else {
-            panic!("expected a grant")
-        };
-        assert_eq!(grant.speaker, 0);
-        assert_eq!(grant.turn, 0);
-        assert!(grant.rng_state.is_some());
-        assert_eq!(engine.granted(), Some(0));
+        check_idempotent_poll(&RoundRobin { k: 2 }, 0, ());
+        check_idempotent_poll(Star { k: 3, rounds: 1 }, 1, (1, 0));
     }
 
     #[test]
     fn halted_poll_is_idempotent() {
-        struct Silent;
-        impl Protocol for Silent {
-            type Input = ();
-            type Output = ();
-            fn num_players(&self) -> usize {
-                1
-            }
-            fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
-                None
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
-                BitVec::new()
-            }
-            fn output(&self, _board: &Board) {}
-        }
-        let mut engine = TurnEngine::new(&Silent, 1).unwrap();
+        let mut engine = TurnEngine::new(&RoundRobin { k: 0 }, 0).unwrap();
         assert_eq!(engine.poll().unwrap(), Step::Halted);
         assert_eq!(engine.poll().unwrap(), Step::Halted);
         assert!(engine.is_halted());
+        let mut engine = Engine::new(Star { k: 3, rounds: 0 }, 3).unwrap();
+        assert_eq!(engine.poll().unwrap(), Step::Halted);
+        assert_eq!(engine.poll().unwrap(), Step::Halted);
     }
 
     #[test]
     fn reply_contract_violations_are_structured() {
-        let protocol = RoundRobin { k: 3 };
-        let rng = ChaCha8Rng::seed_from_u64(1);
-        let mut engine = TurnEngine::with_rng(&protocol, 3, &rng).unwrap();
-
-        // Reply before any grant.
-        let err = engine.apply(0, BitVec::new(), None).unwrap_err();
-        assert_eq!(err, ProtocolViolation::ReplyWithoutGrant { speaker: 0 });
-        assert!(err.to_string().contains("without an outstanding grant"));
-
-        // Wrong speaker replies.
-        let Step::Grant(grant) = engine.poll().unwrap() else {
-            panic!("grant expected")
-        };
-        assert_eq!(grant.speaker, 0);
-        let err = engine
-            .apply(2, BitVec::new(), Some(&[0u8; STATE_LEN]))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ProtocolViolation::WrongSpeaker {
-                granted: 0,
-                speaker: 2
-            }
-        );
-        assert_eq!(err.to_string(), "player 2 replied on player 0's grant");
-
-        // Malformed RNG state.
-        let err = engine
-            .apply(0, BitVec::new(), Some(&[1, 2, 3]))
-            .unwrap_err();
-        assert_eq!(err, ProtocolViolation::BadRngState { speaker: 0, len: 3 });
-        assert_eq!(err.to_string(), "player 0 returned a bad RNG state");
-        let err = engine.apply(0, BitVec::new(), None).unwrap_err();
-        assert_eq!(err, ProtocolViolation::BadRngState { speaker: 0, len: 0 });
-
-        // A good reply still lands after the failed attempts.
-        let mut rng = grant.resume_rng();
-        let bits = protocol.message(0, &(), engine.board(), &mut rng);
-        engine
-            .apply(0, bits, Some(&rng.state_bytes()))
-            .expect("valid reply");
-        assert_eq!(engine.steps(), 1);
+        check_reply_contract(&RoundRobin { k: 3 });
+        check_reply_contract(Star { k: 3, rounds: 1 });
     }
 
     #[test]
@@ -700,39 +930,53 @@ mod tests {
     }
 
     #[test]
-    fn runaway_guard_trips_at_the_configured_budget() {
-        struct NeverHalts;
-        impl Protocol for NeverHalts {
-            type Input = ();
-            type Output = ();
-            fn num_players(&self) -> usize {
-                1
-            }
-            fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
-                Some(0)
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
-                BitVec::from_bools(&[true])
-            }
-            fn output(&self, _board: &Board) {}
-        }
-        let mut engine = TurnEngine::new(&NeverHalts, 1).unwrap().with_max_steps(16);
-        let mut applied = 0usize;
-        let err = loop {
-            match engine.poll() {
-                Ok(Step::Grant(grant)) => {
-                    engine
-                        .apply(grant.speaker, BitVec::from_bools(&[true]), None)
-                        .unwrap();
-                    applied += 1;
-                }
-                Ok(Step::Halted) => panic!("NeverHalts halted"),
-                Err(v) => break v,
-            }
+    fn illegal_links_are_checked_between_speaker_range_and_runaway() {
+        let poll = |turn, max_steps| {
+            Engine::new(Fixed { turn }, 3)
+                .unwrap()
+                .with_max_steps(max_steps)
+                .poll()
         };
-        assert_eq!(applied, 16, "exactly max_steps writes land");
-        assert_eq!(err, ProtocolViolation::Runaway { max_steps: 16 });
-        assert_eq!(err.to_string(), "protocol exceeded 16 turns");
+        // An out-of-range speaker on an illegal edge: the range wins.
+        assert_eq!(
+            poll((7, (7, 1)), 0).unwrap_err(),
+            ProtocolViolation::SpeakerOutOfRange {
+                speaker: 7,
+                players: 3
+            }
+        );
+        // A spoke-to-spoke edge on an exhausted budget: the link wins.
+        let err = poll((1, (1, 2)), 0).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolViolation::IllegalLink {
+                speaker: 1,
+                reason: "player 1 granted link 1->2, not allowed under the star topology".into(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "player 1 granted link 1->2, not allowed under the star topology"
+        );
+        // A legal edge on an exhausted budget: the runaway guard.
+        assert_eq!(
+            poll((1, (1, 0)), 0).unwrap_err(),
+            ProtocolViolation::Runaway { max_steps: 0 }
+        );
+        // Budget left: a grant on the route.
+        let Step::Grant(grant) = poll((1, (1, 0)), 1).unwrap() else {
+            panic!("grant expected")
+        };
+        assert_eq!((grant.speaker, grant.route), (1, (1, 0)));
+    }
+
+    #[test]
+    fn runaway_guard_trips_at_the_configured_budget() {
+        check_runaway(&NeverHalts);
+        check_runaway(Star {
+            k: 3,
+            rounds: usize::MAX,
+        });
     }
 
     #[test]

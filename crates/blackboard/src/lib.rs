@@ -82,7 +82,7 @@ pub mod tree;
 pub mod tree_protocol;
 
 pub use board::{Board, Message};
-pub use engine::{Grant, ProtocolViolation, Step, TurnEngine};
+pub use engine::{Engine, Grant, ProtocolViolation, Step, TranscriptModel, TurnEngine};
 pub use protocol::{run, run_traced, Execution, Protocol};
 pub use stats::CommStats;
 pub use tree::ProtocolTree;

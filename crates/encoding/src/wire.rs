@@ -196,9 +196,9 @@ impl<T: Wire> Wire for Vec<T> {
 
 impl Wire for BitVec {
     /// `u32` bit length, then the bits packed LSB-first into bytes — the
-    /// same layout
+    /// payload layout of
     /// [`Board::to_bytes`](../../bci_blackboard/board/struct.Board.html)
-    /// uses for message payloads.
+    /// and the routed board's serialization.
     fn encode(&self, out: &mut Vec<u8>) {
         let len = u32::try_from(self.len()).expect("bitvec fits a frame");
         len.encode(out);
@@ -254,9 +254,28 @@ impl Wire for BitSet {
     }
 }
 
+/// FNV-1a (64-bit) over a byte slice: the digest every transcript
+/// replay check in the workspace folds over canonical bytes.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_wire_bytes();

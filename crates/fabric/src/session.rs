@@ -261,4 +261,17 @@ mod tests {
         assert!(!SessionOutcome::TimedOut.is_completed());
         assert!(!SessionOutcome::Aborted("x".into()).is_completed());
     }
+
+    #[test]
+    fn an_illegal_link_aborts_with_its_canonical_reason() {
+        let reason = "player 1 granted link 1->2, not allowed under the star topology";
+        let violation = ProtocolViolation::IllegalLink {
+            speaker: 1,
+            reason: reason.into(),
+        };
+        assert_eq!(
+            SessionOutcome::from(violation),
+            SessionOutcome::Aborted(reason.into())
+        );
+    }
 }

@@ -11,6 +11,7 @@
 
 use bci_blackboard::board::Board;
 use bci_blackboard::runner::derive_trial_seed;
+use bci_encoding::wire::fnv1a;
 use bci_fabric::session::SessionOutcome;
 use bci_fabric::transport::{InProcessTransport, SessionContext, Transport, DISABLED_RECORDER};
 use bci_protocols::disj::broadcast::BroadcastDisj;
@@ -49,17 +50,6 @@ impl OverheadPoint {
     pub fn digests_match(&self) -> bool {
         self.digest_tcp == self.digest_inprocess
     }
-}
-
-/// FNV-1a (64-bit) over a byte slice; the digest primitive the repo's
-/// determinism checks use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// FNV-1a digest of a board's canonical byte serialization.
@@ -161,14 +151,6 @@ pub fn overhead_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn overhead_point_agrees_across_transports() {

@@ -1,4 +1,4 @@
-//! Adapters between the routed and blackboard protocol worlds.
+//! Routed protocols on blackboard drivers.
 //!
 //! [`Embedded`] simulates a routed protocol *on the blackboard*: every
 //! message is broadcast with a small self-describing link header, so all
@@ -17,11 +17,6 @@
 //! also become publicly readable. The embedding is therefore a
 //! simulation harness for cost accounting and driver transport — not a
 //! privacy-preserving implementation of message passing.
-//!
-//! [`FromBlackboard`] goes the other way: any blackboard protocol is a
-//! routed protocol over [`Topology::Blackboard`] whose every link is
-//! broadcast. It exists for API completeness (one engine can drive
-//! both) and is exercised on small protocols.
 
 use bci_blackboard::board::Board;
 use bci_blackboard::protocol::Protocol;
@@ -29,8 +24,8 @@ use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
 use rand::RngCore;
 
-use crate::model::{Link, Topology};
-use crate::routed::{PlayerView, RoutedBoard, RoutedProtocol, SentMessage};
+use crate::model::Link;
+use crate::routed::{RoutedBoard, RoutedProtocol};
 
 /// Bits needed to address one of `players` endpoints.
 pub(crate) fn addr_bits(players: usize) -> usize {
@@ -143,17 +138,12 @@ impl<P: RoutedProtocol> Protocol for Embedded<P> {
             speaker, player,
             "blackboard grant disagrees with the routed schedule"
         );
-        let topology = self.inner.topology();
-        assert!(
-            link.well_formed(self.inner.num_players()) && topology.allows(&link),
-            "routed protocol granted link {link} forbidden under the {} topology",
-            topology.name()
-        );
-        if let Link::Directed { from, .. } = link {
-            assert_eq!(from, speaker, "directed link must originate at the speaker");
+        let players = self.inner.num_players();
+        if let Err(violation) = self.inner.topology().check_link(players, speaker, link) {
+            panic!("{violation}");
         }
         let payload = self.inner.message(player, input, &routed.view(player), rng);
-        let width = addr_bits(self.inner.num_players());
+        let width = addr_bits(players);
         let mut bits = BitVec::with_capacity(1 + width + payload.len());
         match link {
             Link::Broadcast => bits.push(false),
@@ -173,77 +163,11 @@ impl<P: RoutedProtocol> Protocol for Embedded<P> {
     }
 }
 
-/// A blackboard protocol viewed as a routed protocol over
-/// [`Topology::Blackboard`]: every turn is a broadcast link.
-#[derive(Debug, Clone)]
-pub struct FromBlackboard<P: Protocol> {
-    inner: P,
-}
-
-impl<P: Protocol> FromBlackboard<P> {
-    /// Wraps `inner` for execution on the routed engine.
-    pub fn new(inner: P) -> Self {
-        FromBlackboard { inner }
-    }
-
-    /// The wrapped blackboard protocol.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    fn as_board(messages: &[SentMessage]) -> Board {
-        let mut board = Board::new();
-        for m in messages {
-            board.write(m.speaker, m.bits.clone());
-        }
-        board
-    }
-}
-
-impl<P: Protocol> RoutedProtocol for FromBlackboard<P> {
-    type Input = P::Input;
-    type Output = P::Output;
-
-    fn topology(&self) -> Topology {
-        Topology::Blackboard
-    }
-
-    fn num_players(&self) -> usize {
-        self.inner.num_players()
-    }
-
-    fn next_turn(&self, board: &RoutedBoard) -> Option<(PlayerId, Link)> {
-        let bb = Self::as_board(board.messages());
-        self.inner
-            .next_speaker(&bb)
-            .map(|speaker| (speaker, Link::Broadcast))
-    }
-
-    fn message(
-        &self,
-        speaker: PlayerId,
-        input: &Self::Input,
-        view: &PlayerView<'_>,
-        rng: &mut dyn RngCore,
-    ) -> BitVec {
-        // Broadcast links are visible to everyone, so the view is the
-        // full transcript.
-        let mut bb = Board::new();
-        for m in view.messages() {
-            bb.write(m.speaker, m.bits.clone());
-        }
-        self.inner.message(speaker, input, &bb, rng)
-    }
-
-    fn output(&self, board: &RoutedBoard) -> Self::Output {
-        self.inner.output(&Self::as_board(board.messages()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routed::run_routed;
+    use crate::model::Topology;
+    use crate::routed::{run_routed, PlayerView};
     use bci_blackboard::protocol::run;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -325,44 +249,5 @@ mod tests {
             exec.bits_written,
             native.board.total_bits() + 2 * embedded.header_bits()
         );
-    }
-
-    #[test]
-    fn from_blackboard_matches_the_native_run() {
-        /// Two players each broadcast two random bits; output is the OR.
-        struct Or2;
-        impl Protocol for Or2 {
-            type Input = ();
-            type Output = bool;
-            fn num_players(&self) -> usize {
-                2
-            }
-            fn next_speaker(&self, board: &Board) -> Option<PlayerId> {
-                (board.messages().len() < 2).then_some(board.messages().len())
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, rng: &mut dyn RngCore) -> BitVec {
-                let r = rng.next_u32();
-                BitVec::from_bools(&[r & 1 == 1, r & 2 == 2])
-            }
-            fn output(&self, board: &Board) -> bool {
-                board.messages().iter().any(|m| m.bits.iter().any(|b| b))
-            }
-        }
-
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let native = run(&Or2, &[(), ()], &mut rng);
-
-        let routed = FromBlackboard::new(Or2);
-        let exec = run_routed(&routed, &[(), ()], &ChaCha8Rng::seed_from_u64(4));
-        assert_eq!(exec.output, native.output);
-        assert_eq!(exec.stats.total_bits, native.bits_written);
-        assert_eq!(exec.stats.broadcast_bits, native.bits_written);
-        assert_eq!(exec.stats.directed_bits, 0);
-        // Transcripts agree message by message.
-        for (r, b) in exec.board.messages().iter().zip(native.board.messages()) {
-            assert_eq!(r.speaker, b.speaker);
-            assert_eq!(r.link, Link::Broadcast);
-            assert_eq!(r.bits, b.bits);
-        }
     }
 }

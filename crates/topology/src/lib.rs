@@ -11,12 +11,13 @@
 //!
 //! * [`Link`] / [`Topology`] — who may carry a message and who sees it
 //!   ([`model`]);
-//! * [`RoutedProtocol`] + [`RoutedEngine`] — a sans-io turn engine with
-//!   the blackboard engine's exact grant/parking/replay discipline, plus
-//!   per-link transcripts, per-player visibility, and per-link cost
-//!   accounting ([`routed`]);
-//! * [`Embedded`] / [`FromBlackboard`] — adapters so routed protocols run
-//!   on all existing blackboard drivers and vice versa ([`embed`]).
+//! * [`RoutedProtocol`] + [`Routed`] — a protocol over links and the
+//!   transcript model that runs it on the blackboard crate's one sans-io
+//!   engine ([`RoutedEngine`]): the same grant/parking/replay discipline,
+//!   plus per-link transcripts, per-player visibility, the topology's link
+//!   rule on every grant, and per-link cost accounting ([`routed`]);
+//! * [`Embedded`] — an adapter so routed protocols run on all existing
+//!   blackboard drivers ([`embed`]).
 //!
 //! # Example
 //!
@@ -70,9 +71,9 @@ pub mod embed;
 pub mod model;
 pub mod routed;
 
-pub use embed::{Embedded, FromBlackboard};
+pub use embed::Embedded;
 pub use model::{Link, Topology};
 pub use routed::{
-    run_routed, PlayerView, RoutedBoard, RoutedEngine, RoutedExecution, RoutedGrant,
-    RoutedProtocol, RoutedStep, RoutedViolation, SentMessage, TopologyCommStats,
+    run_routed, PlayerView, Routed, RoutedBoard, RoutedEngine, RoutedExecution, RoutedProtocol,
+    SentMessage, TopologyCommStats,
 };

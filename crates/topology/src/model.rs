@@ -15,9 +15,12 @@
 //!
 //! Visibility is a property of the *link*, not the topology: a broadcast
 //! message is visible to every player, a directed message only to its two
-//! endpoints. The topology just restricts which links a protocol may use,
-//! enforced by the routed engine (`crate::routed`).
+//! endpoints. The topology just restricts which links a protocol may use:
+//! [`Topology::check_link`] is the one link rule, enforced on every grant
+//! of the routed engine (`crate::routed`) and every message of the
+//! blackboard embedding (`crate::embed`).
 
+use bci_blackboard::engine::ProtocolViolation;
 use bci_blackboard::PlayerId;
 use std::fmt;
 
@@ -111,6 +114,37 @@ impl Topology {
             (Topology::CoordinatorStar { .. } | Topology::PointToPoint, Link::Broadcast) => false,
         }
     }
+
+    /// The link rule: `speaker` may write on `link` in a `players`-player
+    /// protocol under this topology iff the link is
+    /// [`well_formed`](Link::well_formed), a directed link starts at the
+    /// speaker, and the topology [`allows`](Self::allows) it.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolViolation::IllegalLink`] naming the first rule broken, in
+    /// that order.
+    pub fn check_link(
+        &self,
+        players: usize,
+        speaker: PlayerId,
+        link: Link,
+    ) -> Result<(), ProtocolViolation> {
+        let reason = match link {
+            _ if !link.well_formed(players) => {
+                format!("malformed link {link} for {players} players")
+            }
+            Link::Directed { from, .. } if from != speaker => {
+                format!("player {speaker} granted foreign link {link}")
+            }
+            _ if !self.allows(&link) => format!(
+                "player {speaker} granted link {link}, not allowed under the {} topology",
+                self.name()
+            ),
+            _ => return Ok(()),
+        };
+        Err(ProtocolViolation::IllegalLink { speaker, reason })
+    }
 }
 
 #[cfg(test)]
@@ -156,6 +190,33 @@ mod tests {
         assert!(!p2p.allows(&Link::Broadcast));
         assert!(p2p.allows(&up));
         assert!(p2p.allows(&side));
+    }
+
+    #[test]
+    fn the_link_rule_names_the_first_broken_rule() {
+        let star = Topology::CoordinatorStar { hub: 0 };
+        let reason = |speaker, link| star.check_link(3, speaker, link).unwrap_err().to_string();
+        // Malformed beats foreign beats forbidden.
+        assert_eq!(
+            reason(1, Link::Directed { from: 2, to: 9 }),
+            "malformed link 2->9 for 3 players"
+        );
+        assert_eq!(
+            reason(1, Link::Directed { from: 2, to: 1 }),
+            "player 1 granted foreign link 2->1"
+        );
+        assert_eq!(
+            reason(1, Link::Broadcast),
+            "player 1 granted link broadcast, not allowed under the star topology"
+        );
+        assert_eq!(
+            star.check_link(3, 1, Link::Directed { from: 1, to: 0 }),
+            Ok(())
+        );
+        assert_eq!(
+            Topology::Blackboard.check_link(3, 2, Link::Broadcast),
+            Ok(())
+        );
     }
 
     #[test]

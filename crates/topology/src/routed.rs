@@ -1,27 +1,27 @@
-//! The sans-io routed turn engine: `TurnEngine` semantics over any
-//! [`Topology`].
+//! Routed transcripts: protocols whose messages travel on links of a
+//! [`Topology`] instead of one shared board.
 //!
-//! [`RoutedEngine`] carries the blackboard engine's contract — poll for a
-//! grant, perform the turn anywhere, apply the reply; one outstanding
-//! grant at a time; the serialized ChaCha8 session-RNG state parked
-//! between turns and shipped inside every grant — to protocols whose
-//! messages travel on *links* instead of one shared board:
+//! A [`RoutedProtocol`] runs on the blackboard crate's one sans-io
+//! [`Engine`] through the [`Routed`] transcript model ([`RoutedEngine`]):
+//! the same grant/apply contract, one outstanding grant at a time, and
+//! the serialized ChaCha8 session-RNG state parked between turns and
+//! shipped inside every grant. The model adds what links bring:
 //!
-//! * every message is recorded with its [`Link`], giving per-edge
-//!   transcripts ([`RoutedBoard`]);
+//! * every message is recorded with its [`Link`] (the grant's `route`),
+//!   giving per-edge transcripts ([`RoutedBoard`]);
 //! * a speaker composes its message from a [`PlayerView`] — only the
 //!   messages its player can see under the link visibility rule — so
 //!   privacy is structural, not a convention;
-//! * the engine validates every granted link against the protocol's
-//!   topology (a blackboard protocol cannot sneak a directed edge, a
-//!   star protocol cannot bypass its hub);
+//! * every granted link is checked against the protocol's topology
+//!   ([`Topology::check_link`]): a blackboard protocol cannot sneak a
+//!   directed edge, a star protocol cannot bypass its hub;
 //! * per-link bits accounting rolls up into a [`TopologyCommStats`].
 //!
-//! Violations reuse the blackboard engine's structured
-//! [`ProtocolViolation`] taxonomy (wrapped in [`RoutedViolation`]) so
-//! abort reasons render identically across drivers, and the board has a
-//! canonical byte serialization + FNV-1a digest for the same replay
-//! verification the mux/load harnesses perform on blackboard sessions.
+//! Violations are the engine's [`ProtocolViolation`]s — an illegal link is
+//! [`ProtocolViolation::IllegalLink`] — so abort reasons render
+//! identically across drivers, and the board has a canonical byte
+//! serialization + FNV-1a digest for the same replay verification the
+//! mux/load harnesses perform on blackboard sessions.
 //!
 //! # Determinism
 //!
@@ -32,14 +32,12 @@
 //! produce byte-identical [`RoutedBoard`]s (see the driver-equivalence
 //! tests in `bci-mux`).
 
-use std::fmt;
-
-use bci_blackboard::engine::ProtocolViolation;
-use bci_blackboard::protocol::MAX_STEPS;
+use bci_blackboard::engine::{Engine, ProtocolViolation, Step, TranscriptModel};
 use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
+use bci_encoding::wire::{fnv1a, Wire};
 use rand::RngCore;
-use rand_chacha::{ChaCha8Rng, STATE_LEN};
+use rand_chacha::ChaCha8Rng;
 
 use crate::model::{Link, Topology};
 
@@ -109,31 +107,18 @@ impl RoutedBoard {
     /// `u32` bit length, and the payload packed LSB-first.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.messages.len() as u32).to_le_bytes());
+        (self.messages.len() as u32).encode(&mut out);
         for m in &self.messages {
-            out.extend_from_slice(&(m.speaker as u32).to_le_bytes());
+            (m.speaker as u32).encode(&mut out);
             match m.link {
                 Link::Broadcast => out.push(0),
                 Link::Directed { from, to } => {
                     out.push(1);
-                    out.extend_from_slice(&(from as u32).to_le_bytes());
-                    out.extend_from_slice(&(to as u32).to_le_bytes());
+                    (from as u32).encode(&mut out);
+                    (to as u32).encode(&mut out);
                 }
             }
-            out.extend_from_slice(&(m.bits.len() as u32).to_le_bytes());
-            let mut byte = 0u8;
-            for (i, bit) in m.bits.iter().enumerate() {
-                if bit {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    out.push(byte);
-                    byte = 0;
-                }
-            }
-            if m.bits.len() % 8 != 0 {
-                out.push(byte);
-            }
+            m.bits.encode(&mut out);
         }
         out
     }
@@ -143,16 +128,6 @@ impl RoutedBoard {
     pub fn digest(&self) -> u64 {
         fnv1a(&self.to_bytes())
     }
-}
-
-/// FNV-1a (64-bit) over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// What one player sees of a routed transcript: the messages on links
@@ -292,397 +267,42 @@ pub trait RoutedProtocol {
     fn output(&self, board: &RoutedBoard) -> Self::Output;
 }
 
-/// A violation of the routed protocol/driver contract.
-///
-/// Wraps the blackboard engine's [`ProtocolViolation`] (so the shared
-/// abort-reason strings stay canonical across every driver) and adds the
-/// link-discipline failures only routed protocols can commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RoutedViolation {
-    /// A violation of the turn/grant/RNG contract shared with the
-    /// blackboard engine.
-    Core(ProtocolViolation),
-    /// The protocol granted a link its own topology forbids.
-    LinkNotAllowed {
-        /// The granted speaker.
-        speaker: PlayerId,
-        /// The offending link.
-        link: Link,
-        /// `Topology::name()` of the protocol's topology.
-        topology: &'static str,
-    },
-    /// The granted link is malformed: an endpoint out of range, or a
-    /// directed self-loop.
-    MalformedLink {
-        /// The offending link.
-        link: Link,
-        /// Roster size `k`.
-        players: usize,
-    },
-    /// A directed link whose `from` is not the granted speaker.
-    ForeignLink {
-        /// The granted speaker.
-        speaker: PlayerId,
-        /// The link (with `from != speaker`).
-        link: Link,
-    },
-}
+/// A [`RoutedProtocol`] as the engine's [`TranscriptModel`]: the board is
+/// a [`RoutedBoard`], the route a [`Link`], and the check the protocol
+/// topology's [`Topology::check_link`].
+pub struct Routed<'p, P>(pub &'p P);
 
-impl fmt::Display for RoutedViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutedViolation::Core(v) => v.fmt(f),
-            RoutedViolation::LinkNotAllowed {
-                speaker,
-                link,
-                topology,
-            } => {
-                write!(
-                    f,
-                    "player {speaker} granted link {link}, not allowed under the {topology} topology"
-                )
-            }
-            RoutedViolation::MalformedLink { link, players } => {
-                write!(f, "malformed link {link} for {players} players")
-            }
-            RoutedViolation::ForeignLink { speaker, link } => {
-                write!(f, "player {speaker} granted foreign link {link}")
-            }
-        }
+impl<P: RoutedProtocol> TranscriptModel for Routed<'_, P> {
+    type Board = RoutedBoard;
+    type Route = Link;
+    type Output = P::Output;
+
+    fn num_players(&self) -> usize {
+        self.0.num_players()
+    }
+
+    fn next_turn(&self, board: &RoutedBoard) -> Option<(PlayerId, Link)> {
+        self.0.next_turn(board)
+    }
+
+    fn check(&self, speaker: PlayerId, link: Link) -> Result<(), ProtocolViolation> {
+        self.0
+            .topology()
+            .check_link(self.0.num_players(), speaker, link)
+    }
+
+    fn record(&self, board: &mut RoutedBoard, speaker: PlayerId, link: Link, bits: BitVec) {
+        board.write(speaker, link, bits);
+    }
+
+    fn output(&self, board: &RoutedBoard) -> P::Output {
+        self.0.output(board)
     }
 }
 
-impl std::error::Error for RoutedViolation {}
-
-impl From<ProtocolViolation> for RoutedViolation {
-    fn from(v: ProtocolViolation) -> Self {
-        RoutedViolation::Core(v)
-    }
-}
-
-/// One granted routed turn: the blackboard [`Grant`] plus the link the
-/// message must travel on.
-///
-/// [`Grant`]: bci_blackboard::engine::Grant
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedGrant {
-    /// The player whose turn it is.
-    pub speaker: PlayerId,
-    /// The link the message will be recorded on.
-    pub link: Link,
-    /// Zero-based turn number (== board writes so far).
-    pub turn: usize,
-    /// The serialized session-RNG state the speaker must resume from;
-    /// `None` for external-RNG engines.
-    pub rng_state: Option<[u8; STATE_LEN]>,
-}
-
-impl RoutedGrant {
-    /// Resumes the session RNG from the grant's serialized state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was built without an RNG
-    /// ([`RoutedEngine::new`]); external-RNG drivers bring their own.
-    pub fn resume_rng(&self) -> ChaCha8Rng {
-        let state = self
-            .rng_state
-            .as_ref()
-            .expect("grant carries no RNG state (external-RNG engine)");
-        ChaCha8Rng::from_state_bytes(state)
-    }
-}
-
-/// What the routed engine asks its driver to do next.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoutedStep {
-    /// A turn is granted: have `speaker` compute its message from its
-    /// view and hand the bits back via [`RoutedEngine::apply`].
-    Grant(RoutedGrant),
-    /// The protocol halted; the board is final.
-    Halted,
-}
-
-/// Where the session RNG lives right now (the blackboard engine's
-/// parking discipline, verbatim).
-#[derive(Debug, Clone)]
-enum RngSlot {
-    External,
-    Parked([u8; STATE_LEN]),
-    Lent([u8; STATE_LEN]),
-}
-
-/// The sans-io routed protocol state machine driving one session.
-///
-/// See the [module docs](self) for the contract; the driver loop is the
-/// blackboard `TurnEngine`'s with [`RoutedGrant`] in place of `Grant`.
-pub struct RoutedEngine<'p, P: RoutedProtocol> {
-    protocol: &'p P,
-    topology: Topology,
-    board: RoutedBoard,
-    rng: RngSlot,
-    steps: usize,
-    max_steps: usize,
-    granted: Option<(PlayerId, Link)>,
-    halted: bool,
-}
-
-impl<P: RoutedProtocol> fmt::Debug for RoutedEngine<'_, P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RoutedEngine")
-            .field("topology", &self.topology)
-            .field("board", &self.board)
-            .field("rng", &self.rng)
-            .field("steps", &self.steps)
-            .field("max_steps", &self.max_steps)
-            .field("granted", &self.granted)
-            .field("halted", &self.halted)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: RoutedProtocol> Clone for RoutedEngine<'_, P> {
-    fn clone(&self) -> Self {
-        RoutedEngine {
-            protocol: self.protocol,
-            topology: self.topology,
-            board: self.board.clone(),
-            rng: self.rng.clone(),
-            steps: self.steps,
-            max_steps: self.max_steps,
-            granted: self.granted,
-            halted: self.halted,
-        }
-    }
-}
-
-impl<'p, P: RoutedProtocol> RoutedEngine<'p, P> {
-    /// An engine whose driver owns the random source (grants carry no
-    /// RNG state).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
-    pub fn new(protocol: &'p P, input_count: usize) -> Result<Self, RoutedViolation> {
-        Self::build(protocol, input_count, RngSlot::External)
-    }
-
-    /// An engine that parks the serialized ChaCha8 session-RNG state
-    /// between turns and ships it inside every grant — the discipline
-    /// every transport shares with the blackboard engine.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
-    pub fn with_rng(
-        protocol: &'p P,
-        input_count: usize,
-        rng: &ChaCha8Rng,
-    ) -> Result<Self, RoutedViolation> {
-        Self::build(protocol, input_count, RngSlot::Parked(rng.state_bytes()))
-    }
-
-    fn build(protocol: &'p P, input_count: usize, rng: RngSlot) -> Result<Self, RoutedViolation> {
-        let expected = protocol.num_players();
-        if input_count != expected {
-            return Err(ProtocolViolation::InputCount {
-                expected,
-                got: input_count,
-            }
-            .into());
-        }
-        Ok(RoutedEngine {
-            protocol,
-            topology: protocol.topology(),
-            board: RoutedBoard::new(),
-            rng,
-            steps: 0,
-            max_steps: MAX_STEPS,
-            granted: None,
-            halted: false,
-        })
-    }
-
-    /// Overrides the runaway guard (default `MAX_STEPS`).
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Advances the state machine: grants the next turn (validating the
-    /// link against the topology), re-issues the outstanding grant
-    /// (polling is idempotent), or reports the halt.
-    ///
-    /// # Errors
-    ///
-    /// * [`ProtocolViolation::SpeakerOutOfRange`] (wrapped) — the
-    ///   schedule named a player `>= num_players`;
-    /// * [`RoutedViolation::MalformedLink`] /
-    ///   [`RoutedViolation::ForeignLink`] /
-    ///   [`RoutedViolation::LinkNotAllowed`] — link-discipline failures;
-    /// * [`ProtocolViolation::Runaway`] (wrapped) — step budget
-    ///   exhausted and the protocol still wants to speak.
-    pub fn poll(&mut self) -> Result<RoutedStep, RoutedViolation> {
-        if self.halted {
-            return Ok(RoutedStep::Halted);
-        }
-        if let Some((speaker, link)) = self.granted {
-            return Ok(RoutedStep::Grant(self.issue(speaker, link)));
-        }
-        let players = self.protocol.num_players();
-        match self.protocol.next_turn(&self.board) {
-            None => {
-                self.halted = true;
-                Ok(RoutedStep::Halted)
-            }
-            Some((speaker, _)) if speaker >= players => {
-                Err(ProtocolViolation::SpeakerOutOfRange { speaker, players }.into())
-            }
-            Some((_, link)) if !link.well_formed(players) => {
-                Err(RoutedViolation::MalformedLink { link, players })
-            }
-            Some((speaker, link @ Link::Directed { from, .. })) if from != speaker => {
-                Err(RoutedViolation::ForeignLink { speaker, link })
-            }
-            Some((speaker, link)) if !self.topology.allows(&link) => {
-                Err(RoutedViolation::LinkNotAllowed {
-                    speaker,
-                    link,
-                    topology: self.topology.name(),
-                })
-            }
-            Some(_) if self.steps >= self.max_steps => Err(ProtocolViolation::Runaway {
-                max_steps: self.max_steps,
-            }
-            .into()),
-            Some((speaker, link)) => {
-                self.granted = Some((speaker, link));
-                if let RngSlot::Parked(state) = self.rng {
-                    self.rng = RngSlot::Lent(state);
-                }
-                Ok(RoutedStep::Grant(self.issue(speaker, link)))
-            }
-        }
-    }
-
-    fn issue(&self, speaker: PlayerId, link: Link) -> RoutedGrant {
-        RoutedGrant {
-            speaker,
-            link,
-            turn: self.steps,
-            rng_state: match self.rng {
-                RngSlot::External => None,
-                RngSlot::Parked(state) | RngSlot::Lent(state) => Some(state),
-            },
-        }
-    }
-
-    /// Applies the granted speaker's reply: records `bits` on the
-    /// granted link, re-parks the returned RNG state, and advances the
-    /// turn cursor.
-    ///
-    /// # Errors
-    ///
-    /// The blackboard engine's reply contract, wrapped:
-    /// `ReplyWithoutGrant`, `WrongSpeaker`, `BadRngState`.
-    pub fn apply(
-        &mut self,
-        speaker: PlayerId,
-        bits: BitVec,
-        rng_state: Option<&[u8]>,
-    ) -> Result<(), RoutedViolation> {
-        let Some((granted, link)) = self.granted else {
-            return Err(ProtocolViolation::ReplyWithoutGrant { speaker }.into());
-        };
-        if speaker != granted {
-            return Err(ProtocolViolation::WrongSpeaker { granted, speaker }.into());
-        }
-        if let RngSlot::Lent(_) = self.rng {
-            let state: [u8; STATE_LEN] = match rng_state {
-                Some(bytes) => match bytes.try_into() {
-                    Ok(state) => state,
-                    Err(_) => {
-                        return Err(ProtocolViolation::BadRngState {
-                            speaker,
-                            len: bytes.len(),
-                        }
-                        .into())
-                    }
-                },
-                None => return Err(ProtocolViolation::BadRngState { speaker, len: 0 }.into()),
-            };
-            self.rng = RngSlot::Parked(state);
-        }
-        self.granted = None;
-        self.board.write(speaker, link, bits);
-        self.steps += 1;
-        Ok(())
-    }
-
-    /// The protocol this engine drives.
-    pub fn protocol(&self) -> &'p P {
-        self.protocol
-    }
-
-    /// The global transcript so far.
-    pub fn board(&self) -> &RoutedBoard {
-        &self.board
-    }
-
-    /// `player`'s view of the transcript so far.
-    pub fn view(&self, player: PlayerId) -> PlayerView<'_> {
-        self.board.view(player)
-    }
-
-    /// Turn cursor: messages applied so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Total payload bits — the communication cost so far.
-    pub fn bits_written(&self) -> usize {
-        self.board.total_bits()
-    }
-
-    /// The outstanding grant, if any.
-    pub fn granted(&self) -> Option<(PlayerId, Link)> {
-        self.granted
-    }
-
-    /// `true` once [`poll`](Self::poll) has observed the halt.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The parked session-RNG state, when the engine holds one and no
-    /// grant is outstanding.
-    pub fn rng_state(&self) -> Option<&[u8; STATE_LEN]> {
-        match &self.rng {
-            RngSlot::Parked(state) => Some(state),
-            _ => None,
-        }
-    }
-
-    /// Per-link / per-player accounting for the transcript so far.
-    pub fn stats(&self) -> TopologyCommStats {
-        TopologyCommStats::from_board(&self.board, self.protocol.num_players())
-    }
-
-    /// The protocol's output for the final board (meaningful once
-    /// halted).
-    pub fn output(&self) -> P::Output {
-        self.protocol.output(&self.board)
-    }
-
-    /// Consumes the engine, returning the board.
-    pub fn into_board(self) -> RoutedBoard {
-        self.board
-    }
-}
+/// The engine over a routed protocol: grants carry the [`Link`] as their
+/// `route`.
+pub type RoutedEngine<'p, P> = Engine<Routed<'p, P>>;
 
 /// One completed routed execution: transcript, output, accounting,
 /// digest.
@@ -703,8 +323,8 @@ pub struct RoutedExecution<O> {
 ///
 /// # Panics
 ///
-/// Panics on any [`RoutedViolation`] — the serial driver treats contract
-/// violations as programming errors, exactly like the blackboard
+/// Panics on any [`ProtocolViolation`] — the serial driver treats
+/// contract violations as programming errors, exactly like the blackboard
 /// `run`/`run_traced`.
 pub fn run_routed<P: RoutedProtocol>(
     protocol: &P,
@@ -712,20 +332,20 @@ pub fn run_routed<P: RoutedProtocol>(
     rng: &ChaCha8Rng,
 ) -> RoutedExecution<P::Output> {
     let mut engine =
-        RoutedEngine::with_rng(protocol, inputs.len(), rng).expect("input count matches");
-    while let RoutedStep::Grant(grant) = engine.poll().expect("routed protocol violation") {
+        Engine::with_rng(Routed(protocol), inputs.len(), rng).expect("input count matches");
+    while let Step::Grant(grant) = engine.poll().expect("routed protocol violation") {
         let mut rng = grant.resume_rng();
         let bits = protocol.message(
             grant.speaker,
             &inputs[grant.speaker],
-            &engine.view(grant.speaker),
+            &engine.board().view(grant.speaker),
             &mut rng,
         );
         engine
             .apply(grant.speaker, bits, Some(&rng.state_bytes()))
             .expect("reply matches the grant");
     }
-    let stats = engine.stats();
+    let stats = TopologyCommStats::from_board(engine.board(), protocol.num_players());
     let output = engine.output();
     let board = engine.into_board();
     let digest = board.digest();
@@ -872,166 +492,17 @@ mod tests {
             }
             fn output(&self, _b: &RoutedBoard) {}
         }
-        let mut engine = RoutedEngine::new(&Sneaky, 3).unwrap();
+        let mut engine = RoutedEngine::new(Routed(&Sneaky), 3).unwrap();
         let err = engine.poll().unwrap_err();
         assert_eq!(
             err,
-            RoutedViolation::LinkNotAllowed {
+            ProtocolViolation::IllegalLink {
                 speaker: 1,
-                link: Link::Directed { from: 1, to: 2 },
-                topology: "star",
+                reason: "player 1 granted link 1->2, not allowed under the star topology".into(),
             }
-        );
-        assert_eq!(
-            err.to_string(),
-            "player 1 granted link 1->2, not allowed under the star topology"
         );
         // The violation is stable under re-poll.
         assert_eq!(engine.poll().unwrap_err(), err);
-    }
-
-    #[test]
-    fn foreign_and_malformed_links_are_violations() {
-        struct Bad {
-            link: Link,
-        }
-        impl RoutedProtocol for Bad {
-            type Input = ();
-            type Output = ();
-            fn topology(&self) -> Topology {
-                Topology::PointToPoint
-            }
-            fn num_players(&self) -> usize {
-                3
-            }
-            fn next_turn(&self, _b: &RoutedBoard) -> Option<(PlayerId, Link)> {
-                Some((1, self.link))
-            }
-            fn message(
-                &self,
-                _s: PlayerId,
-                _i: &(),
-                _v: &PlayerView<'_>,
-                _r: &mut dyn RngCore,
-            ) -> BitVec {
-                BitVec::new()
-            }
-            fn output(&self, _b: &RoutedBoard) {}
-        }
-        // from != speaker.
-        let bad = Bad {
-            link: Link::Directed { from: 2, to: 0 },
-        };
-        let err = RoutedEngine::new(&bad, 3).unwrap().poll().unwrap_err();
-        assert_eq!(
-            err,
-            RoutedViolation::ForeignLink {
-                speaker: 1,
-                link: Link::Directed { from: 2, to: 0 },
-            }
-        );
-        assert_eq!(err.to_string(), "player 1 granted foreign link 2->0");
-        // Out-of-range endpoint.
-        let bad = Bad {
-            link: Link::Directed { from: 1, to: 9 },
-        };
-        let err = RoutedEngine::new(&bad, 3).unwrap().poll().unwrap_err();
-        assert_eq!(
-            err,
-            RoutedViolation::MalformedLink {
-                link: Link::Directed { from: 1, to: 9 },
-                players: 3,
-            }
-        );
-        assert_eq!(err.to_string(), "malformed link 1->9 for 3 players");
-    }
-
-    #[test]
-    fn grant_discipline_matches_the_blackboard_engine() {
-        let proto = StarEcho { k: 3 };
-        let rng = ChaCha8Rng::seed_from_u64(0);
-        let mut engine = RoutedEngine::with_rng(&proto, 3, &rng).unwrap();
-
-        // Reply before any grant.
-        let err = engine.apply(1, BitVec::new(), None).unwrap_err();
-        assert_eq!(
-            err,
-            RoutedViolation::Core(ProtocolViolation::ReplyWithoutGrant { speaker: 1 })
-        );
-
-        // Poll is idempotent while a grant is outstanding.
-        let first = engine.poll().unwrap();
-        let again = engine.poll().unwrap();
-        assert_eq!(first, again);
-        let RoutedStep::Grant(grant) = first else {
-            panic!("expected a grant")
-        };
-        assert_eq!(grant.speaker, 1);
-        assert_eq!(grant.link, Link::Directed { from: 1, to: 0 });
-        assert!(grant.rng_state.is_some());
-
-        // Wrong speaker; then bad RNG state; the canonical strings hold.
-        let err = engine
-            .apply(2, BitVec::new(), Some(&[0u8; STATE_LEN]))
-            .unwrap_err();
-        assert_eq!(err.to_string(), "player 2 replied on player 1's grant");
-        let err = engine.apply(1, BitVec::new(), Some(&[1, 2])).unwrap_err();
-        assert_eq!(err.to_string(), "player 1 returned a bad RNG state");
-
-        // A good reply lands; the RNG state re-parks.
-        let mut rng = grant.resume_rng();
-        let bits = proto.message(1, &(), &engine.view(1), &mut rng);
-        engine
-            .apply(1, bits, Some(&rng.state_bytes()))
-            .expect("valid reply");
-        assert_eq!(engine.steps(), 1);
-        assert!(engine.rng_state().is_some());
-    }
-
-    #[test]
-    fn runaway_guard_trips_at_the_configured_budget() {
-        struct Chatty;
-        impl RoutedProtocol for Chatty {
-            type Input = ();
-            type Output = ();
-            fn topology(&self) -> Topology {
-                Topology::PointToPoint
-            }
-            fn num_players(&self) -> usize {
-                2
-            }
-            fn next_turn(&self, _b: &RoutedBoard) -> Option<(PlayerId, Link)> {
-                Some((0, Link::Directed { from: 0, to: 1 }))
-            }
-            fn message(
-                &self,
-                _s: PlayerId,
-                _i: &(),
-                _v: &PlayerView<'_>,
-                _r: &mut dyn RngCore,
-            ) -> BitVec {
-                BitVec::from_bools(&[true])
-            }
-            fn output(&self, _b: &RoutedBoard) {}
-        }
-        let mut engine = RoutedEngine::new(&Chatty, 2).unwrap().with_max_steps(8);
-        let err = loop {
-            match engine.poll() {
-                Ok(RoutedStep::Grant(g)) => {
-                    engine
-                        .apply(g.speaker, BitVec::from_bools(&[true]), None)
-                        .unwrap();
-                }
-                Ok(RoutedStep::Halted) => panic!("Chatty halted"),
-                Err(v) => break v,
-            }
-        };
-        assert_eq!(
-            err,
-            RoutedViolation::Core(ProtocolViolation::Runaway { max_steps: 8 })
-        );
-        assert_eq!(err.to_string(), "protocol exceeded 8 turns");
-        assert_eq!(engine.steps(), 8);
     }
 
     #[test]
@@ -1054,13 +525,5 @@ mod tests {
         assert_ne!(a.to_bytes(), c.to_bytes());
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
-    }
-
-    #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 }
