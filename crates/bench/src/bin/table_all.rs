@@ -7,8 +7,9 @@
 //! `--workers N` runs each experiment's grid points on an `N`-wide fabric
 //! job pool; every point computes under the same derived seed regardless of
 //! scheduling, so the output — text and JSON — is byte-identical for every
-//! `N`. `--experiment e7` restricts the run to one registry id (emitting
-//! the single-report document, exactly as the `table_e7_*` binary does).
+//! `N`. `--experiment e7` restricts the run to one registry id and emits
+//! the single-report document (schema `bci.bench.v1`) instead of the suite
+//! document. A bad argument exits with status 2.
 
 use bci_bench::report::{emit_all_to, emit_to};
 use bci_bench::suite;

@@ -1,30 +1,19 @@
-//! Benchmark harness for the broadcast-ic workspace.
+//! Experiment report generator for the broadcast-ic workspace.
 //!
-//! * `src/bin/table_e*.rs` — one binary per experiment in `EXPERIMENTS.md`;
-//!   each is a thin registry lookup (`cargo run -p bci-bench --release
-//!   --bin table_e1_disj_upper`, etc.). `table_all` prints every table and
-//!   additionally accepts `--workers N` (run grid points on an `N`-wide
-//!   fabric job pool; output is byte-identical for every `N`) and
-//!   `--experiment <id>` (restrict to one experiment). Every binary accepts
-//!   `--json <path>` and writes a schema-stable JSON report next to the
-//!   text output (see [`report`]).
+//! * `src/bin/table_all.rs` — the one runner: prints every experiment
+//!   table in `EXPERIMENTS.md` order, or one with `--experiment <id>`
+//!   (`cargo run -p bci-bench --release --bin table_all -- --experiment
+//!   e1`). `--workers N` runs grid points on an `N`-wide fabric job pool;
+//!   the output is byte-identical for every `N`. `--json <path>` writes a
+//!   schema-stable JSON report next to the text output (see [`report`]).
 //! * [`suite`] — the generic [`suite::report_for`] bridge from the
 //!   experiment registry in `bci-core` to [`report::Report`]; canonical
 //!   parameters live on the registry entries themselves.
-//! * [`fabric_table`] — the scheduler-scaling table behind `table_fabric`
-//!   (not a paper experiment, so it is not in the registry).
-//! * [`net_table`] — the TCP wire-overhead table behind `table_net`: wire
-//!   bytes vs transcript bits for loopback `bci-net` deployments, with
-//!   transcript digests checked against the in-process transport (also
-//!   not a paper experiment).
-//! * `benches/*.rs` — criterion micro/meso-benchmarks: protocol throughput,
-//!   exact information-cost computation, the sampling protocol, the
-//!   factorized-vs-brute-force and exact-vs-approximate-codec ablations, and
-//!   the encoding substrate.
+//!
+//! Timing lives in the in-process benchmark (`examples/benchmark`), not
+//! here: reports carry no timing or host-specific fields.
 
 #![warn(missing_docs)]
 
-pub mod fabric_table;
-pub mod net_table;
 pub mod report;
 pub mod suite;

@@ -1,13 +1,13 @@
 //! Schema-stable, machine-readable bench reports.
 //!
-//! Every `table_*` binary builds a [`Report`] — title, note lines, parameter
-//! metadata, and one or more labeled tables — then hands it to [`emit`],
-//! which prints the familiar text rendering to stdout and, when the binary
-//! was invoked with `--json <path>`, also writes the same content as a JSON
-//! document with schema id [`SCHEMA`]. `table_all` aggregates every report
-//! into one combined document with schema id [`SUITE_SCHEMA`]; it parses a
-//! richer command line (`--workers`, `--experiment`) itself and hands the
-//! already-parsed path to [`emit_all_to`].
+//! Each experiment becomes a [`Report`] — title, note lines, parameter
+//! metadata, and one or more labeled tables. [`emit_to`] prints the familiar
+//! text rendering to stdout and, given a path, also writes the same content
+//! as a JSON document with schema id [`SCHEMA`]. [`emit_all_to`] does the
+//! same for the whole suite, aggregating every report into one combined
+//! document with schema id [`SUITE_SCHEMA`]. `table_all` parses its own
+//! command line (`--workers`, `--experiment`, `--json`) and calls one of
+//! the two.
 //!
 //! Reports deliberately contain no timing or host-specific fields, so the
 //! same sweep always serializes to the same bytes — CI diffs the
@@ -45,7 +45,7 @@ pub const SUITE_SCHEMA: &str = "bci.bench.suite.v1";
 /// its rendered tables.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Short stable id: `"e1"` … `"e18"`, `"fabric"`.
+    /// Short stable id: `"e1"` … `"e20"`.
     pub experiment: String,
     /// The headline the binary prints first.
     pub title: String,
@@ -195,51 +195,15 @@ pub fn suite_json(reports: &[Report]) -> Json {
     ])
 }
 
-/// Parses `--json <path>` from the process arguments. Any other argument is
-/// rejected so a typo fails loudly instead of silently printing text only.
-pub fn json_arg() -> Result<Option<String>, String> {
-    parse_json_arg(std::env::args().skip(1))
-}
-
-fn parse_json_arg(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
-    let mut path = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                path = Some(it.next().ok_or("--json needs a path")?);
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (expected --json <path>)"
-                ))
-            }
-        }
-    }
-    Ok(path)
-}
-
-/// Prints `report` as text and, with `--json <path>`, writes the JSON
-/// document to `path`. Exits the process with an error message on a bad
-/// command line or an unwritable path.
-pub fn emit(report: &Report) {
-    emit_to(report, json_arg_or_exit().as_deref());
-}
-
-/// Like [`emit`], but with an already-parsed JSON path instead of reading
-/// the process arguments (for callers with their own command line).
+/// Prints `report` as text and, with a `json_path`, writes the JSON
+/// document there. Exits the process with an error message on an
+/// unwritable path.
 pub fn emit_to(report: &Report, json_path: Option<&str>) {
     write_doc(&report.render_text(), &report.to_json(), json_path);
 }
 
 /// Prints every report as text (separated by `=== <id> ===` headers) and,
-/// with `--json <path>`, writes the combined suite document to `path`.
-pub fn emit_all(reports: &[Report]) {
-    emit_all_to(reports, json_arg_or_exit().as_deref());
-}
-
-/// Like [`emit_all`], but with an already-parsed JSON path instead of
-/// reading the process arguments (for callers with their own command line).
+/// with a `json_path`, writes the combined suite document there.
 pub fn emit_all_to(reports: &[Report], json_path: Option<&str>) {
     let mut text = String::new();
     for report in reports {
@@ -248,16 +212,6 @@ pub fn emit_all_to(reports: &[Report], json_path: Option<&str>) {
         text.push('\n');
     }
     write_doc(&text, &suite_json(reports), json_path);
-}
-
-fn json_arg_or_exit() -> Option<String> {
-    match json_arg() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn write_doc(text: &str, json: &Json, path: Option<&str>) {
@@ -319,14 +273,5 @@ mod tests {
         let json = suite_json(&[sample(), sample()]).to_string();
         assert!(json.starts_with("{\"schema\":\"bci.bench.suite.v1\",\"count\":2,"));
         assert_eq!(json.matches("\"bci.bench.v1\"").count(), 2);
-    }
-
-    #[test]
-    fn json_arg_parsing() {
-        let ok = parse_json_arg(["--json".to_owned(), "out.json".to_owned()]).unwrap();
-        assert_eq!(ok.as_deref(), Some("out.json"));
-        assert_eq!(parse_json_arg([]).unwrap(), None);
-        assert!(parse_json_arg(["--json".to_owned()]).is_err());
-        assert!(parse_json_arg(["--bogus".to_owned()]).is_err());
     }
 }

@@ -6,10 +6,10 @@
 //! turns any registry entry into a [`Report`] with [`report_for`], running
 //! the sweep on a [`JobPool`] — one job per grid point, each under its own
 //! derived seed — so `table_all --workers N` produces byte-identical
-//! reports for every `N`. The `table_*` binaries are thin
-//! [`report_by_id`] lookups; there are no per-experiment constructors here.
+//! reports for every `N`. `table_all --experiment <id>` is a thin
+//! [`report_by_id`] lookup; there are no per-experiment constructors here.
 
-use bci_core::experiments::registry::{find, registry, run_grid_pooled, Experiment, LabeledTable};
+use bci_core::experiments::registry::{find, registry, run_grid_pooled, Experiment};
 use bci_fabric::pool::{JobPool, PoolConfig};
 use bci_telemetry::Recorder;
 
@@ -37,13 +37,6 @@ pub fn report_for(exp: &dyn Experiment, workers: usize) -> Report {
         recorder: Recorder::disabled(),
     });
     let results = run_grid_pooled(exp, &pool, exp.seed());
-    let tables = exp.tables(&results);
-    report_from_tables(exp, &tables)
-}
-
-/// Assembles a [`Report`] from an experiment's identity plus already-built
-/// tables (shared by [`report_for`] and the `bci experiments` CLI path).
-pub fn report_from_tables(exp: &dyn Experiment, tables: &[LabeledTable]) -> Report {
     let mut report = Report::new(exp.id(), exp.title());
     for note in exp.notes() {
         report = report.note(note);
@@ -51,8 +44,8 @@ pub fn report_from_tables(exp: &dyn Experiment, tables: &[LabeledTable]) -> Repo
     for (key, value) in exp.meta() {
         report = report.meta(key, value);
     }
-    for (label, table) in tables {
-        report.push_table(label.clone(), table);
+    for (label, table) in exp.tables(&results) {
+        report.push_table(label, &table);
     }
     report
 }
@@ -68,9 +61,7 @@ pub fn suite_ids() -> Vec<&'static str> {
     registry().iter().map(|e| e.id()).collect()
 }
 
-/// Every experiment report in `EXPERIMENTS.md` order (without the fabric
-/// scaling table, which is not an experiment in the paper's sense — see
-/// [`crate::fabric_table`]).
+/// Every experiment report in `EXPERIMENTS.md` order.
 pub fn all(workers: usize) -> Vec<Report> {
     registry()
         .iter()

@@ -1,48 +1,5 @@
-//! Drift tests: the experiment registry, the `table_*` binaries, and the
-//! `table_all` suite must stay in sync. Adding E19 to the registry without
-//! a `table_e19_*` binary (or vice versa) fails here.
-
-use std::collections::BTreeMap;
-use std::path::Path;
-
-/// The experiment ids implied by the `src/bin/table_e*.rs` file names
-/// (`table_e1_disj_upper.rs` → `e1`), with multiplicities.
-fn bin_ids() -> BTreeMap<String, usize> {
-    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut counts = BTreeMap::new();
-    for entry in std::fs::read_dir(&bin_dir).expect("src/bin exists") {
-        let name = entry.expect("readable dir entry").file_name();
-        let name = name.to_str().expect("utf-8 file name");
-        let Some(rest) = name.strip_prefix("table_e") else {
-            continue;
-        };
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        assert!(
-            !digits.is_empty() && rest[digits.len()..].starts_with('_'),
-            "binary name '{name}' does not match table_e<N>_<slug>.rs"
-        );
-        *counts.entry(format!("e{digits}")).or_insert(0) += 1;
-    }
-    counts
-}
-
-#[test]
-fn every_registry_id_has_exactly_one_table_binary() {
-    let bins = bin_ids();
-    let registry_ids = bci_bench::suite::suite_ids();
-    for id in &registry_ids {
-        assert_eq!(
-            bins.get(*id),
-            Some(&1),
-            "registry id {id} needs exactly one table_e* binary; found {bins:?}"
-        );
-    }
-    assert_eq!(
-        bins.len(),
-        registry_ids.len(),
-        "stray table_e* binary without a registry entry: {bins:?}"
-    );
-}
+//! Drift test: the experiment registry and the `table_all` suite must stay
+//! in sync, so every registered experiment is printed exactly once.
 
 #[test]
 fn suite_output_lists_every_registry_id_exactly_once() {

@@ -159,7 +159,7 @@ REPORTS:
   bci fabric --trace PATH writes the run's telemetry event stream as JSON lines;
   bci trace dumps the event stream of one run to stdout (or --out PATH).
   bci netrun --json PATH writes a bci.bench.v1 wire-overhead report.
-  Every table_* bench binary accepts --json <path> for a machine-readable report.
+  table_all [--experiment <id>] --json PATH writes the experiment reports as JSON.
 
 NETWORK:
   bci serve binds a coordinator: it owns the blackboard, samples the inputs from
@@ -1398,11 +1398,11 @@ fn cmd_netrun(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
 
 /// `bci experiments list | run <id>` — front end to the experiment
 /// registry. `run` executes the sweep on a fabric [`JobPool`]
-/// (`--workers`, default 1) and prints the same text the `table_*` bench
-/// binaries emit; `--seed` overrides the experiment's canonical master
-/// seed; `--topology` restricts a cross-model experiment (see the
+/// (`--workers`, default 1) and prints the same text `table_all
+/// --experiment <id>` emits; `--seed` overrides the experiment's canonical
+/// master seed; `--topology` restricts a cross-model experiment (see the
 /// `model` column of `experiments list`) to one communication model's
-/// columns.
+/// columns. Any other option is an error.
 ///
 /// [`JobPool`]: bci_fabric::pool::JobPool
 fn cmd_experiments(args: &[String]) -> Result<(), String> {
@@ -1463,6 +1463,15 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                 )
             })?;
             let opts = parse_opts(&args[2..])?;
+            if let Some(bad) = opts
+                .keys()
+                .filter(|k| !["workers", "seed", "topology"].contains(&k.as_str()))
+                .min()
+            {
+                return Err(format!(
+                    "experiments run: unknown option '--{bad}' (expected --workers, --seed or --topology)"
+                ));
+            }
             let restricted: Box<dyn Experiment>;
             let exp: &dyn Experiment = match opts.get("topology") {
                 None => exp,

@@ -5,11 +5,12 @@
 //! This crate ties the workspace together:
 //!
 //! * re-exports of the sub-crates under stable names;
-//! * [`table`] — plain-text table rendering used by every experiment binary;
+//! * [`table`] — plain-text table rendering used by every experiment report;
 //! * [`experiments`] — one driver per result in the paper, each producing
-//!   structured rows *and* a rendered table. The `bci-bench` binaries and
+//!   structured rows *and* a rendered table. `bci-bench`'s `table_all` and
 //!   the integration tests both call these drivers, so the numbers in
-//!   `EXPERIMENTS.md` are regenerable with one command per table.
+//!   `EXPERIMENTS.md` are regenerable with one command
+//!   (`table_all --experiment <id>` for one table).
 //!
 //! # Quickstart
 //!

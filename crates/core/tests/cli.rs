@@ -96,6 +96,34 @@ fn zero_workers_is_rejected_with_a_clear_error() {
 }
 
 #[test]
+fn experiments_run_rejects_unknown_options() {
+    // A misspelled option must not fall back to the canonical seed or the
+    // default worker count and exit 0.
+    for (args, bad) in [
+        (vec!["experiments", "run", "e2", "--sede", "5"], "--sede"),
+        (
+            vec!["experiments", "run", "e2", "--wrokers", "4"],
+            "--wrokers",
+        ),
+        (
+            vec!["experiments", "run", "e2", "--workers", "2", "--quiet"],
+            "--quiet",
+        ),
+    ] {
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown option '{bad}'")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let out = bci(&["experiments", "run", "e2", "--workers", "2", "--seed", "5"]);
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
 fn netrun_verifies_transcripts_and_writes_bench_json() {
     let dir = std::env::temp_dir().join(format!("bci-netrun-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

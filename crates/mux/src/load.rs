@@ -685,8 +685,8 @@ fn bench_meta(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
 }
 
 /// Renders load reports as one `bci.bench.v1` document — the schema
-/// every `table_*` bench and `bci netrun --json` already emit, so the
-/// CI validators and `table_all` aggregation apply unchanged.
+/// `table_all --experiment <id> --json` and `bci netrun --json` already
+/// emit, so the CI validators apply unchanged.
 pub fn bench_document(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
     let columns = [
         "coordinator",

@@ -1,6 +1,6 @@
 //! Smoke tests for every experiment driver: run each with reduced
-//! parameters and sanity-check the headline claim, so the `table_*`
-//! binaries' code paths are exercised by `cargo test`.
+//! parameters and sanity-check the headline claim, so the code paths behind
+//! `table_all` are exercised by `cargo test`.
 
 use broadcast_ic::core::experiments::*;
 
