@@ -1255,6 +1255,22 @@ fn top_line(snap: &bci_telemetry::Snapshot, prev: Option<&bci_telemetry::Snapsho
             window.count(),
         ));
     }
+    // The mux splits each turn into four phases; show the window's p50
+    // of each, in turn order.
+    let phases = ["queue", "flush", "remote", "apply"].map(|phase| {
+        let name = format!("mux.turn_{phase}_us");
+        let cur = snap.hist(&name)?;
+        let window = match prev.and_then(|p| p.hist(&name)) {
+            Some(old) => cur.delta_since(old),
+            None => cur.clone(),
+        };
+        Some(window.percentile(50.0))
+    });
+    if let [Some(queue), Some(flush), Some(remote), Some(apply)] = phases {
+        line.push_str(&format!(
+            "  queue/flush/remote/apply p50 {queue}/{flush}/{remote}/{apply}us"
+        ));
+    }
     if let Some(q) = snap.hist("mux.outbound_queue_bytes") {
         line.push_str(&format!("  outq p95 {}B", q.percentile(95.0)));
     }

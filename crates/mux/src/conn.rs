@@ -1,17 +1,22 @@
 //! A pooled, write-buffered connection speaking the v2 (session-id)
 //! frame envelope.
 //!
-//! The daemon sweeps many of these from one thread, so a [`MuxConn`]
-//! must never block it: reads go through a v2 [`FrameReader`] (partial
-//! frames stay buffered across `WouldBlock`s), and writes go into an
-//! in-memory buffer that [`MuxConn::flush`] drains as far as the socket
-//! allows. Only the *player* side, which has nothing better to do than
-//! wait, uses the blocking-ish [`MuxConn::send_now`] /
-//! [`MuxConn::recv_deadline`] helpers.
+//! The socket is blocking. Writes are queued in memory and written by
+//! [`MuxConn::flush`], which blocks until the queue drains or the
+//! socket's write timeout (`NetConfig::io_timeout`) passes without
+//! progress — so a peer that stops draining surfaces as a stall, never
+//! as an unbounded queue. Reads go through a v2 [`FrameReader`] (partial
+//! frames stay buffered across reads) and block until a frame arrives
+//! or the read timeout ends the wait.
+//!
+//! The daemon never reads on its own thread: [`MuxConn::split_reader`]
+//! hands the read side to a dedicated reader thread, and
+//! [`MuxConn::rejoin_reader`] takes the frame reader (and its wire
+//! accounting) back at the end of the run.
 
 use std::io::{self, Write};
-use std::net::TcpStream;
-use std::time::Instant;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use bci_net::frame::{Frame, FrameReader, NetError};
 use bci_net::NetConfig;
@@ -19,6 +24,9 @@ use bci_net::NetConfig;
 /// Per-frame framing bytes on a v2 connection: `u32` length prefix +
 /// `u64` session id + tag byte.
 pub const V2_HEADER_BYTES: u64 = 13;
+
+/// Shortest socket timeout set: the OS rejects a zero timeout.
+const MIN_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// One session-multiplexed peer connection.
 #[derive(Debug)]
@@ -39,15 +47,16 @@ pub struct MuxConn {
 }
 
 impl MuxConn {
-    /// Wraps a connected stream: disables Nagle, switches to
-    /// non-blocking, installs a v2 frame reader capped at
-    /// `max_frame_len`.
-    pub fn new(stream: TcpStream, max_frame_len: usize) -> io::Result<Self> {
+    /// Wraps a connected stream: disables Nagle, makes it blocking with
+    /// writes bounded by `config.io_timeout`, and installs a v2 frame
+    /// reader capped at `config.max_frame_len`.
+    pub fn new(stream: TcpStream, config: &NetConfig) -> io::Result<Self> {
         stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
+        stream.set_nonblocking(false)?;
+        stream.set_write_timeout(Some(config.io_timeout.max(MIN_TIMEOUT)))?;
         Ok(MuxConn {
             stream,
-            reader: FrameReader::with_limits(true, max_frame_len),
+            reader: FrameReader::with_limits(true, config.max_frame_len),
             out: Vec::new(),
             out_cursor: 0,
             bytes_written: 0,
@@ -79,15 +88,22 @@ impl MuxConn {
     /// Queues one frame for `session`. Never touches the socket — call
     /// [`MuxConn::flush`] to make wire progress.
     pub fn queue(&mut self, session: u64, frame: &Frame) {
-        let bytes = frame.to_bytes_mux(session);
-        self.payload_bytes_written += bytes.len() as u64 - V2_HEADER_BYTES;
-        self.frames_written += 1;
-        self.out.extend_from_slice(&bytes);
+        self.queue_encoded(&frame.to_bytes_mux(session));
     }
 
-    /// Writes as much of the queued bytes as the socket will take right
-    /// now. Returns `Ok(true)` when the queue is fully drained,
-    /// `Ok(false)` when bytes remain (the socket would block).
+    /// Queues one frame already encoded by [`Frame::to_bytes_mux`], so a
+    /// frame fanned out to every connection is encoded once. Accounts
+    /// exactly as [`MuxConn::queue`] does.
+    pub fn queue_encoded(&mut self, bytes: &[u8]) {
+        self.payload_bytes_written += bytes.len() as u64 - V2_HEADER_BYTES;
+        self.frames_written += 1;
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// Writes the queued bytes. Returns `Ok(true)` when the queue is
+    /// fully drained, `Ok(false)` when the socket took nothing for a
+    /// whole write timeout (or, on a nonblocking socket, would block);
+    /// the unwritten bytes stay queued.
     pub fn flush(&mut self) -> Result<bool, NetError> {
         while self.out_cursor < self.out.len() {
             match self.stream.write(&self.out[self.out_cursor..]) {
@@ -113,72 +129,114 @@ impl MuxConn {
         Ok(true)
     }
 
-    /// Queues `frame` and flushes until the queue drains, sleeping
-    /// `config.poll_sleep` between `WouldBlock`s and giving up with
-    /// `TimedOut` after `config.io_timeout`. The player-side send.
-    pub fn send_now(
-        &mut self,
-        session: u64,
-        frame: &Frame,
-        config: &NetConfig,
-    ) -> Result<(), NetError> {
+    /// Queues `frame` and writes everything queued; see
+    /// [`MuxConn::write_queued`].
+    pub fn send_now(&mut self, session: u64, frame: &Frame) -> Result<(), NetError> {
         self.queue(session, frame);
-        let started = Instant::now();
-        while !self.flush()? {
-            if started.elapsed() >= config.io_timeout {
-                return Err(NetError::Io(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "write stalled past io_timeout",
-                )));
-            }
-            std::thread::sleep(config.poll_sleep);
-        }
-        Ok(())
+        self.write_queued()
     }
 
-    /// Non-blocking read attempt: `Ok(Some((session, frame)))` when a
-    /// complete frame is available, `Ok(None)` when the socket is idle.
-    pub fn poll(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
+    /// Writes everything queued, failing with `TimedOut` when the peer
+    /// stops draining for the write timeout.
+    pub fn write_queued(&mut self) -> Result<(), NetError> {
+        if self.flush()? {
+            Ok(())
+        } else {
+            Err(NetError::Io(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "write stalled past io_timeout",
+            )))
+        }
+    }
+
+    /// Reads the next frame: `Ok(Some((session, frame)))` when one
+    /// arrives, `Ok(None)` when the read timeout (or, on a nonblocking
+    /// socket, an empty socket) ends the wait first.
+    pub fn recv(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
         self.reader.poll_mux(&mut self.stream)
     }
 
-    /// Blocks (by polling) until a frame arrives or `deadline` passes.
-    pub fn recv_deadline(
-        &mut self,
-        deadline: Instant,
-        config: &NetConfig,
-    ) -> Result<(u64, Frame), NetError> {
+    /// The next frame already read off the socket, without reading:
+    /// `Ok(None)` when the next [`MuxConn::recv`] would block.
+    pub fn recv_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
+        self.reader.next_buffered()
+    }
+
+    /// Blocks until a frame arrives or `deadline` passes. Leaves a read
+    /// timeout set; [`MuxConn::set_read_timeout`] replaces it.
+    pub fn recv_deadline(&mut self, deadline: Instant) -> Result<(u64, Frame), NetError> {
         loop {
-            if let Some(hit) = self.poll()? {
-                return Ok(hit);
-            }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(NetError::Io(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "no frame before deadline",
                 )));
             }
-            std::thread::sleep(config.poll_sleep);
+            self.set_read_timeout(Some(left))?;
+            if let Some(hit) = self.recv()? {
+                return Ok(hit);
+            }
         }
+    }
+
+    /// Bounds how long [`MuxConn::recv`] blocks (`None`: forever).
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream
+            .set_read_timeout(timeout.map(|t| t.max(MIN_TIMEOUT)))
+    }
+
+    /// Switches the socket to nonblocking mode, for a peer served from a
+    /// periodic tick rather than its own thread.
+    pub fn set_nonblocking(&self) -> io::Result<()> {
+        self.stream.set_nonblocking(true)
+    }
+
+    /// Hands the read side to a dedicated reader thread: a clone of the
+    /// socket that blocks without a timeout, and this connection's frame
+    /// reader. Until [`MuxConn::rejoin_reader`], the `*_read` counters
+    /// here read zero.
+    pub fn split_reader(&mut self) -> io::Result<(TcpStream, FrameReader)> {
+        let stream = self.stream.try_clone()?;
+        stream.set_read_timeout(None)?;
+        let placeholder = FrameReader::with_limits(true, 0);
+        Ok((stream, std::mem::replace(&mut self.reader, placeholder)))
+    }
+
+    /// Takes back the frame reader given out by
+    /// [`MuxConn::split_reader`], with everything it decoded.
+    pub fn rejoin_reader(&mut self, reader: FrameReader) {
+        self.reader = reader;
+    }
+
+    /// Shuts the read half down, so a thread blocked reading this socket
+    /// (through any clone) sees end-of-stream. Writes still work.
+    pub fn shutdown_read(&self) {
+        let _ = self.stream.shutdown(Shutdown::Read);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bci_net::frame::MAX_FRAME_LEN;
+    use bci_encoding::bitio::BitVec;
+    use bci_net::frame::{BroadcastFrame, OutcomeFrame};
     use std::net::TcpListener;
+
+    fn pair(config: &NetConfig) -> (MuxConn, MuxConn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (
+            MuxConn::new(client, config).unwrap(),
+            MuxConn::new(server, config).unwrap(),
+        )
+    }
 
     #[test]
     fn queued_frames_cross_after_flush() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let config = NetConfig::default();
-
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        let mut client = MuxConn::new(client, MAX_FRAME_LEN).unwrap();
-        let mut server = MuxConn::new(server, MAX_FRAME_LEN).unwrap();
+        let (mut client, mut server) = pair(&config);
 
         let frame = Frame::Heartbeat { seq: 7 };
         client.queue(11, &frame);
@@ -188,14 +246,8 @@ mod tests {
         assert_eq!(client.pending_out(), 0);
 
         let deadline = Instant::now() + config.io_timeout;
-        assert_eq!(
-            server.recv_deadline(deadline, &config).unwrap(),
-            (11, frame.clone())
-        );
-        assert_eq!(
-            server.recv_deadline(deadline, &config).unwrap(),
-            (22, frame)
-        );
+        assert_eq!(server.recv_deadline(deadline).unwrap(), (11, frame.clone()));
+        assert_eq!(server.recv_deadline(deadline).unwrap(), (22, frame));
 
         // v2 accounting identity on both ends.
         assert_eq!(client.frames_written, 2);
@@ -208,5 +260,75 @@ mod tests {
             server.bytes_read(),
             server.payload_bytes_read() + V2_HEADER_BYTES * server.frames_read()
         );
+    }
+
+    #[test]
+    fn encoded_once_fan_out_matches_per_connection_queueing() {
+        let frames = [
+            (
+                3,
+                Frame::Broadcast(BroadcastFrame {
+                    turn: 4,
+                    speaker: 1,
+                    bits: BitVec::from_bools(&[true, false, true]),
+                    next: 0,
+                    rng: vec![9; 41],
+                }),
+            ),
+            (
+                3,
+                Frame::Outcome(OutcomeFrame {
+                    kind: 2,
+                    reason: "player 1 disconnected".into(),
+                    output: vec![],
+                    remaining: 0,
+                }),
+            ),
+        ];
+        let config = NetConfig::default();
+        let (mut per_frame, mut per_frame_peer) = pair(&config);
+        let (mut encoded, mut encoded_peer) = pair(&config);
+        for (session, frame) in &frames {
+            per_frame.queue(*session, frame);
+            encoded.queue_encoded(&frame.to_bytes_mux(*session));
+        }
+        assert!(per_frame.flush().unwrap() && encoded.flush().unwrap());
+        let counters = |c: &MuxConn| (c.bytes_written, c.frames_written, c.payload_bytes_written);
+        assert_eq!(counters(&per_frame), counters(&encoded));
+        let deadline = Instant::now() + config.io_timeout;
+        for expected in &frames {
+            let a = per_frame_peer.recv_deadline(deadline).unwrap();
+            let b = encoded_peer.recv_deadline(deadline).unwrap();
+            assert_eq!(&a, expected);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn split_reader_blocks_until_shutdown_and_keeps_its_counts() {
+        let config = NetConfig::default();
+        let (mut client, mut server) = pair(&config);
+        client.send_now(5, &Frame::Heartbeat { seq: 1 }).unwrap();
+        let (mut stream, mut reader) = server.split_reader().unwrap();
+        let reader = std::thread::scope(|scope| {
+            let thread = scope.spawn(move || {
+                assert_eq!(
+                    reader.poll_mux(&mut stream).unwrap(),
+                    Some((5, Frame::Heartbeat { seq: 1 }))
+                );
+                // Blocks with no timeout until the read half shuts.
+                assert!(matches!(
+                    reader.poll_mux(&mut stream),
+                    Err(NetError::Disconnected)
+                ));
+                reader
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            server.shutdown_read();
+            thread.join().unwrap()
+        });
+        server.rejoin_reader(reader);
+        assert_eq!(server.frames_read(), 1);
+        assert_eq!(server.bytes_read(), client.bytes_written);
     }
 }

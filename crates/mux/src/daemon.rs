@@ -8,21 +8,31 @@
 //! Each in-flight session is parked as a `SessionSlot` holding the
 //! session's sans-io [`TurnEngine`] — board prefix, 41-byte serialized
 //! ChaCha8 session-RNG state, turn cursor, and runaway budget — plus
-//! the wall-clock bookkeeping (admission time, grant issue time) the
+//! the wall-clock bookkeeping (admission time, turn-phase stamps) the
 //! engine deliberately doesn't own. A session consumes daemon CPU only
 //! for the instants it takes to apply a reply and issue the next grant;
 //! the rest of its lifetime it is 100-odd bytes in a `HashMap`.
 //!
 //! ## The reactor
 //!
-//! [`run_mux_daemon`] loops: flush every connection's write buffer,
-//! drain every connection's frame reader, dispatch each reply to its
-//! session, and sleep `poll_sleep` only when nothing progressed.
-//! Deadline scans are throttled (every [`DEADLINE_SCAN_INTERVAL`]) so
-//! 10k in-flight sessions don't turn the hot loop into a table walk.
-//! Writes never block: grants and outcomes are queued on the
-//! connection's buffer and drained opportunistically, so one slow client
-//! degrades *its* latency, not the reactor.
+//! Each player connection has one blocking reader thread. It decodes
+//! frames with the connection's own frame reader and sends each one,
+//! stamped with its decode instant, into one channel. [`run_mux_daemon`]
+//! loops: write every connection's queued grants and outcomes, block on
+//! the channel until a frame arrives or the next timer is due, apply
+//! every frame that has arrived, and admit new sessions. The timers are
+//! the oldest per-session deadline (a FIFO: one deadline for all
+//! sessions makes admission order expiry order), the heartbeat
+//! staleness horizon, and — only with an admin listener attached — the
+//! [`ADMIN_TICK`] on which admin scrapers are served.
+//!
+//! Writes block, bounded by `NetConfig::io_timeout`. Every grant in a
+//! broadcast session goes to every player, so a player that stops
+//! draining its socket stalls every session; the daemon ends the run
+//! with a typed abort (`player i stalled writes past io_timeout`)
+//! instead of queueing without bound. At the end of the run the read
+//! halves are shut down, the reader threads see end-of-stream, and their
+//! frame readers (with the inbound wire accounting) are joined back.
 //!
 //! ## Determinism
 //!
@@ -35,9 +45,10 @@
 //! transcript is bit-identical to `InProcessTransport` for the same
 //! seed, regardless of how sessions interleave on the wire.
 
-use std::collections::HashMap;
-use std::net::TcpListener;
+use std::collections::{HashMap, VecDeque};
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use bci_blackboard::engine::{Step, TurnEngine};
@@ -49,22 +60,22 @@ use bci_fabric::transport::DEFAULT_STALL_CAP;
 use bci_net::admin::{check_admin_hello, stats_reply};
 use bci_net::coordinator::SessionInfo;
 use bci_net::frame::{
-    BroadcastFrame, Frame, Hello, InputFrame, NetError, OutcomeFrame, CONTROL_SESSION, NO_PLAYER,
-    PROTOCOL_VERSION_MUX,
+    BroadcastFrame, Frame, FrameReader, Hello, InputFrame, NetError, OutcomeFrame, CONTROL_SESSION,
+    NO_PLAYER, PROTOCOL_VERSION_MUX,
 };
 use bci_net::overhead::transcript_digest;
 use bci_net::transport::WireStats;
 use bci_net::NetConfig;
 use bci_telemetry::hist::{QUEUE_BYTES_BOUNDS, TURN_LATENCY_US_BOUNDS};
-use bci_telemetry::{Json, Recorder, SpanKind};
+use bci_telemetry::{Histogram, Json, Recorder, SpanKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::conn::MuxConn;
 
-/// How often the reactor walks the session table looking for blown
-/// per-session deadlines and stale connections.
-pub const DEADLINE_SCAN_INTERVAL: Duration = Duration::from_millis(10);
+/// How often the reactor accepts and serves admin scrapers, when an
+/// admin listener is attached: a scrape waits at most this long.
+pub const ADMIN_TICK: Duration = Duration::from_millis(10);
 
 /// Default bound on concurrently in-flight sessions. Bounds daemon
 /// memory and keeps the outcome `remaining` countdown meaningful while
@@ -103,13 +114,16 @@ impl Default for MuxOptions {
 /// The parked state *is* the sans-io [`TurnEngine`]: board prefix, turn
 /// cursor, runaway budget, and the serialized ChaCha8 state between
 /// turns all live inside it. While a grant is outstanding the engine
-/// records who holds it and `granted_at` records since when (the one
-/// clock the engine refuses to own).
+/// records who holds it and the slot records when each phase of the
+/// turn began (the one clock the engine refuses to own).
 #[derive(Debug)]
 struct SessionSlot<'p, P: Protocol> {
     engine: TurnEngine<'p, P>,
-    /// When the outstanding grant was issued, for turn-latency metrics.
+    /// When the outstanding grant was queued.
     granted_at: Option<Instant>,
+    /// When the flush that carried the outstanding grant began, and when
+    /// it finished writing the speaker's connection.
+    flushed: Option<(Instant, Instant)>,
     /// The previous authoritative write, folded into the next grant.
     prev: Option<(u32, BitVec)>,
     started: Instant,
@@ -197,16 +211,15 @@ pub fn accept_mux_roster(
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                let mut conn = MuxConn::new(stream, config.max_frame_len)?;
+                let mut conn = MuxConn::new(stream, config)?;
                 let hello_deadline = Instant::now() + config.io_timeout;
-                let (_, frame) = match conn.recv_deadline(hello_deadline, config) {
+                let (_, frame) = match conn.recv_deadline(hello_deadline) {
                     Ok(hit) => hit,
                     Err(_) => continue, // died before saying hello
                 };
                 let reject = |mut conn: MuxConn, message: String| {
                     recorder.counter_add("mux.hello_rejected", 1);
-                    let _ =
-                        conn.send_now(CONTROL_SESSION, &Frame::Error { code: 1, message }, config);
+                    let _ = conn.send_now(CONTROL_SESSION, &Frame::Error { code: 1, message });
                 };
                 let hello = match frame {
                     Frame::Hello(h) => h,
@@ -256,7 +269,7 @@ pub fn accept_mux_roster(
                     seed: info.seed,
                     params: info.params.clone(),
                 });
-                if conn.send_now(CONTROL_SESSION, &ack, config).is_err() {
+                if conn.send_now(CONTROL_SESSION, &ack).is_err() {
                     continue;
                 }
                 slots[player] = Some(conn);
@@ -287,12 +300,122 @@ struct AdminPeer {
     greeted: bool,
 }
 
+/// One frame decoded on a connection's reader thread, or the read error
+/// that ended the thread.
+struct Inbound {
+    player: usize,
+    /// When the reader thread finished decoding the frame.
+    at: Instant,
+    frame: Result<(u64, Frame), NetError>,
+}
+
+/// A connection's reader thread: blocks on `stream`, decodes frames with
+/// the connection's own `reader`, and forwards each one (or the error
+/// that ends the stream) to the reactor. Hands the reader back, with its
+/// wire accounting, once the stream ends.
+fn read_frames(
+    player: usize,
+    mut stream: TcpStream,
+    mut reader: FrameReader,
+    tx: Sender<Inbound>,
+) -> FrameReader {
+    loop {
+        let frame = match reader.poll_mux(&mut stream) {
+            Ok(Some(hit)) => Ok(hit),
+            Ok(None) => continue,
+            Err(e) => Err(e),
+        };
+        let ended = frame.is_err();
+        let event = Inbound {
+            player,
+            at: Instant::now(),
+            frame,
+        };
+        if tx.send(event).is_err() || ended {
+            return reader;
+        }
+    }
+}
+
+/// Shuts down the read half of every connection when dropped, so the
+/// reader threads end even if the reactor unwinds.
+struct ReadShutdown(Vec<TcpStream>);
+
+impl Drop for ReadShutdown {
+    fn drop(&mut self) {
+        for stream in &self.0 {
+            let _ = stream.shutdown(std::net::Shutdown::Read);
+        }
+    }
+}
+
+/// Microseconds from `from` to `to`, 0 if `to` is earlier.
+fn micros(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_micros() as u64
+}
+
+/// The reactor's histograms, recorded without a lock per turn and merged
+/// into the recorder before every admin reply and at the end of the run.
+///
+/// A turn's four phases split its latency at four stamps:
+/// `queue` (grant queued → its flush began), `flush` (→ the speaker's
+/// connection written), `remote` (→ the reply decoded on the reader
+/// thread) and `apply` (→ the reply applied on the reactor).
+struct TurnHists {
+    latency: Histogram,
+    queue: Histogram,
+    flush: Histogram,
+    remote: Histogram,
+    apply: Histogram,
+    /// Bytes queued across the pool at the start of each flush.
+    outbound: Histogram,
+}
+
+impl TurnHists {
+    fn new() -> Self {
+        TurnHists {
+            latency: Histogram::new(TURN_LATENCY_US_BOUNDS),
+            queue: Histogram::new(TURN_LATENCY_US_BOUNDS),
+            flush: Histogram::new(TURN_LATENCY_US_BOUNDS),
+            remote: Histogram::new(TURN_LATENCY_US_BOUNDS),
+            apply: Histogram::new(TURN_LATENCY_US_BOUNDS),
+            outbound: Histogram::new(QUEUE_BYTES_BOUNDS),
+        }
+    }
+
+    /// Merges every non-empty histogram into `recorder` and starts over.
+    fn publish(&mut self, recorder: &Recorder) {
+        for (name, hist) in [
+            ("mux.turn_latency_us", &mut self.latency),
+            ("mux.turn_queue_us", &mut self.queue),
+            ("mux.turn_flush_us", &mut self.flush),
+            ("mux.turn_remote_us", &mut self.remote),
+            ("mux.turn_apply_us", &mut self.apply),
+            ("mux.outbound_queue_bytes", &mut self.outbound),
+        ] {
+            if !hist.is_empty() {
+                recorder.hist_merge(name, hist);
+                *hist = Histogram::new(hist.bounds());
+            }
+        }
+    }
+}
+
 /// The daemon's mutable state while the reactor runs.
 struct Reactor<'a, P: Protocol> {
     protocol: &'a P,
     conns: Vec<MuxConn>,
+    /// When each connection last delivered a frame (decode instant).
     last_seen: Vec<Instant>,
     table: HashMap<u64, SessionSlot<'a, P>>,
+    /// `(expiry, session)` in admission order; finished ids are skipped
+    /// when they reach the front.
+    deadlines: VecDeque<(Instant, u64)>,
+    /// Sessions whose grant was queued since the last flush.
+    unflushed: Vec<u64>,
+    /// When the last flush finished writing each connection.
+    flushed_at: Vec<Instant>,
+    hists: TurnHists,
     records: Vec<SessionRecord>,
     next_session: u64,
     total: u64,
@@ -301,6 +424,9 @@ struct Reactor<'a, P: Protocol> {
     /// fully drained. Sessions finished since then may still have
     /// outcomes sitting in a buffer — they are "draining".
     drain_watermark: u64,
+    /// The player whose failure ended the run; its connection is not
+    /// flushed again.
+    culprit: Option<usize>,
     master_seed: u64,
     opts: &'a MuxOptions,
     recorder: &'a Recorder,
@@ -340,13 +466,18 @@ where
             let engine = TurnEngine::with_rng(self.protocol, inputs.len(), &rng)
                 .expect("sample_inputs produced one input per player")
                 .with_max_steps(self.opts.config.max_steps);
+            let started = Instant::now();
             let slot = SessionSlot {
                 engine,
                 granted_at: None,
+                flushed: None,
                 prev: None,
-                started: Instant::now(),
+                started,
             };
             self.table.insert(session, slot);
+            if let Some(deadline) = self.opts.deadline {
+                self.deadlines.push_back((started + deadline, session));
+            }
             self.recorder.counter_add("mux.sessions_started", 1);
             if self.recorder.events_enabled() {
                 self.recorder.point(
@@ -356,6 +487,14 @@ where
                 );
             }
             self.grant(session);
+        }
+    }
+
+    /// Queues `frame` for `session` on every connection, encoded once.
+    fn fan_out(&mut self, session: u64, frame: &Frame) {
+        let bytes = frame.to_bytes_mux(session);
+        for conn in &mut self.conns {
+            conn.queue_encoded(&bytes);
         }
     }
 
@@ -397,6 +536,7 @@ where
             };
             if next.is_some() {
                 slot.granted_at = Some(Instant::now());
+                self.unflushed.push(session);
             }
             Frame::Broadcast(BroadcastFrame {
                 turn: slot.engine.steps() as u32,
@@ -406,9 +546,7 @@ where
                 rng: rng_bytes,
             })
         };
-        for conn in &mut self.conns {
-            conn.queue(session, &frame);
-        }
+        self.fan_out(session, &frame);
         if next.is_none() {
             let output = {
                 let slot = &self.table[&session];
@@ -421,12 +559,19 @@ where
         }
     }
 
-    /// Applies a granted speaker's reply through the session's engine
-    /// (which re-parks the RNG state and writes the board), records turn
-    /// latency, and issues the next grant. Engine violations — a reply
-    /// with no grant outstanding, the wrong speaker, a malformed RNG
-    /// state — finish the session aborted.
-    fn apply_reply(&mut self, session: u64, player: usize, reply: BroadcastFrame) {
+    /// Applies a granted speaker's reply, decoded at `decoded_at`,
+    /// through the session's engine (which re-parks the RNG state and
+    /// writes the board), records the turn's latency and phases, and
+    /// issues the next grant. Engine violations — a reply with no grant
+    /// outstanding, the wrong speaker, a malformed RNG state — finish the
+    /// session aborted.
+    fn apply_reply(
+        &mut self,
+        session: u64,
+        player: usize,
+        reply: BroadcastFrame,
+        decoded_at: Instant,
+    ) {
         let Some(slot) = self.table.get_mut(&session) else {
             // A reply raced a deadline outcome; it has nowhere to land.
             self.recorder.counter_add("mux.late_replies", 1);
@@ -450,11 +595,17 @@ where
                 {
                     Ok(()) => {
                         if let Some(granted_at) = slot.granted_at.take() {
-                            self.recorder.hist_record(
-                                "mux.turn_latency_us",
-                                granted_at.elapsed().as_micros() as u64,
-                                TURN_LATENCY_US_BOUNDS,
-                            );
+                            let applied = Instant::now();
+                            // A reply can only follow the flush that
+                            // carried its grant, so `flushed` is set.
+                            let (began, written) =
+                                slot.flushed.take().unwrap_or((granted_at, granted_at));
+                            let h = &mut self.hists;
+                            h.latency.record(micros(granted_at, applied));
+                            h.queue.record(micros(granted_at, began));
+                            h.flush.record(micros(began, written));
+                            h.remote.record(micros(written, decoded_at));
+                            h.apply.record(micros(decoded_at, applied));
                         }
                         slot.prev = Some((speaker as u32, reply.bits));
                         None
@@ -487,9 +638,7 @@ where
             output: output.clone(),
             remaining,
         });
-        for conn in &mut self.conns {
-            conn.queue(session, &frame);
-        }
+        self.fan_out(session, &frame);
         let counter = match kind {
             0 => "mux.sessions_completed",
             1 => "mux.sessions_timed_out",
@@ -575,26 +724,28 @@ where
     }
 
     /// Accepts and serves admin scrapers without ever blocking the
-    /// reactor: handshakes are validated with the shared
-    /// [`check_admin_hello`], replies are built by the shared
-    /// [`stats_reply`], and a misbehaving or dead peer is dropped —
-    /// never aborted into the run the way a player failure is.
+    /// reactor: admin sockets are nonblocking, handshakes are validated
+    /// with the shared [`check_admin_hello`], replies are built by the
+    /// shared [`stats_reply`], and a misbehaving or dead peer is dropped
+    /// — never aborted into the run the way a player failure is.
     fn serve_admins(&mut self, listener: &TcpListener, peers: &mut Vec<AdminPeer>) {
         // Drain the accept queue; WouldBlock (or a transient error)
         // ends the sweep until the next tick.
         while let Ok((stream, _)) = listener.accept() {
-            if let Ok(conn) = MuxConn::new(stream, self.opts.config.max_frame_len) {
-                peers.push(AdminPeer {
-                    conn,
-                    greeted: false,
-                });
+            if let Ok(conn) = MuxConn::new(stream, &self.opts.config) {
+                if conn.set_nonblocking().is_ok() {
+                    peers.push(AdminPeer {
+                        conn,
+                        greeted: false,
+                    });
+                }
             }
         }
         let mut i = 0;
         while i < peers.len() {
             let mut dead = peers[i].conn.flush().is_err();
             while !dead {
-                match peers[i].conn.poll() {
+                match peers[i].conn.recv() {
                     Ok(Some((_, frame))) => match frame {
                         Frame::Hello(hello) if !peers[i].greeted => {
                             match check_admin_hello(&hello) {
@@ -611,6 +762,7 @@ where
                         }
                         Frame::Stats { what } if peers[i].greeted => {
                             self.set_gauges();
+                            self.hists.publish(self.recorder);
                             let reply =
                                 Frame::StatsReply(Box::new(stats_reply(self.recorder, what)));
                             peers[i].conn.queue(CONTROL_SESSION, &reply);
@@ -660,6 +812,172 @@ where
             self.finish(session, 2, reason.to_string(), Vec::new());
         }
     }
+
+    /// Aborts the run because of `player`, whose connection is then left
+    /// alone by the final flush.
+    fn fail(&mut self, player: usize, reason: &str) {
+        self.culprit = Some(player);
+        self.abort_all(reason);
+    }
+
+    /// Writes every connection's queued bytes and stamps the grants they
+    /// carried. A connection that takes nothing for `io_timeout`, or
+    /// fails, names the player to fail the run with.
+    fn flush_all(&mut self) -> Result<(), (usize, String)> {
+        let queued: usize = self.conns.iter().map(MuxConn::pending_out).sum();
+        if queued > 0 {
+            self.hists.outbound.record(queued as u64);
+            let began = Instant::now();
+            for (player, conn) in self.conns.iter_mut().enumerate() {
+                match conn.flush() {
+                    Ok(true) => self.flushed_at[player] = Instant::now(),
+                    Ok(false) => {
+                        self.recorder.counter_add("mux.write_stalls", 1);
+                        return Err((
+                            player,
+                            format!("player {player} stalled writes past io_timeout"),
+                        ));
+                    }
+                    Err(_) => return Err((player, format!("player {player} disconnected"))),
+                }
+            }
+            for session in self.unflushed.drain(..) {
+                if let Some(slot) = self.table.get_mut(&session) {
+                    if let Some(speaker) = slot.engine.granted() {
+                        slot.flushed = Some((began, self.flushed_at[speaker]));
+                    }
+                }
+            }
+        }
+        self.drain_watermark = self.finished;
+        Ok(())
+    }
+
+    /// Handles one inbound event; a connection-level failure names the
+    /// player to fail the run with.
+    fn dispatch(&mut self, event: Inbound) -> Result<(), (usize, String)> {
+        let player = event.player;
+        self.last_seen[player] = event.at;
+        match event.frame {
+            Ok((_, Frame::Heartbeat { .. })) => Ok(()),
+            Ok((session, Frame::Broadcast(b))) => {
+                self.apply_reply(session, player, b, event.at);
+                Ok(())
+            }
+            Ok((_, Frame::Error { message, .. })) => {
+                Err((player, format!("player {player} error: {message}")))
+            }
+            Ok((_, other)) => Err((
+                player,
+                format!("player {player} sent unexpected {} frame", other.name()),
+            )),
+            Err(NetError::Disconnected | NetError::Io(_)) => {
+                Err((player, format!("player {player} disconnected")))
+            }
+            Err(e) => Err((player, format!("player {player}: {e}"))),
+        }
+    }
+
+    /// Times out every session whose deadline has passed, in admission
+    /// order, dropping finished ids from the front of the queue.
+    fn expire_deadlines(&mut self, now: Instant) -> bool {
+        let mut expired = false;
+        while let Some(&(due, session)) = self.deadlines.front() {
+            if !self.table.contains_key(&session) {
+                self.deadlines.pop_front();
+            } else if due <= now {
+                self.deadlines.pop_front();
+                self.finish(session, 1, String::new(), Vec::new());
+                expired = true;
+            } else {
+                break;
+            }
+        }
+        expired
+    }
+
+    /// The reactor loop: flush, wait for frames or the next timer, apply,
+    /// admit, fire timers — until every session has finished or the pool
+    /// fails.
+    fn run<F>(
+        &mut self,
+        inbound: &Receiver<Inbound>,
+        admin: Option<&TcpListener>,
+        sample_inputs: &F,
+    ) where
+        F: Fn(u64, &mut ChaCha8Rng) -> Vec<P::Input>,
+    {
+        let miss_limit = self.opts.config.miss_limit;
+        let stale_after = self.opts.config.heartbeat_interval * miss_limit;
+        let mut admin_peers: Vec<AdminPeer> = Vec::new();
+        let mut next_admin = Instant::now() + ADMIN_TICK;
+        let mut last_progress = Instant::now();
+        self.admit(sample_inputs);
+        while self.finished < self.total {
+            if let Err((player, reason)) = self.flush_all() {
+                self.fail(player, &reason);
+                return;
+            }
+
+            // Sleep until a frame arrives or the next timer is due.
+            let oldest_seen = *self.last_seen.iter().min().expect("non-empty pool");
+            let mut wake = (oldest_seen + stale_after).min(last_progress + DEFAULT_STALL_CAP);
+            if let Some(&(due, _)) = self.deadlines.front() {
+                wake = wake.min(due);
+            }
+            if admin.is_some() {
+                wake = wake.min(next_admin);
+            }
+            match inbound.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+                Ok(first) => {
+                    last_progress = Instant::now();
+                    let mut event = Some(first);
+                    while let Some(e) = event {
+                        if let Err((player, reason)) = self.dispatch(e) {
+                            self.fail(player, &reason);
+                            return;
+                        }
+                        event = inbound.try_recv().ok();
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                // Every reader reports its own end before hanging up.
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.abort_all("every player connection closed");
+                    return;
+                }
+            }
+
+            // Finishing sessions freed in-flight slots; top the table up.
+            self.admit(sample_inputs);
+            let now = Instant::now();
+            if self.expire_deadlines(now) {
+                last_progress = now;
+                self.admit(sample_inputs);
+            }
+            if let Some(listener) = admin {
+                if now >= next_admin {
+                    next_admin = now + ADMIN_TICK;
+                    self.serve_admins(listener, &mut admin_peers);
+                }
+            }
+            if let Some(player) = self
+                .last_seen
+                .iter()
+                .position(|&seen| now.saturating_duration_since(seen) > stale_after)
+            {
+                self.fail(
+                    player,
+                    &format!("player {player} missed {miss_limit} heartbeats"),
+                );
+                return;
+            }
+            if now.saturating_duration_since(last_progress) > DEFAULT_STALL_CAP {
+                self.abort_all("reactor stalled past the stall cap");
+                return;
+            }
+        }
+    }
 }
 
 /// Runs `total_sessions` sessions of `protocol` over an already-accepted
@@ -672,10 +990,10 @@ where
 /// makes transcripts comparable across every transport in the repo.
 ///
 /// The returned report carries one [`SessionRecord`] per session
-/// (sorted by id) and the pool's wire accounting. A dead or stale
-/// connection aborts every unfinished session — with a roster player
-/// gone, no session can complete — but still returns a report rather
-/// than an error, so the load harness can count the damage.
+/// (sorted by id) and the pool's wire accounting. A dead, stale or
+/// stalled connection aborts every unfinished session — with a roster
+/// player gone, no session can complete — but still returns a report
+/// rather than an error, so the load harness can count the damage.
 pub fn run_mux_daemon<P, F>(
     protocol: &P,
     conns: Vec<MuxConn>,
@@ -706,10 +1024,10 @@ where
 /// [`run_mux_daemon`] plus a live admin stats channel: when
 /// `admin_listener` is given, the reactor also accepts read-only admin
 /// peers on it (typically the roster listener, reused once the roster
-/// is full) and answers their `Stats` requests inline from the
-/// throttled scan tick — so a scrape observes the daemon mid-run
-/// without a lock, a second thread, or any effect on session state.
-/// Admin traffic is excluded from the run's wire accounting.
+/// is full) and answers their `Stats` requests inline every
+/// [`ADMIN_TICK`] — so a scrape observes the daemon mid-run without a
+/// lock, a second thread, or any effect on session state. Admin traffic
+/// is excluded from the run's wire accounting.
 #[allow(clippy::too_many_arguments)]
 pub fn run_mux_daemon_with_admin<P, F>(
     protocol: &P,
@@ -730,19 +1048,22 @@ where
     assert_eq!(conns.len(), protocol.num_players(), "pool size");
     assert!(opts.max_inflight > 0, "max_inflight must be positive");
     let start = Instant::now();
-    let config = opts.config.clone();
-    let stale_after = config.heartbeat_interval * config.miss_limit;
     let k = conns.len();
     let mut reactor = Reactor {
         protocol,
         conns,
         last_seen: vec![Instant::now(); k],
         table: HashMap::new(),
+        deadlines: VecDeque::new(),
+        unflushed: Vec::new(),
+        flushed_at: vec![Instant::now(); k],
+        hists: TurnHists::new(),
         records: Vec::new(),
         next_session: 0,
         total: total_sessions,
         finished: 0,
         drain_watermark: 0,
+        culprit: None,
         master_seed,
         opts,
         recorder,
@@ -752,135 +1073,52 @@ where
         // The roster phase left it nonblocking; make sure regardless.
         let _ = listener.set_nonblocking(true);
     }
-    let mut admin_peers: Vec<AdminPeer> = Vec::new();
-    reactor.admit(&sample_inputs);
 
-    let mut last_scan = Instant::now();
-    let mut last_progress = Instant::now();
-    'run: while reactor.finished < reactor.total {
-        let mut progressed = false;
-
-        // Drain write buffers first: grants queued last iteration are
-        // what unblocks the players.
-        let mut all_drained = true;
-        for player in 0..reactor.conns.len() {
-            match reactor.conns[player].flush() {
-                Ok(drained) => all_drained &= drained,
-                Err(_) => {
-                    reactor.abort_all(&format!("player {player} disconnected"));
-                    break 'run;
-                }
-            }
-        }
-        if all_drained {
-            reactor.drain_watermark = reactor.finished;
-        }
-
-        // Drain every connection's reader and dispatch.
-        for player in 0..reactor.conns.len() {
-            loop {
-                match reactor.conns[player].poll() {
-                    Ok(Some((session, frame))) => {
-                        reactor.last_seen[player] = Instant::now();
-                        progressed = true;
-                        match frame {
-                            Frame::Heartbeat { .. } => {}
-                            Frame::Broadcast(b) => reactor.apply_reply(session, player, b),
-                            Frame::Error { message, .. } => {
-                                reactor.abort_all(&format!("player {player} error: {message}"));
-                                break 'run;
-                            }
-                            other => {
-                                reactor.abort_all(&format!(
-                                    "player {player} sent unexpected {} frame",
-                                    other.name()
-                                ));
-                                break 'run;
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(NetError::Disconnected | NetError::Io(_)) => {
-                        reactor.abort_all(&format!("player {player} disconnected"));
-                        break 'run;
-                    }
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        let mut readers = Vec::with_capacity(k);
+        let mut shutdown = ReadShutdown(Vec::with_capacity(k));
+        for player in 0..k {
+            let split = reactor.conns[player]
+                .split_reader()
+                .and_then(|(stream, reader)| match stream.try_clone() {
+                    Ok(handle) => Ok((stream, reader, handle)),
                     Err(e) => {
-                        reactor.abort_all(&format!("player {player}: {e}"));
-                        break 'run;
+                        reactor.conns[player].rejoin_reader(reader);
+                        Err(e)
                     }
+                });
+            match split {
+                Ok((stream, reader, handle)) => {
+                    shutdown.0.push(handle);
+                    let tx = tx.clone();
+                    readers.push((
+                        player,
+                        scope.spawn(move || read_frames(player, stream, reader, tx)),
+                    ));
+                }
+                Err(e) => {
+                    reactor.fail(player, &format!("player {player}: {e}"));
+                    break;
                 }
             }
         }
+        drop(tx);
+        reactor.run(&rx, admin_listener, &sample_inputs);
 
-        // Finishing sessions freed in-flight slots; top the table up.
-        reactor.admit(&sample_inputs);
-
-        // Throttled table walk: per-session deadlines + pool staleness.
-        // Admin peers are accepted and served on the same tick — a
-        // scrape costs at most one scan interval of latency and zero
-        // cycles on the hot path.
-        if last_scan.elapsed() >= DEADLINE_SCAN_INTERVAL {
-            last_scan = Instant::now();
-            reactor.recorder.hist_record(
-                "mux.outbound_queue_bytes",
-                reactor
-                    .conns
-                    .iter()
-                    .map(MuxConn::pending_out)
-                    .sum::<usize>() as u64,
-                QUEUE_BYTES_BOUNDS,
-            );
-            if let Some(listener) = admin_listener {
-                reactor.serve_admins(listener, &mut admin_peers);
-            }
-            if let Some(deadline) = opts.deadline {
-                let mut expired: Vec<u64> = reactor
-                    .table
-                    .iter()
-                    .filter(|(_, slot)| slot.started.elapsed() >= deadline)
-                    .map(|(&s, _)| s)
-                    .collect();
-                expired.sort_unstable();
-                for session in expired {
-                    reactor.finish(session, 1, String::new(), Vec::new());
-                    progressed = true;
-                }
-                reactor.admit(&sample_inputs);
-            }
-            if let Some(player) = reactor
-                .last_seen
-                .iter()
-                .position(|seen| seen.elapsed() > stale_after)
-            {
-                reactor.abort_all(&format!(
-                    "player {player} missed {} heartbeats",
-                    config.miss_limit
-                ));
-                break 'run;
+        // Push the final outcomes out, each write bounded by io_timeout.
+        for (player, conn) in reactor.conns.iter_mut().enumerate() {
+            if reactor.culprit != Some(player) {
+                let _ = conn.flush();
             }
         }
-
-        if progressed {
-            last_progress = Instant::now();
-        } else {
-            if last_progress.elapsed() > DEFAULT_STALL_CAP {
-                reactor.abort_all("reactor stalled past the stall cap");
-                break 'run;
-            }
-            std::thread::sleep(config.poll_sleep);
+        drop(shutdown);
+        for (player, handle) in readers {
+            let reader = handle.join().expect("reader thread panicked");
+            reactor.conns[player].rejoin_reader(reader);
         }
-    }
-
-    // Push the final outcomes out (best effort, bounded).
-    let flush_deadline = Instant::now() + config.io_timeout;
-    for conn in &mut reactor.conns {
-        while let Ok(false) = conn.flush() {
-            if Instant::now() >= flush_deadline {
-                break;
-            }
-            std::thread::sleep(config.poll_sleep);
-        }
-    }
+    });
+    reactor.hists.publish(recorder);
 
     let mut wire = WireStats::default();
     for conn in &reactor.conns {

@@ -6,13 +6,16 @@
 //! **thousands of concurrent sessions** over a pool of `k` player
 //! connections:
 //!
-//! * [`conn`] — [`conn::MuxConn`]: a non-blocking socket speaking the v2
-//!   (session-id) frame envelope, with a write buffer the daemon drains
-//!   opportunistically so a slow client never blocks the reactor;
-//! * [`daemon`] — [`daemon::run_mux_daemon`]: the readiness-driven
-//!   reactor. Sessions are *parked* as a board prefix + the 41-byte
-//!   ChaCha8 session-RNG state + a turn cursor, resumed for exactly the
-//!   time it takes to apply one reply and issue the next grant;
+//! * [`conn`] — [`conn::MuxConn`]: a blocking socket speaking the v2
+//!   (session-id) frame envelope, with a write queue flushed in batches
+//!   and bounded by `io_timeout`, and a read side that can be handed to a
+//!   dedicated reader thread;
+//! * [`daemon`] — [`daemon::run_mux_daemon`]: the reactor. One reader
+//!   thread per connection feeds decoded frames into a channel; the
+//!   reactor sleeps on it until a frame or a timer is due. Sessions are
+//!   *parked* as a board prefix + the 41-byte ChaCha8 session-RNG state +
+//!   a turn cursor, resumed for exactly the time it takes to apply one
+//!   reply and issue the next grant;
 //! * [`player`] — [`player::run_mux_player`]: the client side, keeping an
 //!   independent board replica per in-flight session;
 //! * [`load`] — the `bci load` harness: N synthetic players × M sessions

@@ -78,7 +78,7 @@ pub fn connect_mux_player(
     master_seed: u64,
 ) -> Result<(MuxConn, Hello, u32), NetError> {
     let (stream, retries) = connect_with_backoff(addr, config, master_seed, player as u64)?;
-    let mut conn = MuxConn::new(stream, config.max_frame_len)?;
+    let mut conn = MuxConn::new(stream, config)?;
     let hello = Frame::Hello(Hello {
         version: PROTOCOL_VERSION_MUX,
         protocol_id: protocol_id.to_string(),
@@ -87,9 +87,9 @@ pub fn connect_mux_player(
         seed: 0,
         params: Vec::new(),
     });
-    conn.send_now(CONTROL_SESSION, &hello, config)?;
+    conn.send_now(CONTROL_SESSION, &hello)?;
     let ack_deadline = Instant::now() + config.io_timeout;
-    match conn.recv_deadline(ack_deadline, config)? {
+    match conn.recv_deadline(ack_deadline)? {
         (_, Frame::Hello(ack)) => Ok((conn, ack, retries)),
         (_, Frame::Error { message, .. }) => Err(NetError::Protocol(message)),
         (_, other) => Err(NetError::Protocol(format!(
@@ -134,23 +134,30 @@ where
         report.wire.payload_bytes_tx = conn.payload_bytes_written;
         report.wire.payload_bytes_rx = conn.payload_bytes_read();
     };
+    // Block for frames, waking at least once per heartbeat interval so
+    // an idle player still heartbeats on time.
+    conn.set_read_timeout(Some(config.heartbeat_interval))?;
     let mut last_sent = Instant::now();
     let mut heartbeat_seq = 0u64;
     loop {
         let (session, frame) = loop {
-            if last_sent.elapsed() >= config.heartbeat_interval {
-                heartbeat_seq += 1;
-                conn.send_now(
-                    CONTROL_SESSION,
-                    &Frame::Heartbeat { seq: heartbeat_seq },
-                    config,
-                )?;
-                last_sent = Instant::now();
-            }
-            if let Some(hit) = conn.poll()? {
+            // Answer every frame of a burst before writing: replies are
+            // queued, and go out together just before the next read.
+            if let Some(hit) = conn.recv_buffered()? {
                 break hit;
             }
-            std::thread::sleep(config.poll_sleep);
+            if conn.pending_out() > 0 {
+                conn.write_queued()?;
+                last_sent = Instant::now();
+            }
+            if last_sent.elapsed() >= config.heartbeat_interval {
+                heartbeat_seq += 1;
+                conn.send_now(CONTROL_SESSION, &Frame::Heartbeat { seq: heartbeat_seq })?;
+                last_sent = Instant::now();
+            }
+            if let Some(hit) = conn.recv()? {
+                break hit;
+            }
         };
         match frame {
             Frame::Input(inp) => {
@@ -200,6 +207,7 @@ where
                     // A panicking player hangs up; the daemon maps the
                     // EOF to structured aborts, same as the v1 client.
                     Err(_) => {
+                        let _ = conn.write_queued();
                         fill_wire(&mut report, &conn);
                         return Ok(report);
                     }
@@ -211,8 +219,7 @@ where
                     next: NO_PLAYER,
                     rng: rng.state_bytes().to_vec(),
                 });
-                conn.send_now(session, &reply, config)?;
-                last_sent = Instant::now();
+                conn.queue(session, &reply);
             }
             Frame::Outcome(outcome) => {
                 report.sessions += 1;
@@ -229,6 +236,9 @@ where
                 }
                 if outcome.remaining == 0 {
                     report.digests.sort_unstable_by_key(|&(s, _)| s);
+                    // Late replies to sessions that already ended still
+                    // go out, so both ends count the same frames.
+                    let _ = conn.write_queued();
                     fill_wire(&mut report, &conn);
                     return Ok(report);
                 }

@@ -1,5 +1,6 @@
 //! Connection-level faults against the live mux daemon: a roster player
-//! that holds its grants, goes silent, or hangs up. Player 0 is always
+//! that holds its grants, goes silent, hangs up, or stops reading.
+//! Player 0 is always
 //! honest (`run_mux_player`); player 1 is a scripted peer on a raw
 //! [`MuxConn`]. Every case must end in bounded wall time with every
 //! session carrying the expected typed outcome, the matching
@@ -101,7 +102,7 @@ struct Outcome {
 /// daemon has returned.
 fn run_case<F>(case: &Case, peer: F) -> Outcome
 where
-    F: FnOnce(MuxConn, &NetConfig, &AtomicBool) + Send,
+    F: FnOnce(MuxConn, &AtomicBool) + Send,
 {
     let proto = Relay { turns: 4 };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -134,7 +135,7 @@ where
         let scripted = scope.spawn(move || {
             let (conn, _ack, _retries) =
                 connect_mux_player(addr, 1, PROTOCOL_ID, config, SEED).expect("player 1 connects");
-            peer(conn, config, done);
+            peer(conn, done);
         });
         let conns = accept_mux_roster(
             &listener,
@@ -169,8 +170,8 @@ where
 
 /// Sends a heartbeat on the control session; false once the daemon is
 /// gone.
-fn heartbeat(conn: &mut MuxConn, seq: u64, config: &NetConfig) -> bool {
-    conn.send_now(CONTROL_SESSION, &Frame::Heartbeat { seq }, config)
+fn heartbeat(conn: &mut MuxConn, seq: u64) -> bool {
+    conn.send_now(CONTROL_SESSION, &Frame::Heartbeat { seq })
         .is_ok()
 }
 
@@ -198,15 +199,15 @@ fn assert_all_ended(outcome: &Outcome, kind: u8, reason: &str, counter: &str) {
 fn held_grants_time_out_every_session() {
     let mut case = Case::new(6, 3);
     case.deadline = Some(Duration::from_millis(150));
-    let outcome = run_case(&case, |mut conn, config, done| {
+    let outcome = run_case(&case, |mut conn, done| {
         // Heartbeat and drain, but never answer a grant.
         let mut seq = 0;
         while !done.load(Ordering::Acquire) {
             seq += 1;
-            if !heartbeat(&mut conn, seq, config) {
+            if !heartbeat(&mut conn, seq) {
                 break;
             }
-            let _ = conn.recv_deadline(Instant::now() + Duration::from_millis(20), config);
+            let _ = conn.recv_deadline(Instant::now() + Duration::from_millis(20));
         }
     });
     assert_eq!(outcome.report.records.len(), case.sessions as usize);
@@ -221,7 +222,7 @@ fn held_grants_time_out_every_session() {
 #[test]
 fn silent_player_aborts_on_missed_heartbeats() {
     let case = Case::new(4, 4);
-    let outcome = run_case(&case, |conn, _config, done| {
+    let outcome = run_case(&case, |conn, done| {
         // Never write, never read; hang up only after the daemon ends.
         while !done.load(Ordering::Acquire) {
             std::thread::sleep(Duration::from_millis(5));
@@ -244,11 +245,45 @@ fn silent_player_aborts_on_missed_heartbeats() {
 #[test]
 fn hung_up_player_aborts_and_the_daemon_returns() {
     let case = Case::new(4, 4);
-    let outcome = run_case(&case, |conn, _config, _done| drop(conn));
+    let outcome = run_case(&case, |conn, _done| drop(conn));
     assert_all_ended(&outcome, 2, "player 1 disconnected", "mux.sessions_aborted");
     assert!(
         outcome.wall < Duration::from_secs(3),
         "hang-up took {:?}",
+        outcome.wall
+    );
+}
+
+#[test]
+fn player_that_stops_reading_aborts_on_stalled_writes() {
+    // 128 sessions x 64 KiB inputs queue 8 MiB for each player at
+    // admission, past what the loopback socket buffers hold, so writes
+    // to a player that never reads stop making progress.
+    let mut case = Case::new(128, 128);
+    case.payload = 64 << 10;
+    case.config.io_timeout = Duration::from_millis(300);
+    let outcome = run_case(&case, |mut conn, done| {
+        // Heartbeat so staleness never fires, but never read.
+        let mut seq = 0;
+        while !done.load(Ordering::Acquire) {
+            seq += 1;
+            if !heartbeat(&mut conn, seq) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    assert_eq!(outcome.report.records.len(), case.sessions as usize);
+    assert_all_ended(
+        &outcome,
+        2,
+        "player 1 stalled writes past io_timeout",
+        "mux.sessions_aborted",
+    );
+    assert_eq!(outcome.counters.counter("mux.write_stalls"), 1);
+    assert!(
+        outcome.wall < Duration::from_secs(5),
+        "the stall took {:?} to surface",
         outcome.wall
     );
 }

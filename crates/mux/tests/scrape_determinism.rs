@@ -61,7 +61,18 @@ fn mux_scraper_lands_snapshots_while_the_run_is_in_flight() {
     assert_eq!(snap.gauge("mux.roster_players"), 3);
     assert!(snap.counter("mux.sessions_started") > 0);
     assert!(snap.counter("mux.stats_served") > 0);
-    assert!(snap.hist("mux.turn_latency_us").is_some());
+    let turns = snap
+        .hist("mux.turn_latency_us")
+        .expect("turn latency")
+        .count();
+    assert!(turns > 0);
+    // Every applied turn is split into its four phases, recorded with
+    // its latency, so each phase histogram counts the same turns.
+    for phase in ["queue", "flush", "remote", "apply"] {
+        let name = format!("mux.turn_{phase}_us");
+        let hist = snap.hist(&name).unwrap_or_else(|| panic!("{name} missing"));
+        assert_eq!(hist.count(), turns, "{name} counts other turns");
+    }
 }
 
 #[test]
