@@ -15,7 +15,7 @@
 //! accounting) back at the end of the run.
 
 use std::io::{self, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bci_net::frame::{Frame, FrameReader, NetError};
@@ -208,12 +208,6 @@ impl MuxConn {
     pub fn rejoin_reader(&mut self, reader: FrameReader) {
         self.reader = reader;
     }
-
-    /// Shuts the read half down, so a thread blocked reading this socket
-    /// (through any clone) sees end-of-stream. Writes still work.
-    pub fn shutdown_read(&self) {
-        let _ = self.stream.shutdown(Shutdown::Read);
-    }
 }
 
 #[cfg(test)]
@@ -310,6 +304,7 @@ mod tests {
         let (mut client, mut server) = pair(&config);
         client.send_now(5, &Frame::Heartbeat { seq: 1 }).unwrap();
         let (mut stream, mut reader) = server.split_reader().unwrap();
+        let handle = stream.try_clone().unwrap();
         let reader = std::thread::scope(|scope| {
             let thread = scope.spawn(move || {
                 assert_eq!(
@@ -324,7 +319,7 @@ mod tests {
                 reader
             });
             std::thread::sleep(Duration::from_millis(20));
-            server.shutdown_read();
+            handle.shutdown(std::net::Shutdown::Read).unwrap();
             thread.join().unwrap()
         });
         server.rejoin_reader(reader);

@@ -67,7 +67,7 @@ use bci_net::overhead::transcript_digest;
 use bci_net::transport::WireStats;
 use bci_net::NetConfig;
 use bci_telemetry::hist::{QUEUE_BYTES_BOUNDS, TURN_LATENCY_US_BOUNDS};
-use bci_telemetry::{Histogram, Json, Recorder, SpanKind};
+use bci_telemetry::{Json, Recorder, SpanKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -354,53 +354,6 @@ fn micros(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_micros() as u64
 }
 
-/// The reactor's histograms, recorded without a lock per turn and merged
-/// into the recorder before every admin reply and at the end of the run.
-///
-/// A turn's four phases split its latency at four stamps:
-/// `queue` (grant queued → its flush began), `flush` (→ the speaker's
-/// connection written), `remote` (→ the reply decoded on the reader
-/// thread) and `apply` (→ the reply applied on the reactor).
-struct TurnHists {
-    latency: Histogram,
-    queue: Histogram,
-    flush: Histogram,
-    remote: Histogram,
-    apply: Histogram,
-    /// Bytes queued across the pool at the start of each flush.
-    outbound: Histogram,
-}
-
-impl TurnHists {
-    fn new() -> Self {
-        TurnHists {
-            latency: Histogram::new(TURN_LATENCY_US_BOUNDS),
-            queue: Histogram::new(TURN_LATENCY_US_BOUNDS),
-            flush: Histogram::new(TURN_LATENCY_US_BOUNDS),
-            remote: Histogram::new(TURN_LATENCY_US_BOUNDS),
-            apply: Histogram::new(TURN_LATENCY_US_BOUNDS),
-            outbound: Histogram::new(QUEUE_BYTES_BOUNDS),
-        }
-    }
-
-    /// Merges every non-empty histogram into `recorder` and starts over.
-    fn publish(&mut self, recorder: &Recorder) {
-        for (name, hist) in [
-            ("mux.turn_latency_us", &mut self.latency),
-            ("mux.turn_queue_us", &mut self.queue),
-            ("mux.turn_flush_us", &mut self.flush),
-            ("mux.turn_remote_us", &mut self.remote),
-            ("mux.turn_apply_us", &mut self.apply),
-            ("mux.outbound_queue_bytes", &mut self.outbound),
-        ] {
-            if !hist.is_empty() {
-                recorder.hist_merge(name, hist);
-                *hist = Histogram::new(hist.bounds());
-            }
-        }
-    }
-}
-
 /// The daemon's mutable state while the reactor runs.
 struct Reactor<'a, P: Protocol> {
     protocol: &'a P,
@@ -415,7 +368,6 @@ struct Reactor<'a, P: Protocol> {
     unflushed: Vec<u64>,
     /// When the last flush finished writing each connection.
     flushed_at: Vec<Instant>,
-    hists: TurnHists,
     records: Vec<SessionRecord>,
     next_session: u64,
     total: u64,
@@ -600,12 +552,20 @@ where
                             // carried its grant, so `flushed` is set.
                             let (began, written) =
                                 slot.flushed.take().unwrap_or((granted_at, granted_at));
-                            let h = &mut self.hists;
-                            h.latency.record(micros(granted_at, applied));
-                            h.queue.record(micros(granted_at, began));
-                            h.flush.record(micros(began, written));
-                            h.remote.record(micros(written, decoded_at));
-                            h.apply.record(micros(decoded_at, applied));
+                            // The turn's latency, then its four phases.
+                            for (name, from, to) in [
+                                ("mux.turn_latency_us", granted_at, applied),
+                                ("mux.turn_queue_us", granted_at, began),
+                                ("mux.turn_flush_us", began, written),
+                                ("mux.turn_remote_us", written, decoded_at),
+                                ("mux.turn_apply_us", decoded_at, applied),
+                            ] {
+                                self.recorder.hist_record(
+                                    name,
+                                    micros(from, to),
+                                    TURN_LATENCY_US_BOUNDS,
+                                );
+                            }
                         }
                         slot.prev = Some((speaker as u32, reply.bits));
                         None
@@ -762,7 +722,6 @@ where
                         }
                         Frame::Stats { what } if peers[i].greeted => {
                             self.set_gauges();
-                            self.hists.publish(self.recorder);
                             let reply =
                                 Frame::StatsReply(Box::new(stats_reply(self.recorder, what)));
                             peers[i].conn.queue(CONTROL_SESSION, &reply);
@@ -826,7 +785,11 @@ where
     fn flush_all(&mut self) -> Result<(), (usize, String)> {
         let queued: usize = self.conns.iter().map(MuxConn::pending_out).sum();
         if queued > 0 {
-            self.hists.outbound.record(queued as u64);
+            self.recorder.hist_record(
+                "mux.outbound_queue_bytes",
+                queued as u64,
+                QUEUE_BYTES_BOUNDS,
+            );
             let began = Instant::now();
             for (player, conn) in self.conns.iter_mut().enumerate() {
                 match conn.flush() {
@@ -1057,7 +1020,6 @@ where
         deadlines: VecDeque::new(),
         unflushed: Vec::new(),
         flushed_at: vec![Instant::now(); k],
-        hists: TurnHists::new(),
         records: Vec::new(),
         next_session: 0,
         total: total_sessions,
@@ -1118,7 +1080,6 @@ where
             reactor.conns[player].rejoin_reader(reader);
         }
     });
-    reactor.hists.publish(recorder);
 
     let mut wire = WireStats::default();
     for conn in &reactor.conns {

@@ -363,25 +363,6 @@ impl Recorder {
         }
     }
 
-    /// Adds `hist` into the named histogram, created over `hist`'s bounds
-    /// on first use. Lets a hot loop record into a local [`Histogram`]
-    /// without a lock per sample and publish the batch before a snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name was first used with a different bucket ladder.
-    pub fn hist_merge(&self, name: &'static str, hist: &Histogram) {
-        if let Some(inner) = &self.inner {
-            inner
-                .hists
-                .lock()
-                .expect("hists lock")
-                .entry(name)
-                .or_insert_with(|| Histogram::new(hist.bounds()))
-                .merge(hist);
-        }
-    }
-
     /// A copy of the captured event stream, in arrival order.
     pub fn events(&self) -> Vec<Event> {
         self.inner
@@ -577,20 +558,6 @@ mod tests {
         rec.counter_add("sessions", 3);
         assert_eq!(rec.snapshot().counter("sessions"), 5);
         assert_eq!(rec.snapshot().counter("absent"), 0);
-    }
-
-    #[test]
-    fn merged_batches_equal_per_sample_records() {
-        let (merged, recorded) = (Recorder::new(), Recorder::new());
-        let mut batch = Histogram::new(LATENCY_US_BOUNDS);
-        for value in [3, 70, 70, 9_000] {
-            batch.record(value);
-            recorded.hist_record("h", value, LATENCY_US_BOUNDS);
-        }
-        merged.hist_merge("h", &batch);
-        assert_eq!(merged.snapshot().hist("h"), recorded.snapshot().hist("h"));
-        merged.hist_merge("h", &batch);
-        assert_eq!(merged.snapshot().hist("h").map(Histogram::count), Some(8));
     }
 
     #[test]
