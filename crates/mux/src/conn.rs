@@ -2,10 +2,10 @@
 //! frame envelope.
 //!
 //! The socket is blocking. Writes are queued in memory and written by
-//! [`MuxConn::flush`], which blocks until the queue drains or the
-//! socket's write timeout (`NetConfig::io_timeout`) passes without
-//! progress — so a peer that stops draining surfaces as a stall, never
-//! as an unbounded queue. Reads go through a v2 [`FrameReader`] (partial
+//! [`MuxConn::flush`], which blocks until the queue drains or
+//! `NetConfig::io_timeout` has passed since the flush began — so a peer
+//! that stops draining, or drains a trickle, surfaces as a stall, never
+//! as an unbounded queue or an endless flush. Reads go through a v2 [`FrameReader`] (partial
 //! frames stay buffered across reads) and block until a frame arrives
 //! or the read timeout ends the wait.
 //!
@@ -33,6 +33,11 @@ const MIN_TIMEOUT: Duration = Duration::from_millis(1);
 pub struct MuxConn {
     stream: TcpStream,
     reader: FrameReader,
+    /// Budget for one whole [`MuxConn::flush`].
+    io_timeout: Duration,
+    /// The socket's write timeout as last set: `io_timeout`, or what was
+    /// left of a flush's budget after a partial write.
+    write_timeout: Duration,
     /// Queued-but-unwritten wire bytes. `out_cursor` marks how much of
     /// the front has already hit the socket; the buffer is compacted on
     /// every full drain.
@@ -48,15 +53,18 @@ pub struct MuxConn {
 
 impl MuxConn {
     /// Wraps a connected stream: disables Nagle, makes it blocking with
-    /// writes bounded by `config.io_timeout`, and installs a v2 frame
+    /// each flush bounded by `config.io_timeout`, and installs a v2 frame
     /// reader capped at `config.max_frame_len`.
     pub fn new(stream: TcpStream, config: &NetConfig) -> io::Result<Self> {
+        let io_timeout = config.io_timeout.max(MIN_TIMEOUT);
         stream.set_nodelay(true)?;
         stream.set_nonblocking(false)?;
-        stream.set_write_timeout(Some(config.io_timeout.max(MIN_TIMEOUT)))?;
+        stream.set_write_timeout(Some(io_timeout))?;
         Ok(MuxConn {
             stream,
             reader: FrameReader::with_limits(true, config.max_frame_len),
+            io_timeout,
+            write_timeout: io_timeout,
             out: Vec::new(),
             out_cursor: 0,
             bytes_written: 0,
@@ -101,16 +109,27 @@ impl MuxConn {
     }
 
     /// Writes the queued bytes. Returns `Ok(true)` when the queue is
-    /// fully drained, `Ok(false)` when the socket took nothing for a
-    /// whole write timeout (or, on a nonblocking socket, would block);
-    /// the unwritten bytes stay queued.
+    /// fully drained, `Ok(false)` when `io_timeout` passes before it is
+    /// (or, on a nonblocking socket, when a write would block); the
+    /// unwritten bytes stay queued. The budget covers the whole flush, so
+    /// a peer that reads a few bytes at a time cannot stretch it.
     pub fn flush(&mut self) -> Result<bool, NetError> {
+        let deadline = Instant::now() + self.io_timeout;
+        self.set_write_timeout(self.io_timeout)?;
         while self.out_cursor < self.out.len() {
             match self.stream.write(&self.out[self.out_cursor..]) {
                 Ok(0) => return Err(NetError::Disconnected),
                 Ok(n) => {
                     self.out_cursor += n;
                     self.bytes_written += n as u64;
+                    if self.out_cursor < self.out.len() {
+                        // A partial write: the next one gets what is left.
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            return Ok(false);
+                        }
+                        self.set_write_timeout(left)?;
+                    }
                 }
                 Err(e)
                     if matches!(
@@ -129,16 +148,20 @@ impl MuxConn {
         Ok(true)
     }
 
-    /// Queues `frame` and writes everything queued; see
-    /// [`MuxConn::write_queued`].
-    pub fn send_now(&mut self, session: u64, frame: &Frame) -> Result<(), NetError> {
-        self.queue(session, frame);
-        self.write_queued()
+    /// Sets the socket's write timeout, skipping the call when unchanged.
+    fn set_write_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+        let timeout = timeout.max(MIN_TIMEOUT);
+        if timeout != self.write_timeout {
+            self.stream.set_write_timeout(Some(timeout))?;
+            self.write_timeout = timeout;
+        }
+        Ok(())
     }
 
-    /// Writes everything queued, failing with `TimedOut` when the peer
-    /// stops draining for the write timeout.
-    pub fn write_queued(&mut self) -> Result<(), NetError> {
+    /// Queues `frame` and writes everything queued, failing with
+    /// `TimedOut` when the flush runs past `io_timeout`.
+    pub fn send_now(&mut self, session: u64, frame: &Frame) -> Result<(), NetError> {
+        self.queue(session, frame);
         if self.flush()? {
             Ok(())
         } else {
@@ -154,12 +177,6 @@ impl MuxConn {
     /// socket, an empty socket) ends the wait first.
     pub fn recv(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
         self.reader.poll_mux(&mut self.stream)
-    }
-
-    /// The next frame already read off the socket, without reading:
-    /// `Ok(None)` when the next [`MuxConn::recv`] would block.
-    pub fn recv_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
-        self.reader.next_buffered()
     }
 
     /// Blocks until a frame arrives or `deadline` passes. Leaves a read

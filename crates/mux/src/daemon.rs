@@ -17,22 +17,23 @@
 //!
 //! Each player connection has one blocking reader thread. It decodes
 //! frames with the connection's own frame reader and sends each one,
-//! stamped with its decode instant, into one channel. [`run_mux_daemon`]
-//! loops: write every connection's queued grants and outcomes, block on
-//! the channel until a frame arrives or the next timer is due, apply
-//! every frame that has arrived, and admit new sessions. The timers are
-//! the oldest per-session deadline (a FIFO: one deadline for all
-//! sessions makes admission order expiry order), the heartbeat
-//! staleness horizon, and — only with an admin listener attached — the
-//! [`ADMIN_TICK`] on which admin scrapers are served.
+//! stamped with its decode instant, into one bounded channel.
+//! [`run_mux_daemon`] loops: write every connection's queued grants and
+//! outcomes, block on the channel until a frame arrives or the next
+//! timer is due, apply every frame that has arrived, and admit new
+//! sessions. The timers are the oldest per-session deadline (a FIFO: one
+//! deadline for all sessions makes admission order expiry order), the
+//! heartbeat staleness horizon, and — only with an admin listener
+//! attached — the [`ADMIN_TICK`] on which admin scrapers are served.
 //!
-//! Writes block, bounded by `NetConfig::io_timeout`. Every grant in a
-//! broadcast session goes to every player, so a player that stops
-//! draining its socket stalls every session; the daemon ends the run
-//! with a typed abort (`player i stalled writes past io_timeout`)
-//! instead of queueing without bound. At the end of the run the read
-//! halves are shut down, the reader threads see end-of-stream, and their
-//! frame readers (with the inbound wire accounting) are joined back.
+//! Writes block; each flush as a whole is bounded by
+//! `NetConfig::io_timeout`. Every grant in a broadcast session goes to
+//! every player, so a player that stops draining its socket stalls every
+//! session; the daemon ends the run with a typed abort (`player i
+//! stalled writes past io_timeout`) instead of queueing without bound.
+//! At the end of the run the read halves are shut down, the reader
+//! threads see end-of-stream, and their frame readers (with the inbound
+//! wire accounting) are joined back.
 //!
 //! ## Determinism
 //!
@@ -48,7 +49,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
 use bci_blackboard::engine::{Step, TurnEngine};
@@ -76,6 +77,9 @@ use crate::conn::MuxConn;
 /// How often the reactor accepts and serves admin scrapers, when an
 /// admin listener is attached: a scrape waits at most this long.
 pub const ADMIN_TICK: Duration = Duration::from_millis(10);
+
+/// In-flight window beyond which the inbound channel stops growing.
+const MAX_INBOUND_WINDOW: usize = 1 << 14;
 
 /// Default bound on concurrently in-flight sessions. Bounds daemon
 /// memory and keeps the outcome `remaining` countdown meaningful while
@@ -311,13 +315,15 @@ struct Inbound {
 
 /// A connection's reader thread: blocks on `stream`, decodes frames with
 /// the connection's own `reader`, and forwards each one (or the error
-/// that ends the stream) to the reactor. Hands the reader back, with its
-/// wire accounting, once the stream ends.
+/// that ends the stream) to the reactor. The channel is bounded, so a
+/// peer that sends faster than the reactor dispatches blocks this thread
+/// and TCP pushes back on it. Hands the reader back, with its wire
+/// accounting, once the stream ends or the reactor hangs up.
 fn read_frames(
     player: usize,
     mut stream: TcpStream,
     mut reader: FrameReader,
-    tx: Sender<Inbound>,
+    tx: SyncSender<Inbound>,
 ) -> FrameReader {
     loop {
         let frame = match reader.poll_mux(&mut stream) {
@@ -1037,7 +1043,10 @@ where
     }
 
     std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel();
+        // Room for one reply per in-flight session, which is all an
+        // honest pool ever has outstanding, plus heartbeats.
+        let capacity = 2 * opts.max_inflight.min(MAX_INBOUND_WINDOW) + 2 * k;
+        let (tx, rx) = mpsc::sync_channel(capacity);
         let mut readers = Vec::with_capacity(k);
         let mut shutdown = ReadShutdown(Vec::with_capacity(k));
         for player in 0..k {
@@ -1068,13 +1077,16 @@ where
         drop(tx);
         reactor.run(&rx, admin_listener, &sample_inputs);
 
-        // Push the final outcomes out, each write bounded by io_timeout.
+        // Push the final outcomes out, each flush bounded by io_timeout.
         for (player, conn) in reactor.conns.iter_mut().enumerate() {
             if reactor.culprit != Some(player) {
                 let _ = conn.flush();
             }
         }
+        // Readers blocked on a read see end-of-stream; readers blocked on
+        // a full channel see the reactor hang up.
         drop(shutdown);
+        drop(rx);
         for (player, handle) in readers {
             let reader = handle.join().expect("reader thread panicked");
             reactor.conns[player].rejoin_reader(reader);

@@ -7,8 +7,8 @@
 //! connections:
 //!
 //! * [`conn`] — [`conn::MuxConn`]: a blocking socket speaking the v2
-//!   (session-id) frame envelope, with a write queue flushed in batches
-//!   and bounded by `io_timeout`, and a read side that can be handed to a
+//!   (session-id) frame envelope, with a write queue flushed in batches,
+//!   each flush bounded by `io_timeout`, and a read side that can be handed to a
 //!   dedicated reader thread;
 //! * [`daemon`] — [`daemon::run_mux_daemon`]: the reactor. One reader
 //!   thread per connection feeds decoded frames into a channel; the

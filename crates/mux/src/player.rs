@@ -141,15 +141,6 @@ where
     let mut heartbeat_seq = 0u64;
     loop {
         let (session, frame) = loop {
-            // Answer every frame of a burst before writing: replies are
-            // queued, and go out together just before the next read.
-            if let Some(hit) = conn.recv_buffered()? {
-                break hit;
-            }
-            if conn.pending_out() > 0 {
-                conn.write_queued()?;
-                last_sent = Instant::now();
-            }
             if last_sent.elapsed() >= config.heartbeat_interval {
                 heartbeat_seq += 1;
                 conn.send_now(CONTROL_SESSION, &Frame::Heartbeat { seq: heartbeat_seq })?;
@@ -207,7 +198,6 @@ where
                     // A panicking player hangs up; the daemon maps the
                     // EOF to structured aborts, same as the v1 client.
                     Err(_) => {
-                        let _ = conn.write_queued();
                         fill_wire(&mut report, &conn);
                         return Ok(report);
                     }
@@ -219,7 +209,8 @@ where
                     next: NO_PLAYER,
                     rng: rng.state_bytes().to_vec(),
                 });
-                conn.queue(session, &reply);
+                conn.send_now(session, &reply)?;
+                last_sent = Instant::now();
             }
             Frame::Outcome(outcome) => {
                 report.sessions += 1;
@@ -236,9 +227,6 @@ where
                 }
                 if outcome.remaining == 0 {
                     report.digests.sort_unstable_by_key(|&(s, _)| s);
-                    // Late replies to sessions that already ended still
-                    // go out, so both ends count the same frames.
-                    let _ = conn.write_queued();
                     fill_wire(&mut report, &conn);
                     return Ok(report);
                 }

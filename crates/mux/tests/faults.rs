@@ -1,12 +1,12 @@
 //! Connection-level faults against the live mux daemon: a roster player
-//! that holds its grants, goes silent, hangs up, or stops reading.
-//! Player 0 is always
-//! honest (`run_mux_player`); player 1 is a scripted peer on a raw
+//! that holds its grants, goes silent, hangs up, stops reading, or reads
+//! only a trickle. Player 0 is always honest (`run_mux_player`); player 1 is a scripted peer on a raw
 //! [`MuxConn`]. Every case must end in bounded wall time with every
 //! session carrying the expected typed outcome, the matching
 //! per-outcome counter, and player 0 released by the final
 //! `remaining == 0` outcome.
 
+use std::io::Read;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -284,6 +284,41 @@ fn player_that_stops_reading_aborts_on_stalled_writes() {
     assert!(
         outcome.wall < Duration::from_secs(5),
         "the stall took {:?} to surface",
+        outcome.wall
+    );
+}
+
+#[test]
+fn player_that_reads_a_trickle_aborts_within_io_timeout() {
+    // Player 1 reads 16 KiB every 10 ms: each single write to it makes
+    // progress, but draining the 8 MiB admission backlog would take
+    // seconds. io_timeout bounds the whole flush, not each write.
+    let mut case = Case::new(128, 128);
+    case.payload = 64 << 10;
+    case.config.io_timeout = Duration::from_millis(300);
+    let outcome = run_case(&case, |mut conn, done| {
+        let (mut stream, _reader) = conn.split_reader().expect("clone the socket");
+        let mut chunk = vec![0u8; 16 << 10];
+        let mut seq = 0;
+        while !done.load(Ordering::Acquire) {
+            seq += 1;
+            if !heartbeat(&mut conn, seq) || matches!(stream.read(&mut chunk), Ok(0) | Err(_)) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    assert_eq!(outcome.report.records.len(), case.sessions as usize);
+    assert_all_ended(
+        &outcome,
+        2,
+        "player 1 stalled writes past io_timeout",
+        "mux.sessions_aborted",
+    );
+    assert_eq!(outcome.counters.counter("mux.write_stalls"), 1);
+    assert!(
+        outcome.wall < Duration::from_secs(3),
+        "the trickle took {:?} to surface",
         outcome.wall
     );
 }

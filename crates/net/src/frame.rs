@@ -687,11 +687,7 @@ impl FrameReader {
         }
     }
 
-    /// Decodes the next complete frame already buffered, without
-    /// reading: `Ok(None)` when the buffer holds no complete frame. A
-    /// peer that must answer a burst of frames can drain the burst this
-    /// way and write all its answers before it blocks on the next read.
-    pub fn next_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
+    fn take_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -758,7 +754,7 @@ impl FrameReader {
     /// pairs. On a v1 reader the session id is always 0.
     pub fn poll_mux(&mut self, stream: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
         loop {
-            if let Some(hit) = self.next_buffered()? {
+            if let Some(hit) = self.take_buffered()? {
                 return Ok(Some(hit));
             }
             if self.fill_from(stream)?.is_none() {
@@ -856,14 +852,14 @@ mod tests {
         for &byte in &stream {
             // A one-byte Read yields the byte then "WouldBlock" (empty
             // slice read returns Ok(0) = EOF, so stop before that).
-            if let Some((session, frame)) = reader.next_buffered().unwrap() {
+            if let Some((session, frame)) = reader.take_buffered().unwrap() {
                 assert_eq!(session, 0, "v1 frames carry no session");
                 out.push(frame);
             }
             reader.buf.push(byte);
             reader.bytes_read += 1;
         }
-        while let Some((_, frame)) = reader.next_buffered().unwrap() {
+        while let Some((_, frame)) = reader.take_buffered().unwrap() {
             out.push(frame);
         }
         assert_eq!(out, frames);
@@ -909,7 +905,7 @@ mod tests {
         reader.buf.extend_from_slice(&5u32.to_le_bytes());
         reader.buf.extend_from_slice(&[0; 5]);
         assert!(matches!(
-            reader.next_buffered(),
+            reader.take_buffered(),
             Err(NetError::BadFrame("truncated session header"))
         ));
     }
@@ -934,7 +930,7 @@ mod tests {
         let mut reader = FrameReader::new();
         reader.buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            reader.next_buffered(),
+            reader.take_buffered(),
             Err(NetError::BadFrame("zero-length frame"))
         ));
 
@@ -944,7 +940,7 @@ mod tests {
             .extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         // The length field alone convicts the frame — no payload needed.
         assert!(matches!(
-            reader.next_buffered(),
+            reader.take_buffered(),
             Err(NetError::BadFrame("oversized frame"))
         ));
     }
