@@ -143,16 +143,23 @@ fn fast_config() -> NetConfig {
 }
 
 /// Runs exactly one session of `proto` through the mux daemon over real
-/// loopback sockets and returns its record. The input-sampling closure
-/// must mirror [`sample_inputs`] so the session RNG lines up with every
-/// other driver.
-fn mux_single_session(proto: &RandTree, master_seed: u64) -> SessionRecord {
+/// loopback sockets and returns its record. `sample` draws the inputs
+/// from the session's freshly seeded RNG, exactly as the other drivers'
+/// callers do, so the session RNG lines up with every other driver.
+fn mux_single_session<P, S>(proto: &P, master_seed: u64, sample: S) -> SessionRecord
+where
+    P: Protocol + Sync,
+    P::Input: Wire,
+    P::Output: Wire,
+    S: Fn(&mut ChaCha8Rng) -> Vec<P::Input>,
+{
     let config = fast_config();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
+    let players = proto.num_players();
     let info = SessionInfo {
-        protocol_id: "randtree".into(),
-        players: proto.players as u32,
+        protocol_id: "driver-eq".into(),
+        players: players as u32,
         seed: master_seed,
         params: vec![],
     };
@@ -163,12 +170,12 @@ fn mux_single_session(proto: &RandTree, master_seed: u64) -> SessionRecord {
         ..MuxOptions::default()
     };
     let mut report = std::thread::scope(|scope| {
-        let players: Vec<_> = (0..proto.players)
+        let handles: Vec<_> = (0..players)
             .map(|player| {
                 let config = &config;
                 scope.spawn(move || {
                     let (conn, _ack, _retries) =
-                        connect_mux_player(addr, player, "randtree", config, master_seed)
+                        connect_mux_player(addr, player, "driver-eq", config, master_seed)
                             .expect("player connects");
                     run_mux_player(proto, conn, player, config, false)
                         .expect("player runs to the final outcome")
@@ -188,11 +195,11 @@ fn mux_single_session(proto: &RandTree, master_seed: u64) -> SessionRecord {
             conns,
             1,
             master_seed,
-            |_, rng| sample_inputs(proto.players, rng),
+            |_, rng| sample(rng),
             &opts,
             &recorder,
         );
-        for handle in players {
+        for handle in handles {
             handle.join().expect("player thread");
         }
         report
@@ -288,7 +295,7 @@ proptest! {
         // Driver 5: the mux daemon. It derives the session seed and
         // samples inputs itself, so agreement here proves the whole
         // seeding discipline matches, not just the turn loop.
-        let record = mux_single_session(&proto, master_seed);
+        let record = mux_single_session(&proto, master_seed, |rng| sample_inputs(players, rng));
         prop_assert_eq!(record.kind, 0, "mux session must complete: {}", record.reason);
         prop_assert_eq!(record.digest, transcript_digest(&serial.board));
         prop_assert_eq!(record.transcript_bits, serial.bits_written as u64);
@@ -300,7 +307,8 @@ proptest! {
 
 /// Runs one routed protocol natively on the routed engine, then through
 /// the [`Embedded`] header shim on the blackboard drivers — serial
-/// runner, both fabric transports, and the TCP loopback coordinator —
+/// runner, both fabric transports, the TCP loopback coordinator and the
+/// mux daemon —
 /// and checks every driver's decoded transcript equals the native
 /// routed board byte for byte.
 fn check_routed_matrix<P>(
@@ -354,6 +362,20 @@ where
     prop_assert_eq!(&tcp.outcome, &SessionOutcome::Completed);
     prop_assert_eq!(&tcp.board, &serial.board);
     prop_assert_eq!(&tcp.output, &Some(expect));
+
+    // The mux daemon seeds the session itself; handing back the fixed
+    // inputs without touching the RNG leaves it where the others start.
+    let record = mux_single_session(&embedded, master_seed, |_| inputs.to_vec());
+    prop_assert_eq!(
+        record.kind,
+        0,
+        "mux session must complete: {}",
+        record.reason
+    );
+    prop_assert_eq!(record.digest, transcript_digest(&serial.board));
+    prop_assert_eq!(record.transcript_bits, serial.bits_written as u64);
+    let mux_output = bool::from_wire_bytes(&record.output).expect("wire-encoded bool");
+    prop_assert_eq!(mux_output, expect);
     Ok(())
 }
 

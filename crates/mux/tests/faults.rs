@@ -1,9 +1,10 @@
 //! Connection-level faults against the live mux daemon: a roster player
-//! that holds its grants, goes silent, hangs up, stops reading, or reads
-//! only a trickle. Player 0 is always honest (`run_mux_player`); player 1 is a scripted peer on a raw
-//! [`MuxConn`]. Every case must end in bounded wall time with every
-//! session carrying the expected typed outcome, the matching
-//! per-outcome counter, and player 0 released by the final
+//! that holds its grants, goes silent, hangs up, stops reading, reads
+//! only a trickle, answers slowly, or panics while computing a message.
+//! Player 0 is always honest (`run_mux_player`); player 1 is a scripted
+//! peer on its handshaken [`MuxConn`]. Every case must end in bounded
+//! wall time with every session carrying the expected typed outcome, the
+//! matching per-outcome counter, and player 0 released by the final
 //! `remaining == 0` outcome.
 
 use std::io::Read;
@@ -51,6 +52,43 @@ impl Protocol for Relay {
         _rng: &mut dyn RngCore,
     ) -> BitVec {
         BitVec::from_bools(&[input.len() % 2 == 1])
+    }
+
+    fn output(&self, board: &Board) -> usize {
+        board.total_bits()
+    }
+}
+
+/// [`Relay`] as a misbehaving player 1 plays it: it sleeps `delay`
+/// before every message, or panics instead of answering.
+struct FaultyRelay {
+    relay: Relay,
+    delay: Duration,
+    panics: bool,
+}
+
+impl Protocol for FaultyRelay {
+    type Input = Vec<u8>;
+    type Output = usize;
+
+    fn num_players(&self) -> usize {
+        2
+    }
+
+    fn next_speaker(&self, board: &Board) -> Option<PlayerId> {
+        self.relay.next_speaker(board)
+    }
+
+    fn message(
+        &self,
+        player: PlayerId,
+        input: &Vec<u8>,
+        board: &Board,
+        rng: &mut dyn RngCore,
+    ) -> BitVec {
+        assert!(!self.panics, "player {player} panics mid-message");
+        std::thread::sleep(self.delay);
+        self.relay.message(player, input, board, rng)
     }
 
     fn output(&self, board: &Board) -> usize {
@@ -319,6 +357,55 @@ fn player_that_reads_a_trickle_aborts_within_io_timeout() {
     assert!(
         outcome.wall < Duration::from_secs(3),
         "the trickle took {:?} to surface",
+        outcome.wall
+    );
+}
+
+#[test]
+fn slow_player_finishes_every_session_under_a_generous_deadline() {
+    let case = Case::new(4, 4);
+    let delay = Duration::from_millis(10);
+    let config = case.config.clone();
+    let outcome = run_case(&case, move |conn, _done| {
+        let slow = FaultyRelay {
+            relay: Relay { turns: 4 },
+            delay,
+            panics: false,
+        };
+        let report = run_mux_player(&slow, conn, 1, &config, false).expect("slow player runs");
+        assert_eq!(report.completed, 4);
+    });
+    let records = &outcome.report.records;
+    assert_eq!(records.len(), case.sessions as usize);
+    for record in records {
+        assert_eq!(record.kind, 0, "session {}: {record:?}", record.session);
+        // Each session waits on two of player 1's turns.
+        assert!(
+            record.latency_us >= 2 * delay.as_micros() as u64,
+            "{record:?}"
+        );
+    }
+    assert_eq!(outcome.counters.counter("mux.sessions_completed"), 4);
+    assert_eq!(outcome.player0_sessions, 4);
+}
+
+#[test]
+fn player_whose_message_panics_hangs_up_and_every_session_aborts() {
+    let case = Case::new(4, 4);
+    let config = case.config.clone();
+    let outcome = run_case(&case, move |conn, _done| {
+        let panicky = FaultyRelay {
+            relay: Relay { turns: 4 },
+            delay: Duration::ZERO,
+            panics: true,
+        };
+        // The player catches the panic and returns, closing its socket.
+        run_mux_player(&panicky, conn, 1, &config, false).expect("panic is contained");
+    });
+    assert_all_ended(&outcome, 2, "player 1 disconnected", "mux.sessions_aborted");
+    assert!(
+        outcome.wall < Duration::from_secs(3),
+        "the hang-up took {:?}",
         outcome.wall
     );
 }

@@ -171,4 +171,30 @@ mod tests {
         assert_eq!(result.unwrap_err(), "down");
         assert_eq!(slept, 2, "no sleep after the final failure");
     }
+
+    #[test]
+    fn dial_retries_until_the_coordinator_appears() {
+        use std::net::TcpListener;
+
+        // Reserve an address, release it, and only re-bind after a delay:
+        // the first dials are refused and backoff carries the dialer
+        // through.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        drop(listener);
+
+        let config = NetConfig {
+            connect_attempts: 40,
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(40),
+            ..NetConfig::default()
+        };
+        let dialer = std::thread::spawn(move || connect_with_backoff(addr, &config, 1, 0));
+        std::thread::sleep(Duration::from_millis(150));
+        let listener = TcpListener::bind(addr).expect("re-bind reserved addr");
+        let (stream, retries) = dialer.join().unwrap().expect("dial eventually succeeds");
+        assert!(retries > 0, "first dial should have been refused");
+        drop(stream);
+        drop(listener);
+    }
 }
