@@ -10,10 +10,9 @@
 //! bci amortize --k 16 --copies 256 --trials 10 [--seed 1]
 //! bci fabric --sessions 1024 --workers 4 --seed 1 [--protocol disj|and] [--n 256] [--k 4]
 //! bci trace  --engine fabric|serial [--sessions 8] [--out events.jsonl]
-//! bci serve  --port 7701 --players 4 [--protocol disj] [--n 256] [--sessions 1] [--seed 1] [--mux]
+//! bci serve  --port 7701 --players 4 [--protocol disj] [--n 256] [--sessions 1] [--seed 1]
 //! bci join   --addr 127.0.0.1:7701 --player 0 [--protocol disj]
-//! bci netrun [--points 64x4,256x4,256x8] [--sessions 3] [--seed 1] [--json report.json]
-//! bci load   --sessions 10000 --players 3 [--inflight 1024] [--compare] [--json BENCH_net.json]
+//! bci load   --sessions 10000 --players 3 [--inflight 1024] [--json BENCH_net.json]
 //! bci stat   127.0.0.1:7701 [--json|--prom|--events]
 //! bci top    127.0.0.1:7701 [--interval-ms 1000] [--iters 10]
 //! bci experiments list
@@ -77,7 +76,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match parse_opts(&args[1..]) {
+    let opts = match parse_opts(&args[1..], known_options(cmd)) {
         Ok(o) => o,
         Err(e) => {
             Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
@@ -103,7 +102,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&opts, &diag),
         "serve" => cmd_serve(&opts, &diag),
         "join" => cmd_join(&opts, &diag),
-        "netrun" => cmd_netrun(&opts, &diag),
         "load" => cmd_load(&opts, &diag),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -137,15 +135,14 @@ USAGE:
   bci trace    [--engine fabric|serial] [--sessions N] [--n N] [--k K] [--seed S] [--workers W]
                [--transport channel|inprocess] [--out PATH]
   bci serve    --port <P> --players <K> [--protocol disj] [--n N] [--sessions N] [--seed S]
-               [--density D] [--deadline-ms MS] [--roster-timeout-s SECS] [--mux]
+               [--density D] [--deadline-ms MS] [--roster-timeout-s SECS]
                [--inflight M] [--max-frame-len B] [--miss-limit N] [--max-steps T]
-               [--flight N] [--admin-linger-ms MS] [--admin-port P]
+               [--flight N] [--admin-linger-ms MS]
   bci join     --addr <HOST:PORT> --player <I> [--protocol disj] [--seed S]
-  bci netrun   [--points NxK,NxK,...] [--sessions N] [--seed S] [--json PATH]
   bci load     --sessions <M> --players <K> [--n N] [--density D] [--seed S]
-               [--deadline-ms MS] [--inflight M] [--coordinator mux|thread] [--compare]
-               [--addr HOST:PORT] [--json PATH] [--no-verify] [--scrape-ms MS]
-               [--max-frame-len B] [--miss-limit N] [--max-steps T]
+               [--deadline-ms MS] [--inflight M] [--addr HOST:PORT] [--json PATH]
+               [--no-verify] [--scrape-ms MS] [--max-frame-len B] [--miss-limit N]
+               [--max-steps T]
   bci stat     <HOST:PORT> [--json|--prom|--events]
   bci top      <HOST:PORT> [--interval-ms MS] [--iters K]
   bci experiments list
@@ -158,46 +155,98 @@ GLOBAL FLAGS:
 REPORTS:
   bci fabric --trace PATH writes the run's telemetry event stream as JSON lines;
   bci trace dumps the event stream of one run to stdout (or --out PATH).
-  bci netrun --json PATH writes a bci.bench.v1 wire-overhead report.
+  bci load --json PATH writes a bci.bench.v1 throughput and wire-overhead report.
   table_all [--experiment <id>] --json PATH writes the experiment reports as JSON.
 
 NETWORK:
-  bci serve binds a coordinator: it owns the blackboard, samples the inputs from
-  --seed, and sequences sessions over TCP. bci join connects one player client.
-  bci serve --mux swaps in the multiplexed daemon: one reactor thread running up
-  to --inflight concurrent sessions over the same k connections (v2 frames).
-  bci netrun runs coordinator + players over loopback in one process and checks
-  the TCP transcripts are bit-identical to the in-process transport.
-  bci load drives M sessions x K synthetic players against a coordinator (an
-  in-process one, or a remote bci serve --mux via --addr), reports sessions/sec
-  and turn-latency percentiles, verifies transcripts against the in-process
-  transport, and with --json writes a bci.bench.v1 report. --compare also runs
-  the thread-per-connection baseline on the same workload. --scrape-ms re-runs
-  the mux workload with a live admin scraper attached and records the overhead
-  in the report's meta. --max-steps caps turns per session (the runaway guard):
-  a protocol that has not halted by then is aborted, on either coordinator.
+  bci serve binds the coordinator: it owns the blackboard, samples the inputs
+  from --seed, and sequences sessions over TCP, one reactor thread running up
+  to --inflight concurrent sessions over the k player connections. bci join
+  connects one player client. bci load drives M sessions x K synthetic players
+  against the coordinator (an in-process one, or a remote bci serve via --addr),
+  reports sessions/sec, turn-latency percentiles, wire bytes against transcript
+  bits, verifies transcripts against an in-process replay of the same seeds,
+  and with --json writes a bci.bench.v1 report. --scrape-ms re-runs the
+  workload with a live admin scraper attached and records the overhead in the
+  report's meta. --max-steps caps turns per session (the runaway guard): a
+  protocol that has not halted by then is aborted. serve, join and load reject
+  any option they do not read.
 
 OBSERVABILITY:
-  Every coordinator serves a read-only admin stats channel: the mux daemon
-  answers Stats frames inline on its own listener; the thread-per-conn
-  coordinator uses a dedicated listener (bci serve --admin-port P). bci stat
-  scrapes one snapshot and prints JSON (--json, default), Prometheus text
-  exposition (--prom), or the flight-recorder ring as JSON lines (--events).
+  The coordinator answers read-only admin Stats frames inline on its own
+  listener. bci stat scrapes one snapshot and prints JSON (--json, default),
+  Prometheus text exposition (--prom), or the flight-recorder ring as JSON
+  lines (--events).
   bci top refreshes a delta-aware sessions/sec + latency-percentile view every
   --interval-ms. bci serve --admin-linger-ms keeps answering scrapes that long
   after the run so one-shot stats can collect the final numbers; --flight N
   sizes the in-memory flight-recorder ring (0 disables it).";
 
 /// Option keys that are boolean flags: present means on, they take no value.
-const FLAGS: [&str; 5] = ["quiet", "verbose", "mux", "compare", "no-verify"];
+const FLAGS: [&str; 3] = ["quiet", "verbose", "no-verify"];
 
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The options a command reads, for the commands that reject all others:
+/// a stale or misspelled option then fails by name instead of being
+/// ignored, or swallowing the next argument as its value. `--quiet` and
+/// `--verbose` are accepted everywhere.
+fn known_options(cmd: &str) -> Option<(&str, &'static [&'static str])> {
+    let known: &'static [&'static str] = match cmd {
+        "serve" => &[
+            "port",
+            "players",
+            "protocol",
+            "n",
+            "sessions",
+            "seed",
+            "density",
+            "deadline-ms",
+            "roster-timeout-s",
+            "inflight",
+            "max-frame-len",
+            "miss-limit",
+            "max-steps",
+            "flight",
+            "admin-linger-ms",
+        ],
+        "join" => &["addr", "player", "protocol", "seed"],
+        "load" => &[
+            "sessions",
+            "players",
+            "n",
+            "density",
+            "seed",
+            "deadline-ms",
+            "inflight",
+            "addr",
+            "json",
+            "no-verify",
+            "scrape-ms",
+            "max-frame-len",
+            "miss-limit",
+            "max-steps",
+        ],
+        _ => return None,
+    };
+    Some((cmd, known))
+}
+
+/// Parses `--key value` pairs and [`FLAGS`]. With `known` set, any option
+/// outside it (or `--quiet` / `--verbose`) is an error naming it.
+fn parse_opts(
+    args: &[String],
+    known: Option<(&str, &[&str])>,
+) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let key = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --option, got '{key}'"))?;
+        if let Some((cmd, known)) = known {
+            if !known.contains(&key) && key != "quiet" && key != "verbose" {
+                return Err(format!("{cmd}: unknown option '--{key}'"));
+            }
+        }
         if FLAGS.contains(&key) {
             map.insert(key.to_owned(), "true".to_owned());
             continue;
@@ -681,17 +730,15 @@ fn net_config_from(opts: &HashMap<String, String>) -> Result<bci_net::NetConfig,
 
 /// `bci serve` — run the coordinator daemon: bind a TCP port, accept
 /// player registrations until the roster is full, then sequence
-/// `--sessions` protocol sessions over the wire. The coordinator owns the
-/// blackboard and samples the inputs, so the whole run is reproducible
-/// from `--seed` alone.
-///
-/// `--mux` swaps in the multiplexed daemon from `bci-mux`: one reactor
-/// thread, the same `k` connections, up to `--inflight` sessions parked
-/// and resumed concurrently (v2 session-id frames).
+/// `--sessions` protocol sessions over the wire, up to `--inflight` of
+/// them parked and resumed concurrently by one reactor thread. The
+/// coordinator owns the blackboard and samples the inputs, so the whole
+/// run is reproducible from `--seed` alone.
 fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
-    use bci_blackboard::runner::derive_trial_seed;
-    use bci_fabric::transport::SessionContext;
-    use bci_net::coordinator::{accept_roster, run_coordinator_session, SessionInfo};
+    use bci_mux::daemon::{
+        accept_mux_roster, linger_admin, run_mux_daemon_with_admin, MuxOptions, SessionInfo,
+        DEFAULT_MAX_INFLIGHT,
+    };
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
 
@@ -713,6 +760,10 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
         return Err("--players and --sessions must be positive".into());
     }
     let config = net_config_from(opts)?;
+    let inflight: usize = get(opts, "inflight", Some(DEFAULT_MAX_INFLIGHT))?;
+    if inflight == 0 {
+        return Err("--inflight must be positive".into());
+    }
     let flight: usize = get(opts, "flight", Some(256usize))?;
     let admin_linger_ms: u64 = get(opts, "admin-linger-ms", Some(0u64))?;
     let recorder = if flight > 0 {
@@ -726,185 +777,80 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
     let bound = listener
         .local_addr()
         .map_err(|e| format!("local addr: {e}"))?;
-
-    if opts.contains_key("mux") {
-        use bci_mux::daemon::{accept_mux_roster, run_mux_daemon_with_admin, MuxOptions};
-        let inflight: usize = get(
-            opts,
-            "inflight",
-            Some(bci_mux::daemon::DEFAULT_MAX_INFLIGHT),
-        )?;
-        if inflight == 0 {
-            return Err("--inflight must be positive".into());
-        }
-        diag.info(&format!(
-            "serving {protocol_name} (n={n}, k={players}) on {bound} [mux, inflight={inflight}]: \
-             waiting for {players} players (up to {roster_secs}s)"
-        ));
-        let info = SessionInfo {
-            protocol_id: protocol_name.to_string(),
-            players: players as u32,
-            seed,
-            params: vec![n as u64, u64::from(sessions)],
-        };
-        let conns = accept_mux_roster(
-            &listener,
-            &info,
-            &config,
-            Instant::now() + Duration::from_secs(roster_secs),
-            &recorder,
-        )
-        .map_err(|e| e.to_string())?;
-        diag.info(&format!(
-            "roster complete: {players} players registered; admin stats channel live on {bound}"
-        ));
-        let proto = BroadcastDisj::new(n, players);
-        let mux_opts = MuxOptions {
-            deadline: Some(Duration::from_millis(deadline_ms)),
-            max_inflight: inflight,
-            config: config.clone(),
-            dump_flight_on_failure: flight > 0,
-        };
-        let report = run_mux_daemon_with_admin(
-            &proto,
-            conns,
-            Some(&listener),
-            u64::from(sessions),
-            seed,
-            |_, rng| workload::random_sets(n, players, density, rng),
-            &mux_opts,
-            &recorder,
-        );
-        if admin_linger_ms > 0 {
-            // Keep answering scrapes after the run, so a one-shot
-            // `bci stat` can still collect the final numbers.
-            let admin_listener = listener.try_clone().map_err(|e| format!("listener: {e}"))?;
-            let server =
-                bci_net::admin::AdminServer::spawn(admin_listener, recorder.clone(), config)
-                    .map_err(|e| e.to_string())?;
-            diag.info(&format!("admin channel lingering {admin_linger_ms}ms"));
-            std::thread::sleep(Duration::from_millis(admin_linger_ms));
-            server.stop();
-        }
-        let snap = recorder.snapshot();
-        let hist = snap.hist("mux.turn_latency_us");
-        let (completed, failed) = (report.completed(), report.failed());
-        let secs = report.elapsed.as_secs_f64().max(1e-9);
-        let mut t = Table::new(["sessions", "completed", "failed", "sessions/sec"]);
-        t.row([
-            sessions.to_string(),
-            completed.to_string(),
-            failed.to_string(),
-            f(completed as f64 / secs, 1),
-        ]);
-        println!("{}", t.render());
-        if let Some(h) = hist {
-            println!(
-                "turn latency: p50 {}us  p95 {}us  p99 {}us over {} turns",
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0),
-                h.count()
-            );
-        }
-        println!(
-            "wire: {} bytes sent, {} bytes received; transcript fold {:#018x}",
-            report.wire.bytes_tx,
-            report.wire.bytes_rx,
-            report.digest_fold()
-        );
-        if failed > 0 {
-            return Err(format!("{failed} session(s) did not complete"));
-        }
-        return Ok(());
-    }
-
-    // The thread-per-conn coordinator has no mux envelope to ride, so its
-    // stats channel is a dedicated listener on `--admin-port`.
-    let admin_port: u16 = get(opts, "admin-port", Some(0u16))?;
-    let admin = if admin_port > 0 {
-        let admin_listener = TcpListener::bind(("0.0.0.0", admin_port))
-            .map_err(|e| format!("cannot bind admin port {admin_port}: {e}"))?;
-        let admin_addr = admin_listener
-            .local_addr()
-            .map_err(|e| format!("admin addr: {e}"))?;
-        let server =
-            bci_net::admin::AdminServer::spawn(admin_listener, recorder.clone(), config.clone())
-                .map_err(|e| e.to_string())?;
-        diag.info(&format!("admin stats channel on {admin_addr}"));
-        Some(server)
-    } else {
-        None
-    };
-
     diag.info(&format!(
-        "serving {protocol_name} (n={n}, k={players}) on {bound}: waiting for {players} players \
-         (up to {roster_secs}s)"
+        "serving {protocol_name} (n={n}, k={players}) on {bound} [inflight={inflight}]: \
+         waiting for {players} players (up to {roster_secs}s)"
     ));
     let info = SessionInfo {
         protocol_id: protocol_name.to_string(),
         players: players as u32,
         seed,
-        params: vec![n as u64],
+        params: vec![n as u64, u64::from(sessions)],
     };
-    let mut conns = accept_roster(
+    let conns = accept_mux_roster(
         &listener,
         &info,
         &config,
         Instant::now() + Duration::from_secs(roster_secs),
+        &recorder,
     )
     .map_err(|e| e.to_string())?;
-    diag.info(&format!("roster complete: {players} players registered"));
-
+    diag.info(&format!(
+        "roster complete: {players} players registered; admin stats channel live on {bound}"
+    ));
     let proto = BroadcastDisj::new(n, players);
-    let mut t = Table::new(["session", "outcome", "output", "bits", "latency"]);
-    for s in 0..sessions {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(derive_trial_seed(seed, u64::from(s)));
-        let inputs = workload::random_sets(n, players, density, &mut rng);
-        let ctx = SessionContext {
-            session_id: u64::from(s),
-            deadline: Some(Duration::from_millis(deadline_ms)),
-            faults: &[],
-            recorder: &recorder,
-        };
-        let result = run_coordinator_session(
-            &proto,
-            &inputs,
-            rng,
-            &ctx,
-            &mut conns,
-            &config,
-            s,
-            sessions - 1 - s,
-        );
-        let done = !result.outcome.is_completed();
-        t.row([
-            s.to_string(),
-            result.outcome.label().to_owned(),
-            result
-                .output
-                .map_or_else(|| "-".to_owned(), |o| o.to_string()),
-            result.bits_written.to_string(),
-            format!("{:?}", result.latency),
-        ]);
-        if done {
-            diag.error(&format!("session {s} did not complete; stopping"));
-            break;
-        }
+    let mux_opts = MuxOptions {
+        deadline: Some(Duration::from_millis(deadline_ms)),
+        max_inflight: inflight,
+        config: config.clone(),
+        dump_flight_on_failure: flight > 0,
+    };
+    let report = run_mux_daemon_with_admin(
+        &proto,
+        conns,
+        Some(&listener),
+        u64::from(sessions),
+        seed,
+        |_, rng| workload::random_sets(n, players, density, rng),
+        &mux_opts,
+        &recorder,
+    );
+    if admin_linger_ms > 0 {
+        // Keep answering scrapes after the run, so a one-shot
+        // `bci stat` can still collect the final numbers.
+        diag.info(&format!("admin channel lingering {admin_linger_ms}ms"));
+        let until = Instant::now() + Duration::from_millis(admin_linger_ms);
+        linger_admin(&listener, &recorder, &config, || Instant::now() >= until);
     }
-    let (mut bytes_tx, mut bytes_rx) = (0u64, 0u64);
-    for pc in &conns {
-        bytes_tx += pc.conn.bytes_written;
-        bytes_rx += pc.conn.bytes_read();
-    }
+    let snap = recorder.snapshot();
+    let hist = snap.hist("mux.turn_latency_us");
+    let (completed, failed) = (report.completed(), report.failed());
+    let secs = report.elapsed.as_secs_f64().max(1e-9);
+    let mut t = Table::new(["sessions", "completed", "failed", "sessions/sec"]);
+    t.row([
+        sessions.to_string(),
+        completed.to_string(),
+        failed.to_string(),
+        f(completed as f64 / secs, 1),
+    ]);
     println!("{}", t.render());
-    println!("wire: {bytes_tx} bytes sent, {bytes_rx} bytes received");
-    if let Some(server) = admin {
-        if admin_linger_ms > 0 {
-            diag.info(&format!("admin channel lingering {admin_linger_ms}ms"));
-            std::thread::sleep(Duration::from_millis(admin_linger_ms));
-        }
-        server.stop();
+    if let Some(h) = hist {
+        println!(
+            "turn latency: p50 {}us  p95 {}us  p99 {}us over {} turns",
+            h.percentile(50.0),
+            h.percentile(95.0),
+            h.percentile(99.0),
+            h.count()
+        );
+    }
+    println!(
+        "wire: {} bytes sent, {} bytes received; transcript fold {:#018x}",
+        report.wire.bytes_tx,
+        report.wire.bytes_rx,
+        report.digest_fold()
+    );
+    if failed > 0 {
+        return Err(format!("{failed} session(s) did not complete"));
     }
     Ok(())
 }
@@ -914,7 +860,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
 /// arrive in the handshake ack, so the client needs only the address and
 /// its player index.
 fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
-    use bci_net::client::{connect_player, run_player, PlayerBehavior};
+    use bci_mux::player::{connect_mux_player, run_mux_player};
     use bci_net::NetConfig;
     use std::net::ToSocketAddrs;
 
@@ -934,8 +880,8 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         .ok_or_else(|| format!("'{addr_str}' resolved to no address"))?;
 
     let config = NetConfig::default();
-    let (conn, ack, retries) =
-        connect_player(addr, player, protocol_name, &config, seed).map_err(|e| e.to_string())?;
+    let (conn, ack, retries) = connect_mux_player(addr, player, protocol_name, &config, seed)
+        .map_err(|e| e.to_string())?;
     let n = ack.params.first().copied().unwrap_or(0) as usize;
     let k = ack.players as usize;
     diag.info(&format!(
@@ -944,19 +890,18 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         ack.seed
     ));
     let proto = BroadcastDisj::new(n, k);
-    let played = run_player(&proto, conn, player, PlayerBehavior::default(), &config)
-        .map_err(|e| e.to_string())?;
-    println!("player {player}: {played} session(s) finished");
+    let report = run_mux_player(&proto, conn, player, &config, false).map_err(|e| e.to_string())?;
+    println!("player {player}: {} session(s) finished", report.sessions);
     Ok(())
 }
 
 /// `bci load` — the load harness: M sessions × K synthetic players
-/// against a coordinator, reporting sessions/sec, turn-latency
-/// percentiles, wire accounting, and an end-to-end transcript check
-/// against the in-process transport. Exits nonzero if any session fails
+/// against the coordinator, reporting sessions/sec, turn-latency
+/// percentiles, wire bytes against transcript bits, and an end-to-end
+/// transcript check against the in-process transport. Exits nonzero if any session fails
 /// or any transcript diverges, so CI can gate on it directly.
 fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
-    use bci_mux::load::{bench_document, run_load, run_load_thread_baseline, LoadSpec};
+    use bci_mux::load::{bench_document, run_load, LoadSpec};
     use bci_mux::LoadReport;
     use std::net::ToSocketAddrs;
     use std::time::Duration;
@@ -988,47 +933,23 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         );
     }
     let scrape_ms: u64 = get(opts, "scrape-ms", Some(0u64))?;
-    let coordinator = opts.get("coordinator").map_or("mux", String::as_str);
-    let compare = opts.contains_key("compare");
-    let (run_mux, run_thread) = match (coordinator, compare) {
-        (_, true) => (true, true),
-        ("mux", _) => (true, false),
-        ("thread", _) => (false, true),
-        (other, _) => {
-            return Err(format!(
-                "unknown coordinator '{other}' (expected mux or thread)"
-            ))
-        }
-    };
-    if run_thread && spec.addr.is_some() {
-        return Err("--addr drives a remote mux daemon; the thread baseline is in-process".into());
-    }
 
-    let mut reports: Vec<LoadReport> = Vec::new();
-    if run_mux {
+    diag.info(&format!(
+        "load: {sessions} session(s) x {players} player(s) against {} (inflight {})",
+        spec.addr
+            .map_or_else(|| "in-process mux daemon".to_owned(), |a| a.to_string()),
+        spec.max_inflight
+    ));
+    let mut reports: Vec<LoadReport> = vec![run_load(&spec).map_err(|e| e.to_string())?];
+    if scrape_ms > 0 {
+        // Same workload again with a live admin scraper attached — the
+        // report pair becomes the scrape-overhead measurement.
         diag.info(&format!(
-            "load: {sessions} session(s) x {players} player(s) against {} (inflight {})",
-            spec.addr
-                .map_or_else(|| "in-process mux daemon".to_owned(), |a| a.to_string()),
-            spec.max_inflight
+            "load: re-running with a {scrape_ms}ms admin scraper attached"
         ));
-        reports.push(run_load(&spec).map_err(|e| e.to_string())?);
-        if scrape_ms > 0 {
-            // Same workload again with a live admin scraper attached —
-            // the report pair becomes the scrape-overhead measurement.
-            diag.info(&format!(
-                "load: re-running mux with a {scrape_ms}ms admin scraper attached"
-            ));
-            let mut scraped = spec.clone();
-            scraped.scrape_interval = Some(Duration::from_millis(scrape_ms));
-            reports.push(run_load(&scraped).map_err(|e| e.to_string())?);
-        }
-    }
-    if run_thread {
-        diag.info(&format!(
-            "load: {sessions} session(s) x {players} player(s) against thread-per-conn baseline"
-        ));
-        reports.push(run_load_thread_baseline(&spec).map_err(|e| e.to_string())?);
+        let mut scraped = spec.clone();
+        scraped.scrape_interval = Some(Duration::from_millis(scrape_ms));
+        reports.push(run_load(&scraped).map_err(|e| e.to_string())?);
     }
 
     let mut t = Table::new([
@@ -1041,6 +962,7 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         "p95 us",
         "p99 us",
         "wire bytes",
+        "transcript bits",
         "bits/bit",
         "scrapes",
         "digest",
@@ -1056,6 +978,7 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
             r.turn_latency.percentile(95.0).to_string(),
             r.turn_latency.percentile(99.0).to_string(),
             r.wire.bytes_total().to_string(),
+            r.wire.transcript_bits.to_string(),
             f(r.wire_bits_per_transcript_bit(), 2),
             r.scrapes.to_string(),
             match r.verified() {
@@ -1171,7 +1094,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             "top needs an address: bci top <host:port> [--interval-ms MS] [--iters K]".into(),
         );
     };
-    let opts = parse_opts(&args[1..])?;
+    let opts = parse_opts(&args[1..], None)?;
     let interval_ms: u64 = get(&opts, "interval-ms", Some(1000u64))?;
     let iters: u64 = get(&opts, "iters", Some(0u64))?;
     if interval_ms == 0 {
@@ -1193,17 +1116,11 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Sessions finished so far, summed across the counter families the
-/// coordinators publish (only one family is nonzero per coordinator).
+/// Sessions the coordinator has finished so far, whatever their outcome.
 fn sessions_finished(snap: &bci_telemetry::Snapshot) -> u64 {
-    ["mux", "net", "fabric"]
-        .iter()
-        .map(|p| {
-            snap.counter(&format!("{p}.sessions_completed"))
-                + snap.counter(&format!("{p}.sessions_timed_out"))
-                + snap.counter(&format!("{p}.sessions_aborted"))
-        })
-        .sum()
+    snap.counter("mux.sessions_completed")
+        + snap.counter("mux.sessions_timed_out")
+        + snap.counter("mux.sessions_aborted")
 }
 
 /// One `bci top` output line: uptime, completed sessions with the
@@ -1238,11 +1155,8 @@ fn top_line(snap: &bci_telemetry::Snapshot, prev: Option<&bci_telemetry::Snapsho
         snap.gauge("mux.sessions_parked"),
         snap.gauge("mux.sessions_remaining"),
     ));
-    let lat_name = ["mux.turn_latency_us", "net.hop_rtt_us"]
-        .into_iter()
-        .find(|name| snap.hist(name).is_some());
-    if let Some(name) = lat_name {
-        let cur = snap.hist(name).expect("name was found above");
+    let name = "mux.turn_latency_us";
+    if let Some(cur) = snap.hist(name) {
         let window = match prev.and_then(|p| p.hist(name)) {
             Some(old) => cur.delta_since(old),
             None => cur.clone(),
@@ -1275,141 +1189,6 @@ fn top_line(snap: &bci_telemetry::Snapshot, prev: Option<&bci_telemetry::Snapsho
         line.push_str(&format!("  outq p95 {}B", q.percentile(95.0)));
     }
     line
-}
-
-/// Parses `--points` syntax: comma-separated `NxK` pairs.
-fn parse_points(spec: &str) -> Result<Vec<(usize, usize)>, String> {
-    spec.split(',')
-        .map(|p| {
-            let (n, k) = p
-                .split_once('x')
-                .ok_or_else(|| format!("bad point '{p}' (expected NxK, e.g. 256x4)"))?;
-            let n: usize = n.parse().map_err(|_| format!("bad n in '{p}'"))?;
-            let k: usize = k.parse().map_err(|_| format!("bad k in '{p}'"))?;
-            if n == 0 || k == 0 {
-                return Err(format!("point '{p}' must have positive n and k"));
-            }
-            Ok((n, k))
-        })
-        .collect()
-}
-
-/// `bci netrun` — run coordinator + players over loopback TCP in one
-/// process for a sweep of `(n, k)` points, measure wire bytes against
-/// transcript bits, and verify every TCP transcript digest against the
-/// in-process transport. `--json PATH` writes a `bci.bench.v1` report.
-fn cmd_netrun(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
-    use bci_net::overhead::overhead_sweep;
-    use bci_net::NetConfig;
-    use bci_telemetry::{obj, Json};
-
-    let sessions: usize = get(opts, "sessions", Some(3usize))?;
-    let seed: u64 = get(opts, "seed", Some(1u64))?;
-    let points_spec = opts
-        .get("points")
-        .map_or("64x4,256x4,256x8", String::as_str);
-    let points = parse_points(points_spec)?;
-    if sessions == 0 {
-        return Err("--sessions must be positive".into());
-    }
-    let json_path = opts.get("json").cloned();
-
-    diag.info(&format!(
-        "netrun: {} point(s) x {sessions} session(s) over loopback TCP, seed {seed}",
-        points.len()
-    ));
-    let config = NetConfig::default();
-    let results = overhead_sweep(&points, sessions, seed, &config);
-
-    let mut t = Table::new([
-        "n",
-        "k",
-        "sessions",
-        "wire bytes",
-        "frames",
-        "transcript bits",
-        "overhead x",
-        "digest",
-    ]);
-    let mut mismatched = Vec::new();
-    for p in &results {
-        if !p.digests_match() {
-            mismatched.push(format!("{}x{}", p.n, p.k));
-        }
-        t.row([
-            p.n.to_string(),
-            p.k.to_string(),
-            p.sessions.to_string(),
-            p.wire.bytes_total().to_string(),
-            (p.wire.frames_tx + p.wire.frames_rx).to_string(),
-            p.wire.transcript_bits.to_string(),
-            f(p.wire.overhead_ratio(), 2),
-            if p.digests_match() {
-                "match"
-            } else {
-                "MISMATCH"
-            }
-            .to_owned(),
-        ]);
-    }
-    println!("netrun — TCP wire overhead vs in-process transcripts (seed {seed})\n");
-    println!("{}", t.render());
-
-    if let Some(path) = json_path {
-        let tables = Json::Arr(vec![obj([
-            ("label", Json::str("")),
-            (
-                "columns",
-                Json::Arr(t.headers().iter().map(Json::str).collect()),
-            ),
-            (
-                "rows",
-                Json::Arr(
-                    t.rows()
-                        .iter()
-                        .map(|row| Json::Arr(row.iter().map(|cell| Json::cell(cell)).collect()))
-                        .collect(),
-                ),
-            ),
-        ])]);
-        let doc = obj([
-            ("schema", Json::str("bci.bench.v1")),
-            ("experiment", Json::str("netrun")),
-            (
-                "title",
-                Json::str("netrun — TCP wire overhead vs in-process transcripts"),
-            ),
-            (
-                "notes",
-                Json::Arr(vec![Json::str(
-                    "(each session runs twice from the same seed: loopback TCP and in-process; \
-                     digest column compares the transcripts byte for byte)",
-                )]),
-            ),
-            (
-                "meta",
-                Json::Obj(vec![
-                    ("seed".to_owned(), Json::UInt(seed)),
-                    ("sessions".to_owned(), Json::UInt(sessions as u64)),
-                    ("points".to_owned(), Json::str(points_spec)),
-                ]),
-            ),
-            ("tables", tables),
-        ]);
-        let mut text = doc.to_string();
-        text.push('\n');
-        std::fs::write(&path, text)
-            .map_err(|e| format!("cannot write JSON report to '{path}': {e}"))?;
-        diag.info(&format!("wrote JSON report to {path}"));
-    }
-
-    if !mismatched.is_empty() {
-        return Err(format!(
-            "transcript digests diverged from the in-process transport at: {}",
-            mismatched.join(", ")
-        ));
-    }
-    Ok(())
 }
 
 /// `bci experiments list | run <id>` — front end to the experiment
@@ -1478,7 +1257,7 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                         .join(", ")
                 )
             })?;
-            let opts = parse_opts(&args[2..])?;
+            let opts = parse_opts(&args[2..], None)?;
             if let Some(bad) = opts
                 .keys()
                 .filter(|k| !["workers", "seed", "topology"].contains(&k.as_str()))

@@ -124,43 +124,6 @@ fn experiments_run_rejects_unknown_options() {
 }
 
 #[test]
-fn netrun_verifies_transcripts_and_writes_bench_json() {
-    let dir = std::env::temp_dir().join(format!("bci-netrun-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let json = dir.join("netrun.json");
-    let json_path = json.to_str().expect("utf8 path");
-    let out = bci(&[
-        "netrun",
-        "--points",
-        "64x3,96x4",
-        "--sessions",
-        "2",
-        "--seed",
-        "9",
-        "--json",
-        json_path,
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("overhead x"), "{stdout}");
-    assert!(stdout.contains("match"), "{stdout}");
-    assert!(!stdout.contains("MISMATCH"), "{stdout}");
-    let doc = std::fs::read_to_string(&json).expect("json written");
-    assert!(doc.contains("\"schema\":\"bci.bench.v1\""), "{doc}");
-    assert!(doc.contains("\"experiment\":\"netrun\""), "{doc}");
-    assert!(doc.contains("transcript bits"), "{doc}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn netrun_rejects_bad_point_specs() {
-    for bad in ["64", "64x0", "0x4", "64xfour", "64x4,,"] {
-        let out = bci(&["netrun", "--points", bad]);
-        assert!(!out.status.success(), "--points {bad} should fail");
-    }
-}
-
-#[test]
 fn load_runs_the_mux_harness_and_writes_bench_json() {
     let dir = std::env::temp_dir().join(format!("bci-load-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -176,127 +139,184 @@ fn load_runs_the_mux_harness_and_writes_bench_json() {
         "48",
         "--seed",
         "4",
-        "--compare",
         "--json",
         json_path,
     ]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("mux"), "{stdout}");
-    assert!(stdout.contains("thread-per-conn"), "{stdout}");
+    assert!(stdout.contains("transcript bits"), "{stdout}");
     assert!(stdout.contains("match"), "{stdout}");
     assert!(!stdout.contains("MISMATCH"), "{stdout}");
     let doc = std::fs::read_to_string(&json).expect("json written");
     assert!(doc.contains("\"schema\":\"bci.bench.v1\""), "{doc}");
     assert!(doc.contains("\"experiment\":\"load\""), "{doc}");
     assert!(doc.contains("\"mux\""), "{doc}");
-    assert!(doc.contains("\"thread-per-conn\""), "{doc}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn load_and_serve_reject_unusable_limits() {
     // Zero / absurd heartbeat miss limits and frame caps must be refused
-    // up front (NetConfig::validate), not discovered mid-run.
-    for bad in [
-        vec![
-            "load",
-            "--sessions",
-            "2",
-            "--players",
-            "2",
-            "--miss-limit",
-            "0",
-        ],
-        vec![
-            "load",
-            "--sessions",
-            "2",
-            "--players",
-            "2",
-            "--miss-limit",
-            "100000",
-        ],
-        vec![
-            "load",
-            "--sessions",
-            "2",
-            "--players",
-            "2",
-            "--max-frame-len",
-            "3",
-        ],
-        vec![
-            "load",
-            "--sessions",
-            "2",
-            "--players",
-            "2",
-            "--max-frame-len",
-            "2000000000",
-        ],
-        vec![
-            "load",
-            "--sessions",
-            "2",
-            "--players",
-            "2",
-            "--inflight",
-            "0",
-        ],
-        vec!["load", "--sessions", "0", "--players", "2"],
-        vec![
-            "serve",
-            "--port",
-            "0",
-            "--players",
-            "2",
-            "--mux",
-            "--miss-limit",
-            "0",
-        ],
-        vec![
-            "serve",
-            "--port",
-            "0",
-            "--players",
-            "2",
-            "--mux",
-            "--max-frame-len",
-            "1",
-        ],
-        vec![
-            "serve",
-            "--port",
-            "0",
-            "--players",
-            "2",
-            "--mux",
-            "--inflight",
-            "0",
-        ],
+    // up front (NetConfig::validate), not discovered mid-run, and the
+    // error must name the limit.
+    let load = ["load", "--sessions", "2", "--players", "2"];
+    let serve = ["serve", "--port", "0", "--players", "2"];
+    for (base, limit, value, named) in [
+        (&load, "--miss-limit", "0", "miss_limit"),
+        (&load, "--miss-limit", "100000", "miss_limit"),
+        (&load, "--max-frame-len", "3", "max_frame_len"),
+        (&load, "--max-frame-len", "2000000000", "max_frame_len"),
+        (&load, "--inflight", "0", "--inflight"),
+        (&serve, "--miss-limit", "0", "miss_limit"),
+        (&serve, "--max-frame-len", "1", "max_frame_len"),
+        (&serve, "--inflight", "0", "--inflight"),
     ] {
-        let out = bci(&bad);
-        assert!(!out.status.success(), "{bad:?} should be rejected");
+        let mut args = base.to_vec();
+        args.extend([limit, value]);
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should be rejected");
         let stderr = String::from_utf8(out.stderr).expect("utf8");
-        assert!(stderr.contains("error"), "{bad:?}: {stderr}");
+        assert!(
+            stderr.contains("error") && stderr.contains(named),
+            "{args:?}: {stderr}"
+        );
     }
+    let out = bci(&["load", "--sessions", "0", "--players", "2"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).expect("utf8");
+    assert!(stderr.contains("--sessions"), "{stderr}");
 }
 
 #[test]
-fn load_coordinator_flag_is_validated() {
-    let out = bci(&[
-        "load",
-        "--sessions",
-        "2",
-        "--players",
-        "2",
-        "--coordinator",
-        "carrier-pigeon",
-    ]);
+fn removed_and_unknown_network_options_are_rejected_by_name() {
+    // The options of the deleted thread-per-connection coordinator must
+    // fail loudly, not be ignored or swallow the next argument.
+    for (args, bad) in [
+        (
+            vec!["serve", "--port", "0", "--players", "2", "--mux"],
+            "--mux",
+        ),
+        (
+            vec![
+                "serve",
+                "--admin-port",
+                "7701",
+                "--port",
+                "0",
+                "--players",
+                "2",
+            ],
+            "--admin-port",
+        ),
+        (
+            vec![
+                "load",
+                "--coordinator",
+                "thread",
+                "--sessions",
+                "2",
+                "--players",
+                "2",
+            ],
+            "--coordinator",
+        ),
+        (
+            vec!["load", "--sessions", "2", "--compare", "--players", "2"],
+            "--compare",
+        ),
+        (
+            vec![
+                "join",
+                "--addr",
+                "127.0.0.1:1",
+                "--player",
+                "0",
+                "--points",
+                "8x2",
+            ],
+            "--points",
+        ),
+    ] {
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown option '{bad}'")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let out = bci(&["netrun", "--points", "64x4"]);
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("unknown coordinator"), "{stderr}");
+    assert!(stderr.contains("unknown command 'netrun'"), "{stderr}");
+}
+
+#[test]
+fn serve_and_two_joins_run_every_session_end_to_end() {
+    use std::process::{Child, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// Waits for `child` to exit, killing it past `deadline`.
+    fn wait(mut child: Child, deadline: Instant) -> std::process::Output {
+        while child.try_wait().expect("poll child").is_none() {
+            if Instant::now() >= deadline {
+                child.kill().ok();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        child.wait_with_output().expect("collect output")
+    }
+
+    // Reserve a loopback port, then hand it to `bci serve`.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve a port")
+        .port()
+        .to_string();
+    let spawn = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_bci"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs")
+    };
+    let serve = spawn(&[
+        "serve",
+        "--port",
+        &port,
+        "--players",
+        "2",
+        "--n",
+        "32",
+        "--sessions",
+        "3",
+        "--roster-timeout-s",
+        "20",
+    ]);
+    let addr = format!("127.0.0.1:{port}");
+    let joins: Vec<Child> = ["0", "1"]
+        .iter()
+        .map(|player| spawn(&["join", "--addr", &addr, "--player", player]))
+        .collect();
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for (player, join) in joins.into_iter().enumerate() {
+        let out = wait(join, deadline);
+        assert!(out.status.success(), "join {player}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert!(
+            stdout.contains(&format!("player {player}: 3 session(s) finished")),
+            "join {player}: {stdout}"
+        );
+    }
+    let out = wait(serve, deadline);
+    assert!(out.status.success(), "serve: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("transcript fold"), "{stdout}");
 }
 
 #[test]

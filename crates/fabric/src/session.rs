@@ -39,36 +39,6 @@ impl SessionOutcome {
             SessionOutcome::Aborted(_) => "aborted",
         }
     }
-
-    /// The stable wire code for this outcome (`0`/`1`/`2` = completed /
-    /// timed out / aborted), shared by the v1 `Outcome` frame and the mux
-    /// session records.
-    pub fn kind_code(&self) -> u8 {
-        match self {
-            SessionOutcome::Completed => 0,
-            SessionOutcome::TimedOut => 1,
-            SessionOutcome::Aborted(_) => 2,
-        }
-    }
-
-    /// The abort reason shipped next to [`kind_code`](Self::kind_code) on
-    /// the wire — empty unless the session aborted.
-    pub fn reason(&self) -> &str {
-        match self {
-            SessionOutcome::Aborted(reason) => reason,
-            _ => "",
-        }
-    }
-
-    /// Rebuilds an outcome from its wire `(kind, reason)` pair. Unknown
-    /// kind codes conservatively decode as [`Aborted`](Self::Aborted).
-    pub fn from_kind_code(kind: u8, reason: &str) -> Self {
-        match kind {
-            0 => SessionOutcome::Completed,
-            1 => SessionOutcome::TimedOut,
-            _ => SessionOutcome::Aborted(reason.to_string()),
-        }
-    }
 }
 
 /// Every driver maps an engine-detected [`ProtocolViolation`] onto the

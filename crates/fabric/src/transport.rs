@@ -15,13 +15,13 @@
 //!   — and, because the RNG itself makes the round trip, the randomness
 //!   stream — identical to the serial executor, so transcripts are
 //!   bit-for-bit reproducible across transports.
-//! * `TcpTransport` (in the `bci-net` crate) — the same sequencer wiring
-//!   over real TCP sockets: a coordinator owns the board and player
-//!   clients exchange length-prefixed frames. Supporting it is why
-//!   [`Transport::run_session`] requires `P::Input: Wire` and
-//!   `P::Output: Wire`: inputs, messages, and outputs must have a
-//!   canonical byte encoding to cross a socket. The in-process transports
-//!   never serialize anything; the bound only pins down *encodability*.
+//!
+//! The same sequencer discipline runs over real TCP sockets in the
+//! `bci-mux` daemon, which is why [`Transport::run_session`] requires
+//! `P::Input: Wire` and `P::Output: Wire`: a protocol run here can also
+//! cross a socket there, so inputs, messages, and outputs must have a
+//! canonical byte encoding. The in-process transports never serialize
+//! anything; the bound only pins down *encodability*.
 //!
 //! Both transports honor per-session deadlines and the fault kinds in
 //! [`FaultKind`], and both contain failures:

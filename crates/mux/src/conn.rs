@@ -1,11 +1,11 @@
-//! A pooled, write-buffered connection speaking the v2 (session-id)
-//! frame envelope.
+//! A pooled, write-buffered connection speaking the session-id frame
+//! envelope.
 //!
 //! The socket is blocking. Writes are queued in memory and written by
 //! [`MuxConn::flush`], which blocks until the queue drains or
 //! `NetConfig::io_timeout` has passed since the flush began — so a peer
 //! that stops draining, or drains a trickle, surfaces as a stall, never
-//! as an unbounded queue or an endless flush. Reads go through a v2 [`FrameReader`] (partial
+//! as an unbounded queue or an endless flush. Reads go through a [`FrameReader`] (partial
 //! frames stay buffered across reads) and block until a frame arrives
 //! or the read timeout ends the wait.
 //!
@@ -18,12 +18,8 @@ use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use bci_net::frame::{Frame, FrameReader, NetError};
+use bci_net::frame::{Frame, FrameReader, NetError, HEADER_BYTES};
 use bci_net::NetConfig;
-
-/// Per-frame framing bytes on a v2 connection: `u32` length prefix +
-/// `u64` session id + tag byte.
-pub const V2_HEADER_BYTES: u64 = 13;
 
 /// Shortest socket timeout set: the OS rejects a zero timeout.
 const MIN_TIMEOUT: Duration = Duration::from_millis(1);
@@ -53,7 +49,7 @@ pub struct MuxConn {
 
 impl MuxConn {
     /// Wraps a connected stream: disables Nagle, makes it blocking with
-    /// each flush bounded by `config.io_timeout`, and installs a v2 frame
+    /// each flush bounded by `config.io_timeout`, and installs a frame
     /// reader capped at `config.max_frame_len`.
     pub fn new(stream: TcpStream, config: &NetConfig) -> io::Result<Self> {
         let io_timeout = config.io_timeout.max(MIN_TIMEOUT);
@@ -62,7 +58,7 @@ impl MuxConn {
         stream.set_write_timeout(Some(io_timeout))?;
         Ok(MuxConn {
             stream,
-            reader: FrameReader::with_limits(true, config.max_frame_len),
+            reader: FrameReader::with_limits(config.max_frame_len),
             io_timeout,
             write_timeout: io_timeout,
             out: Vec::new(),
@@ -103,7 +99,7 @@ impl MuxConn {
     /// frame fanned out to every connection is encoded once. Accounts
     /// exactly as [`MuxConn::queue`] does.
     pub fn queue_encoded(&mut self, bytes: &[u8]) {
-        self.payload_bytes_written += bytes.len() as u64 - V2_HEADER_BYTES;
+        self.payload_bytes_written += bytes.len() as u64 - HEADER_BYTES;
         self.frames_written += 1;
         self.out.extend_from_slice(bytes);
     }
@@ -216,7 +212,7 @@ impl MuxConn {
     pub fn split_reader(&mut self) -> io::Result<(TcpStream, FrameReader)> {
         let stream = self.stream.try_clone()?;
         stream.set_read_timeout(None)?;
-        let placeholder = FrameReader::with_limits(true, 0);
+        let placeholder = FrameReader::with_limits(0);
         Ok((stream, std::mem::replace(&mut self.reader, placeholder)))
     }
 
@@ -260,16 +256,16 @@ mod tests {
         assert_eq!(server.recv_deadline(deadline).unwrap(), (11, frame.clone()));
         assert_eq!(server.recv_deadline(deadline).unwrap(), (22, frame));
 
-        // v2 accounting identity on both ends.
+        // The framing identity on both ends.
         assert_eq!(client.frames_written, 2);
         assert_eq!(
             client.bytes_written,
-            client.payload_bytes_written + V2_HEADER_BYTES * client.frames_written
+            client.payload_bytes_written + HEADER_BYTES * client.frames_written
         );
         assert_eq!(server.bytes_read(), client.bytes_written);
         assert_eq!(
             server.bytes_read(),
-            server.payload_bytes_read() + V2_HEADER_BYTES * server.frames_read()
+            server.payload_bytes_read() + HEADER_BYTES * server.frames_read()
         );
     }
 

@@ -4,7 +4,7 @@
 //! ## Shape
 //!
 //! The daemon owns a pool of `k` player connections (one per roster
-//! slot, speaking the v2 session-id envelope) and a **session table**.
+//! slot, speaking the session-id frame envelope) and a **session table**.
 //! Each in-flight session is parked as a `SessionSlot` holding the
 //! session's sans-io [`TurnEngine`] — board prefix, 41-byte serialized
 //! ChaCha8 session-RNG state, turn cursor, and runaway budget — plus
@@ -25,6 +25,7 @@
 //! deadline for all sessions makes admission order expiry order), the
 //! heartbeat staleness horizon, and — only with an admin listener
 //! attached — the [`ADMIN_TICK`] on which admin scrapers are served.
+//! [`linger_admin`] serves them on the same tick once the run is over.
 //!
 //! Writes block; each flush as a whole is bounded by
 //! `NetConfig::io_timeout`. Every grant in a broadcast session goes to
@@ -39,8 +40,8 @@
 //!
 //! Per session `s`: `seed = derive_trial_seed(master_seed, s)`, inputs
 //! sampled from `ChaCha8Rng::seed_from_u64(seed)`, and the post-sampling
-//! RNG becomes the session RNG — exactly the discipline of
-//! `bci_net::overhead` and the fabric schedulers. Turn replies carry the
+//! RNG becomes the session RNG — exactly the discipline of the fabric
+//! schedulers and [`crate::load::inprocess_digest_fold`]. Turn replies carry the
 //! post-message RNG state, which is parked verbatim and embedded in the
 //! next grant, so randomness is consumed in serial order and the
 //! transcript is bit-identical to `InProcessTransport` for the same
@@ -59,14 +60,12 @@ use bci_encoding::bitio::BitVec;
 use bci_encoding::wire::Wire;
 use bci_fabric::transport::DEFAULT_STALL_CAP;
 use bci_net::admin::{check_admin_hello, stats_reply};
-use bci_net::coordinator::SessionInfo;
 use bci_net::frame::{
     BroadcastFrame, Frame, FrameReader, Hello, InputFrame, NetError, OutcomeFrame, CONTROL_SESSION,
     NO_PLAYER, PROTOCOL_VERSION_MUX,
 };
-use bci_net::overhead::transcript_digest;
-use bci_net::transport::WireStats;
-use bci_net::NetConfig;
+use bci_net::overhead::{fold_digest_u64, transcript_digest};
+use bci_net::{NetConfig, WireStats};
 use bci_telemetry::hist::{QUEUE_BYTES_BOUNDS, TURN_LATENCY_US_BOUNDS};
 use bci_telemetry::{Json, Recorder, SpanKind};
 use rand::SeedableRng;
@@ -81,10 +80,27 @@ pub const ADMIN_TICK: Duration = Duration::from_millis(10);
 /// In-flight window beyond which the inbound channel stops growing.
 const MAX_INBOUND_WINDOW: usize = 1 << 14;
 
+/// Sleep between accept attempts while the roster fills.
+const ACCEPT_POLL: Duration = Duration::from_micros(200);
+
 /// Default bound on concurrently in-flight sessions. Bounds daemon
 /// memory and keeps the outcome `remaining` countdown meaningful while
 /// still saturating the connection pool.
 pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
+
+/// The run parameters the daemon advertises in its `Hello` ack.
+#[derive(Debug, Clone)]
+pub struct SessionInfo {
+    /// Protocol identifier both sides must agree on (e.g. `"disj"`).
+    pub protocol_id: String,
+    /// Roster size `k`.
+    pub players: u32,
+    /// Master seed of the run (lets clients derive their backoff streams
+    /// and, in the CLI path, display what they joined).
+    pub seed: u64,
+    /// Protocol-specific parameters (for `disj`: `[n, sessions]`).
+    pub params: Vec<u64>,
+}
 
 /// Knobs for one daemon run.
 #[derive(Debug, Clone)]
@@ -180,22 +196,23 @@ impl MuxRunReport {
     /// Folds the per-session transcript digests in session-id order
     /// (records are kept sorted, so completion order doesn't leak in).
     pub fn digest_fold(&self) -> u64 {
-        self.records.iter().fold(0u64, |acc, r| {
-            bci_net::overhead::fold_digest_u64(acc, r.digest)
-        })
+        self.records
+            .iter()
+            .fold(0u64, |acc, r| fold_digest_u64(acc, r.digest))
     }
 }
 
-/// Accepts v2 handshakes on `listener` until every roster slot is
-/// filled, mirroring `bci_net::coordinator::accept_roster` but for the
-/// multiplexed envelope: clients must announce
-/// [`PROTOCOL_VERSION_MUX`], and all control frames ride the
-/// [`CONTROL_SESSION`] id. A rejected hello never burns the slot.
+/// Accepts handshakes on `listener` until every slot in
+/// `0..info.players` is registered via a valid `Hello`, or `deadline`
+/// passes. Clients must announce [`PROTOCOL_VERSION_MUX`], and all
+/// control frames ride the [`CONTROL_SESSION`] id. A hello with the
+/// wrong version or protocol id, or an out-of-range or duplicate player
+/// index, gets an `Error` frame and is dropped; the slot stays open for a
+/// retry, which is what makes client reconnect-with-backoff work.
 ///
 /// Roster assembly is counted on `recorder` (`mux.roster_accepted`,
 /// `mux.hello_rejected`) so a live scrape shows how many dial attempts
-/// it took to fill the pool — the mux-side analogue of the v1
-/// transport's reconnect totals.
+/// it took to fill the pool.
 pub fn accept_mux_roster(
     listener: &TcpListener,
     info: &SessionInfo,
@@ -286,7 +303,7 @@ pub fn accept_mux_roster(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                std::thread::sleep(config.poll_sleep);
+                std::thread::sleep(ACCEPT_POLL);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(NetError::Io(e)),
@@ -298,10 +315,106 @@ pub fn accept_mux_roster(
         .collect())
 }
 
-/// One connected admin scraper being served inline by the reactor.
+/// One connected admin scraper, served on the admin tick by [`serve_admins`].
 struct AdminPeer {
     conn: MuxConn,
     greeted: bool,
+}
+
+/// Accepts and serves admin scrapers on `listener` without ever
+/// blocking the caller: admin sockets are nonblocking, handshakes are
+/// validated with the shared [`check_admin_hello`], replies are built by
+/// the shared [`stats_reply`], and a misbehaving or dead peer is dropped
+/// — never aborted into the run the way a player failure is.
+/// `before_stats` runs before each snapshot is taken for a reply.
+fn serve_admins(
+    listener: &TcpListener,
+    peers: &mut Vec<AdminPeer>,
+    config: &NetConfig,
+    recorder: &Recorder,
+    mut before_stats: impl FnMut(),
+) {
+    // Drain the accept queue; WouldBlock (or a transient error) ends the
+    // sweep until the next tick.
+    while let Ok((stream, _)) = listener.accept() {
+        if let Ok(conn) = MuxConn::new(stream, config) {
+            if conn.set_nonblocking().is_ok() {
+                peers.push(AdminPeer {
+                    conn,
+                    greeted: false,
+                });
+            }
+        }
+    }
+    let mut i = 0;
+    while i < peers.len() {
+        let mut dead = peers[i].conn.flush().is_err();
+        while !dead {
+            match peers[i].conn.recv() {
+                Ok(Some((_, frame))) => match frame {
+                    Frame::Hello(hello) if !peers[i].greeted => match check_admin_hello(&hello) {
+                        Ok(ack) => {
+                            peers[i].conn.queue(CONTROL_SESSION, &ack);
+                            peers[i].greeted = true;
+                        }
+                        Err(rejection) => {
+                            peers[i].conn.queue(CONTROL_SESSION, &rejection);
+                            let _ = peers[i].conn.flush();
+                            dead = true;
+                        }
+                    },
+                    Frame::Stats { what } if peers[i].greeted => {
+                        before_stats();
+                        let reply = Frame::StatsReply(Box::new(stats_reply(recorder, what)));
+                        peers[i].conn.queue(CONTROL_SESSION, &reply);
+                        recorder.counter_add("mux.stats_served", 1);
+                    }
+                    Frame::Heartbeat { .. } => {}
+                    other => {
+                        peers[i].conn.queue(
+                            CONTROL_SESSION,
+                            &Frame::Error {
+                                code: 1,
+                                message: format!("unexpected {} on admin channel", other.name()),
+                            },
+                        );
+                        let _ = peers[i].conn.flush();
+                        dead = true;
+                    }
+                },
+                Ok(None) => break,
+                Err(_) => dead = true,
+            }
+        }
+        if !dead {
+            dead = peers[i].conn.flush().is_err();
+        }
+        if dead {
+            peers.swap_remove(i);
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Serves admin scrapers on `listener` every [`ADMIN_TICK`] until `done`
+/// returns true: the reactor's inline admin code, with no run attached.
+/// `bci serve --admin-linger-ms` calls it after the run returns, so a
+/// one-shot `bci stat` can still collect the final numbers. Gauges keep
+/// the values the last in-run scrape published.
+pub fn linger_admin(
+    listener: &TcpListener,
+    recorder: &Recorder,
+    config: &NetConfig,
+    done: impl Fn() -> bool,
+) {
+    // The roster phase left it nonblocking; make sure regardless.
+    let _ = listener.set_nonblocking(true);
+    let mut peers = Vec::new();
+    while !done() {
+        serve_admins(listener, &mut peers, config, recorder, || {});
+        std::thread::sleep(ADMIN_TICK);
+    }
 }
 
 /// One frame decoded on a connection's reader thread, or the read error
@@ -689,81 +802,6 @@ where
         );
     }
 
-    /// Accepts and serves admin scrapers without ever blocking the
-    /// reactor: admin sockets are nonblocking, handshakes are validated
-    /// with the shared [`check_admin_hello`], replies are built by the
-    /// shared [`stats_reply`], and a misbehaving or dead peer is dropped
-    /// — never aborted into the run the way a player failure is.
-    fn serve_admins(&mut self, listener: &TcpListener, peers: &mut Vec<AdminPeer>) {
-        // Drain the accept queue; WouldBlock (or a transient error)
-        // ends the sweep until the next tick.
-        while let Ok((stream, _)) = listener.accept() {
-            if let Ok(conn) = MuxConn::new(stream, &self.opts.config) {
-                if conn.set_nonblocking().is_ok() {
-                    peers.push(AdminPeer {
-                        conn,
-                        greeted: false,
-                    });
-                }
-            }
-        }
-        let mut i = 0;
-        while i < peers.len() {
-            let mut dead = peers[i].conn.flush().is_err();
-            while !dead {
-                match peers[i].conn.recv() {
-                    Ok(Some((_, frame))) => match frame {
-                        Frame::Hello(hello) if !peers[i].greeted => {
-                            match check_admin_hello(&hello) {
-                                Ok(ack) => {
-                                    peers[i].conn.queue(CONTROL_SESSION, &ack);
-                                    peers[i].greeted = true;
-                                }
-                                Err(rejection) => {
-                                    peers[i].conn.queue(CONTROL_SESSION, &rejection);
-                                    let _ = peers[i].conn.flush();
-                                    dead = true;
-                                }
-                            }
-                        }
-                        Frame::Stats { what } if peers[i].greeted => {
-                            self.set_gauges();
-                            let reply =
-                                Frame::StatsReply(Box::new(stats_reply(self.recorder, what)));
-                            peers[i].conn.queue(CONTROL_SESSION, &reply);
-                            self.recorder.counter_add("mux.stats_served", 1);
-                        }
-                        Frame::Heartbeat { .. } => {}
-                        other => {
-                            peers[i].conn.queue(
-                                CONTROL_SESSION,
-                                &Frame::Error {
-                                    code: 1,
-                                    message: format!(
-                                        "unexpected {} on admin channel",
-                                        other.name()
-                                    ),
-                                },
-                            );
-                            let _ = peers[i].conn.flush();
-                            dead = true;
-                        }
-                    },
-                    Ok(None) => break,
-                    Err(_) => dead = true,
-                }
-            }
-            if !dead {
-                dead = peers[i].conn.flush().is_err();
-            }
-            if dead {
-                peers.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
     /// Marks every unfinished session aborted (connection-pool failure:
     /// with a player gone, no session can make progress). Shrinking
     /// `total` to the admitted count *before* finishing makes the last
@@ -927,7 +965,13 @@ where
             if let Some(listener) = admin {
                 if now >= next_admin {
                     next_admin = now + ADMIN_TICK;
-                    self.serve_admins(listener, &mut admin_peers);
+                    serve_admins(
+                        listener,
+                        &mut admin_peers,
+                        &self.opts.config,
+                        self.recorder,
+                        || self.set_gauges(),
+                    );
                 }
             }
             if let Some(player) = self
@@ -955,8 +999,8 @@ where
 /// `sample_inputs(session, rng)` must sample the per-player inputs from
 /// `rng` (already seeded with `derive_trial_seed(master_seed, session)`)
 /// and leave `rng` positioned to serve as the session RNG — the exact
-/// discipline of `bci_net::overhead::overhead_point`, which is what
-/// makes transcripts comparable across every transport in the repo.
+/// discipline of the fabric schedulers, which is what makes transcripts
+/// comparable across every driver in the repo.
 ///
 /// The returned report carries one [`SessionRecord`] per session
 /// (sorted by id) and the pool's wire accounting. A dead, stale or

@@ -1,17 +1,12 @@
-//! The `bci load` harness: N synthetic players × M sessions against a
-//! coordinator, with deadlines, percentiles, and a `bci.bench.v1` row.
+//! The `bci load` harness: N synthetic players × M sessions against the
+//! mux daemon, with deadlines, percentiles, and a `bci.bench.v1` row.
 //!
-//! Two coordinator shapes are driven with the *same* workload and the
-//! same per-session seeding discipline, so their transcript digests are
-//! directly comparable (to each other and to the in-process transport):
-//!
-//! * [`CoordinatorKind::Mux`] — the `crates/mux` reactor daemon,
-//!   multiplexing up to `max_inflight` concurrent sessions over one
-//!   pooled connection per player;
-//! * [`CoordinatorKind::ThreadPerConn`] — the PR-5 `bci-net`
-//!   coordinator, which owns one session at a time and runs the M
-//!   sessions back to back over persistent v1 connections. This is the
-//!   baseline the mux daemon is measured against.
+//! The daemon is either spun up in-process on a loopback listener or
+//! reached at `LoadSpec::addr`; it multiplexes up to `max_inflight`
+//! concurrent sessions over one pooled connection per player. A run with
+//! `LoadSpec::scrape_interval` set has a live admin scraper attached
+//! ([`CoordinatorKind::MuxScraped`]) and drives the *same* workload, so
+//! the two rows measure the observation overhead.
 //!
 //! By default each run is **verified**: player 0's replicas are digested
 //! at outcome time, folded in session-id order, and compared against an
@@ -23,15 +18,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use bci_blackboard::runner::derive_trial_seed;
-use bci_fabric::session::SessionOutcome;
 use bci_fabric::transport::{InProcessTransport, SessionContext, Transport};
-use bci_net::admin::{AdminClient, AdminServer};
-use bci_net::client::{connect_player, run_player, PlayerBehavior};
-use bci_net::coordinator::{accept_roster, run_coordinator_session, SessionInfo};
+use bci_net::admin::AdminClient;
 use bci_net::frame::NetError;
 use bci_net::overhead::{fold_digest_u64, transcript_digest, SWEEP_DENSITY};
-use bci_net::transport::WireStats;
-use bci_net::NetConfig;
+use bci_net::{NetConfig, WireStats};
 use bci_protocols::disj::broadcast::BroadcastDisj;
 use bci_protocols::workload;
 use bci_telemetry::hist::TURN_LATENCY_US_BOUNDS;
@@ -39,7 +30,9 @@ use bci_telemetry::{obj, Histogram, Json, Recorder, Snapshot};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::daemon::{accept_mux_roster, run_mux_daemon_with_admin, MuxOptions, MuxRunReport};
+use crate::daemon::{
+    accept_mux_roster, run_mux_daemon_with_admin, MuxOptions, MuxRunReport, SessionInfo,
+};
 use crate::player::{connect_mux_player, run_mux_player};
 
 /// Which coordinator a load run drove.
@@ -52,12 +45,6 @@ pub enum CoordinatorKind {
     /// comparing its row against [`CoordinatorKind::Mux`] measures the
     /// observation overhead.
     MuxScraped,
-    /// The single-session, thread-per-connection coordinator
-    /// (`bci_net::coordinator`), running sessions sequentially.
-    ThreadPerConn,
-    /// The thread-per-connection coordinator scraped through its
-    /// dedicated [`AdminServer`] listener.
-    ThreadPerConnScraped,
 }
 
 impl CoordinatorKind {
@@ -66,8 +53,6 @@ impl CoordinatorKind {
         match self {
             CoordinatorKind::Mux => "mux",
             CoordinatorKind::MuxScraped => "mux+scrape",
-            CoordinatorKind::ThreadPerConn => "thread-per-conn",
-            CoordinatorKind::ThreadPerConnScraped => "thread-per-conn+scrape",
         }
     }
 }
@@ -87,9 +72,9 @@ pub struct LoadSpec {
     pub seed: u64,
     /// Per-session wall-clock budget, enforced by the coordinator.
     pub deadline: Option<Duration>,
-    /// Mux-only: cap on concurrently in-flight sessions.
+    /// Cap on concurrently in-flight sessions.
     pub max_inflight: usize,
-    /// Socket configuration shared by both sides.
+    /// Socket configuration shared by the daemon and the players.
     pub config: NetConfig,
     /// Verify transcripts against the in-process transport.
     pub verify: bool,
@@ -137,19 +122,17 @@ pub struct LoadReport {
     pub failed: u64,
     /// Roster-complete → last outcome.
     pub elapsed: Duration,
-    /// Turn service latencies. For the mux daemon this is the
+    /// Turn service latencies. For an in-process daemon this is the
     /// authoritative grant→reply histogram (`mux.turn_latency_us`); for
-    /// the thread baseline it is `net.hop_rtt_us`; for a remote daemon
-    /// it is the client-observed inter-broadcast gap.
+    /// a remote daemon it is the client-observed inter-broadcast gap.
     pub turn_latency: Histogram,
     /// Wire accounting (coordinator view when available, else the
     /// client view summed over players).
     pub wire: WireStats,
     /// Connect retries summed over players.
     pub reconnects: u64,
-    /// End-to-end transcript digest fold (player 0's replicas for mux,
-    /// the coordinator's boards for the thread baseline), in session-id
-    /// order.
+    /// End-to-end transcript digest fold of player 0's replicas, in
+    /// session-id order.
     pub digest: u64,
     /// The in-process replay's digest fold, when verification ran.
     pub digest_inprocess: Option<u64>,
@@ -475,165 +458,6 @@ fn run_players(
     })
 }
 
-/// Drives the PR-5 thread-per-connection coordinator over the same
-/// workload: the roster connects once, then the `M` sessions run
-/// sequentially (that coordinator owns one sequencer at a time — the
-/// very bottleneck the mux daemon removes). Always in-process.
-pub fn run_load_thread_baseline(spec: &LoadSpec) -> Result<LoadReport, NetError> {
-    let protocol = BroadcastDisj::new(spec.n, spec.players);
-    let protocol_id = "disj";
-    let recorder = Recorder::metrics_only();
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::Io)?;
-    let addr = listener.local_addr().map_err(NetError::Io)?;
-    let info = SessionInfo {
-        protocol_id: protocol_id.to_string(),
-        players: spec.players as u32,
-        seed: spec.seed,
-        params: vec![spec.n as u64, spec.sessions],
-    };
-
-    // The v1 coordinator has no mux envelope to ride, so its stats
-    // channel is a dedicated listener served by `AdminServer` threads.
-    let admin = match spec.scrape_interval {
-        Some(_) => {
-            let admin_listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::Io)?;
-            Some(AdminServer::spawn(
-                admin_listener,
-                recorder.clone(),
-                spec.config.clone(),
-            )?)
-        }
-        None => None,
-    };
-    let scrape_ready = AtomicBool::new(true);
-    let scrape_stop = AtomicBool::new(false);
-
-    let (digest, completed, elapsed, wire, reconnects, scrape) =
-        std::thread::scope(|scope| -> Result<_, NetError> {
-            let handles: Vec<_> = (0..spec.players)
-                .map(|player| {
-                    scope.spawn(move || -> Result<u32, NetError> {
-                        let (conn, _ack, retries) =
-                            connect_player(addr, player, protocol_id, &spec.config, spec.seed)?;
-                        run_player(
-                            &BroadcastDisj::new(spec.n, spec.players),
-                            conn,
-                            player,
-                            PlayerBehavior::default(),
-                            &spec.config,
-                        )?;
-                        Ok(retries)
-                    })
-                })
-                .collect();
-            let (ready, stop) = (&scrape_ready, &scrape_stop);
-            let scraper = admin
-                .as_ref()
-                .zip(spec.scrape_interval)
-                .map(|(server, interval)| {
-                    let admin_addr = server.local_addr();
-                    scope
-                        .spawn(move || run_scraper(admin_addr, interval, &spec.config, ready, stop))
-                });
-
-            let run = (|| -> Result<_, NetError> {
-                let roster_deadline = Instant::now() + spec.config.io_timeout;
-                let mut conns = accept_roster(&listener, &info, &spec.config, roster_deadline)?;
-                let start = Instant::now();
-                let mut digest = 0u64;
-                let mut completed = 0u64;
-                let mut transcript_bits = 0u64;
-                for session in 0..spec.sessions {
-                    let seed = derive_trial_seed(spec.seed, session);
-                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                    let inputs =
-                        workload::random_sets(spec.n, spec.players, spec.density, &mut rng);
-                    let ctx = SessionContext {
-                        session_id: session,
-                        deadline: spec.deadline,
-                        faults: &[],
-                        recorder: &recorder,
-                    };
-                    let remaining = (spec.sessions - 1 - session) as u32;
-                    let result = run_coordinator_session(
-                        &protocol,
-                        &inputs,
-                        rng,
-                        &ctx,
-                        &mut conns,
-                        &spec.config,
-                        session as u32,
-                        remaining,
-                    );
-                    digest = fold_digest_u64(digest, transcript_digest(&result.board));
-                    transcript_bits += result.board.total_bits() as u64;
-                    if result.outcome == SessionOutcome::Completed {
-                        completed += 1;
-                    }
-                }
-                let elapsed = start.elapsed();
-                let mut wire = WireStats {
-                    transcript_bits,
-                    ..WireStats::default()
-                };
-                for pc in &conns {
-                    wire.bytes_tx += pc.conn.bytes_written;
-                    wire.bytes_rx += pc.conn.bytes_read();
-                    wire.frames_tx += pc.conn.frames_written;
-                    wire.frames_rx += pc.conn.frames_read();
-                    wire.payload_bytes_tx += pc.conn.payload_bytes_written;
-                    wire.payload_bytes_rx += pc.conn.payload_bytes_read();
-                }
-                drop(conns); // hang up so any stuck player thread exits
-                let mut reconnects = 0u64;
-                for h in handles {
-                    if let Ok(retries) = h.join().expect("player thread panicked") {
-                        reconnects += retries as u64;
-                    }
-                }
-                Ok((digest, completed, elapsed, wire, reconnects))
-            })();
-            stop.store(true, Ordering::Release);
-            let scrape = scraper.map(|h| h.join().expect("scraper thread panicked"));
-            let (digest, completed, elapsed, wire, reconnects) = run?;
-            Ok((digest, completed, elapsed, wire, reconnects, scrape))
-        })?;
-    if let Some(server) = admin {
-        server.stop();
-    }
-
-    let turn_latency = recorder
-        .snapshot()
-        .hist("net.hop_rtt_us")
-        .cloned()
-        .unwrap_or_else(Histogram::latency_us);
-    let mut wire = wire;
-    wire.reconnects = reconnects;
-    let digest_inprocess = spec.verify.then(|| inprocess_digest_fold(spec));
-    let (scrapes, scrape_snapshot) = match scrape {
-        Some(s) => (s.scrapes, s.last),
-        None => (0, None),
-    };
-    Ok(LoadReport {
-        kind: if spec.scrape_interval.is_some() {
-            CoordinatorKind::ThreadPerConnScraped
-        } else {
-            CoordinatorKind::ThreadPerConn
-        },
-        sessions: spec.sessions,
-        completed,
-        failed: spec.sessions - completed,
-        elapsed,
-        turn_latency,
-        wire,
-        reconnects,
-        digest,
-        digest_inprocess,
-        scrapes,
-        scrape_snapshot,
-    })
-}
-
 /// The bench document's `meta` object. When the report set contains both
 /// a scraped and an unscraped mux run of the same workload, the pair is
 /// distilled into a scrape-overhead measurement: sessions/sec with and
@@ -685,8 +509,8 @@ fn bench_meta(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
 }
 
 /// Renders load reports as one `bci.bench.v1` document — the schema
-/// `table_all --experiment <id> --json` and `bci netrun --json` already
-/// emit, so the CI validators apply unchanged.
+/// `table_all --experiment <id> --json` already emits, so the CI
+/// validators apply unchanged.
 pub fn bench_document(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
     let columns = [
         "coordinator",

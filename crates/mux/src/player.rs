@@ -1,13 +1,15 @@
 //! The multiplexed player client: one connection, many concurrent
 //! sessions.
 //!
-//! Where the v1 client (`bci_net::client`) tracks one board replica, the
-//! mux player keeps an independent replica **per in-flight session**,
-//! keyed by the session id on every v2 frame. Everything else is the
-//! same discipline: replicas are built exclusively from the
-//! coordinator's authoritative `Broadcast` frames, grants are answered
-//! with the post-message RNG state, and heartbeats ride the control
-//! session whenever the client hasn't written anything for one interval.
+//! The player keeps an independent board replica **per in-flight
+//! session**, keyed by the session id on every frame. Replicas are built
+//! exclusively from the coordinator's authoritative `Broadcast` frames —
+//! a player never applies its own write speculatively, so a replica
+//! cannot diverge from the daemon's board — grants are answered with the
+//! post-message RNG state, and heartbeats ride the control session
+//! whenever the client hasn't written anything for one interval.
+//! Receiving proves the daemon is alive, not that this player is; only
+//! outbound traffic refreshes the daemon's liveness clock.
 //!
 //! Because the replica applies every authoritative write, at `Outcome`
 //! time it *is* the coordinator's final board — which is what lets the
@@ -27,8 +29,7 @@ use bci_net::frame::{
     BroadcastFrame, Frame, Hello, NetError, CONTROL_SESSION, NO_PLAYER, PROTOCOL_VERSION_MUX,
 };
 use bci_net::overhead::transcript_digest;
-use bci_net::transport::WireStats;
-use bci_net::NetConfig;
+use bci_net::{NetConfig, WireStats};
 use bci_telemetry::hist::TURN_LATENCY_US_BOUNDS;
 use bci_telemetry::Histogram;
 use rand_chacha::{ChaCha8Rng, STATE_LEN};
@@ -68,7 +69,7 @@ pub struct MuxPlayerReport {
 }
 
 /// Dials the mux daemon with capped-exponential backoff and performs
-/// the v2 handshake. Returns the pooled connection, the daemon's ack
+/// the handshake. Returns the pooled connection, the daemon's ack
 /// (roster size, seed, protocol params), and the retry count.
 pub fn connect_mux_player(
     addr: SocketAddr,
@@ -196,7 +197,7 @@ where
                 })) {
                     Ok(bits) => bits,
                     // A panicking player hangs up; the daemon maps the
-                    // EOF to structured aborts, same as the v1 client.
+                    // EOF to structured aborts (`player i disconnected`).
                     Err(_) => {
                         fill_wire(&mut report, &conn);
                         return Ok(report);

@@ -9,10 +9,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bci_mux::daemon::{accept_mux_roster, run_mux_daemon_with_admin, MuxOptions};
+use bci_mux::daemon::{
+    accept_mux_roster, linger_admin, run_mux_daemon_with_admin, MuxOptions, SessionInfo,
+};
 use bci_mux::{connect_mux_player, run_mux_player};
-use bci_net::admin::{scrape, AdminClient, AdminServer};
-use bci_net::coordinator::SessionInfo;
+use bci_net::admin::{scrape, AdminClient};
 use bci_net::frame::{stats_request, Frame, FrameReader, Hello, ADMIN_PLAYER, CONTROL_SESSION};
 use bci_net::{NetConfig, PROTOCOL_VERSION_MUX};
 use bci_protocols::disj::broadcast::BroadcastDisj;
@@ -82,13 +83,7 @@ fn with_lingering_daemon<T>(recorder: &Recorder, scrape: impl FnOnce(SocketAddr)
             );
             assert_eq!(report.completed(), SESSIONS as usize);
             ready_tx.send(()).expect("test waits for the run");
-            let admin = listener.try_clone().expect("clone listener");
-            let server =
-                AdminServer::spawn(admin, recorder.clone(), config.clone()).expect("admin server");
-            while !done.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            server.stop();
+            linger_admin(&listener, recorder, config, || done.load(Ordering::Acquire));
         });
         // Stops the linger however `scrape` exits, failed asserts included.
         let _stop = StopOnDrop(done);

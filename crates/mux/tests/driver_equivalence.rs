@@ -4,13 +4,12 @@
 //! bits-written accounting — across random protocols whose turn order
 //! itself depends on the randomness consumed so far.
 //!
-//! The matrix covers all five drivers:
+//! The matrix covers all four drivers:
 //!
 //! 1. the serial runner (`bci_blackboard::protocol::run`),
 //! 2. `InProcessTransport` (fabric, same thread),
 //! 3. `ChannelTransport` (fabric, one thread per player),
-//! 4. the v1 TCP coordinator (`loopback_session`),
-//! 5. the mux daemon (`run_mux_daemon` + `run_mux_player` over loopback),
+//! 4. the mux daemon (`run_mux_daemon` + `run_mux_player` over loopback),
 //!
 //! plus a hand-rolled `TurnEngine` drive that checks the *final RNG
 //! state* byte-for-byte against the serial runner's external RNG — the
@@ -20,7 +19,8 @@
 //! coordinator-star and point-to-point DISJ protocols run natively on
 //! the routed engine and, through `bci_topology::Embedded`, on the
 //! blackboard drivers; every driver's transcript must decode back to
-//! the native routed board byte for byte.
+//! the native routed board byte for byte, and the mux daemon's
+//! transcript digest must equal the serial board's.
 //!
 //! CI runs this as the "Driver equivalence" step.
 
@@ -39,11 +39,9 @@ use bci_fabric::session::SessionOutcome;
 use bci_fabric::transport::{
     ChannelTransport, InProcessTransport, SessionContext, Transport, DISABLED_RECORDER,
 };
-use bci_mux::daemon::{accept_mux_roster, SessionRecord};
+use bci_mux::daemon::{accept_mux_roster, SessionInfo, SessionRecord};
 use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxOptions};
-use bci_net::coordinator::SessionInfo;
 use bci_net::overhead::transcript_digest;
-use bci_net::transport::loopback_session;
 use bci_net::NetConfig;
 use bci_protocols::disj::disj_function;
 use bci_protocols::msgpass::{P2pDisj, StarDisj};
@@ -217,10 +215,10 @@ fn sample_inputs(players: usize, rng: &mut ChaCha8Rng) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random tree protocols × all five drivers: identical boards,
+    /// Random tree protocols × all four drivers: identical boards,
     /// digests, outputs, bits-written, and final RNG state.
     #[test]
-    fn all_five_drivers_agree_bit_for_bit(
+    fn all_four_drivers_agree_bit_for_bit(
         players in 2usize..5,
         rounds in 1usize..4,
         max_extra_bits in 0usize..12,
@@ -277,22 +275,7 @@ proptest! {
         prop_assert_eq!(&channel.output, &Some(serial.output));
         prop_assert_eq!(channel.bits_written, serial.bits_written);
 
-        // Driver 4: the v1 TCP coordinator over loopback sockets.
-        let (tcp, _stats) = loopback_session(
-            &proto,
-            &inputs,
-            session_rng.clone(),
-            &ctx(0),
-            &fast_config(),
-            "randtree",
-            master_seed,
-        );
-        prop_assert_eq!(&tcp.outcome, &SessionOutcome::Completed);
-        prop_assert_eq!(&tcp.board, &serial.board);
-        prop_assert_eq!(&tcp.output, &Some(serial.output));
-        prop_assert_eq!(tcp.bits_written, serial.bits_written);
-
-        // Driver 5: the mux daemon. It derives the session seed and
+        // Driver 4: the mux daemon. It derives the session seed and
         // samples inputs itself, so agreement here proves the whole
         // seeding discipline matches, not just the turn loop.
         let record = mux_single_session(&proto, master_seed, |rng| sample_inputs(players, rng));
@@ -307,8 +290,7 @@ proptest! {
 
 /// Runs one routed protocol natively on the routed engine, then through
 /// the [`Embedded`] header shim on the blackboard drivers — serial
-/// runner, both fabric transports, the TCP loopback coordinator and the
-/// mux daemon —
+/// runner, both fabric transports and the mux daemon —
 /// and checks every driver's decoded transcript equals the native
 /// routed board byte for byte.
 fn check_routed_matrix<P>(
@@ -349,19 +331,6 @@ where
     prop_assert_eq!(&channel.outcome, &SessionOutcome::Completed);
     prop_assert_eq!(&channel.board, &serial.board);
     prop_assert_eq!(&channel.output, &Some(expect));
-
-    let (tcp, _stats) = loopback_session(
-        &embedded,
-        inputs,
-        session_rng,
-        &ctx(0),
-        &fast_config(),
-        "routed-disj",
-        master_seed,
-    );
-    prop_assert_eq!(&tcp.outcome, &SessionOutcome::Completed);
-    prop_assert_eq!(&tcp.board, &serial.board);
-    prop_assert_eq!(&tcp.output, &Some(expect));
 
     // The mux daemon seeds the session itself; handing back the fixed
     // inputs without touching the RNG leaves it where the others start.

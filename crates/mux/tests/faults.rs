@@ -16,9 +16,8 @@ use bci_blackboard::board::Board;
 use bci_blackboard::protocol::Protocol;
 use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
-use bci_mux::daemon::{accept_mux_roster, MuxRunReport};
+use bci_mux::daemon::{accept_mux_roster, MuxRunReport, SessionInfo};
 use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxConn, MuxOptions};
-use bci_net::coordinator::SessionInfo;
 use bci_net::frame::{Frame, CONTROL_SESSION};
 use bci_net::NetConfig;
 use bci_telemetry::{Recorder, Snapshot};

@@ -1,13 +1,10 @@
-//! The PR's determinism gate: a transcript multiplexed over real loopback
+//! The mux determinism gate: a transcript multiplexed over real loopback
 //! sockets must be bit-identical to `InProcessTransport` for the same
-//! master seed — and the two coordinator shapes must agree with each
-//! other, since they share the per-session seeding discipline.
+//! master seed.
 
 use std::time::Duration;
 
-use bci_mux::load::{
-    bench_document, inprocess_digest_fold, run_load, run_load_thread_baseline, LoadSpec,
-};
+use bci_mux::load::{bench_document, run_load, LoadSpec};
 use bci_mux::CoordinatorKind;
 
 fn small_spec() -> LoadSpec {
@@ -40,22 +37,6 @@ fn multiplexed_transcripts_match_inprocess() {
         "v2 framing identity"
     );
     assert!(report.wire.transcript_bits > 0);
-}
-
-#[test]
-fn thread_baseline_agrees_with_mux_and_inprocess() {
-    let mut spec = small_spec();
-    spec.sessions = 16;
-    let mux = run_load(&spec).expect("mux run");
-    let thread = run_load_thread_baseline(&spec).expect("thread run");
-    assert_eq!(thread.kind, CoordinatorKind::ThreadPerConn);
-    assert_eq!(thread.completed, spec.sessions);
-    assert_eq!(thread.verified(), Some(true));
-    assert_eq!(
-        mux.digest, thread.digest,
-        "the two coordinators must produce identical transcripts"
-    );
-    assert_eq!(mux.digest, inprocess_digest_fold(&spec));
 }
 
 #[test]

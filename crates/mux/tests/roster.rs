@@ -5,9 +5,8 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use bci_mux::daemon::accept_mux_roster;
+use bci_mux::daemon::{accept_mux_roster, SessionInfo};
 use bci_mux::{connect_mux_player, MuxConn};
-use bci_net::coordinator::SessionInfo;
 use bci_net::frame::{Frame, Hello, CONTROL_SESSION, PROTOCOL_VERSION_MUX};
 use bci_net::NetConfig;
 use bci_telemetry::Recorder;

@@ -10,8 +10,7 @@ use bci_blackboard::board::Board;
 use bci_blackboard::protocol::Protocol;
 use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
-use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxOptions};
-use bci_net::coordinator::SessionInfo;
+use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxOptions, SessionInfo};
 use bci_net::NetConfig;
 use bci_telemetry::Recorder;
 use rand::{Rng, RngCore};

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use bci_mux::load::{run_load, run_load_thread_baseline, LoadSpec};
+use bci_mux::load::{run_load, LoadSpec};
 use bci_mux::CoordinatorKind;
 
 fn spec(sessions: u64) -> LoadSpec {
@@ -73,27 +73,4 @@ fn mux_scraper_lands_snapshots_while_the_run_is_in_flight() {
         let hist = snap.hist(&name).unwrap_or_else(|| panic!("{name} missing"));
         assert_eq!(hist.count(), turns, "{name} counts other turns");
     }
-}
-
-#[test]
-fn scraped_thread_baseline_agrees_with_unscraped_and_inprocess() {
-    let base = spec(24);
-    let unscraped = run_load_thread_baseline(&base).expect("unscraped baseline");
-    assert_eq!(unscraped.kind, CoordinatorKind::ThreadPerConn);
-
-    let mut scraped_spec = base.clone();
-    scraped_spec.scrape_interval = Some(Duration::from_millis(1));
-    let scraped = run_load_thread_baseline(&scraped_spec).expect("scraped baseline");
-    assert_eq!(scraped.kind, CoordinatorKind::ThreadPerConnScraped);
-    assert_eq!(scraped.completed, base.sessions);
-    assert_eq!(
-        scraped.digest, unscraped.digest,
-        "scraping the v1 coordinator perturbed the transcripts"
-    );
-    assert_eq!(scraped.verified(), Some(true));
-    // The AdminServer runs for the whole (slower, sequential) baseline
-    // run, so at 1ms the scraper always lands snapshots.
-    assert!(scraped.scrapes > 0, "admin server never answered");
-    let snap = scraped.scrape_snapshot.expect("last snapshot kept");
-    assert!(snap.hist("net.hop_rtt_us").is_some());
 }

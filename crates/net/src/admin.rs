@@ -1,8 +1,7 @@
 //! The read-only admin stats channel.
 //!
-//! Both coordinators expose their live [`Recorder`] over the same tiny
-//! protocol, spoken in the v2 (session-id) envelope on
-//! [`CONTROL_SESSION`]:
+//! The coordinator exposes its live [`Recorder`] over a tiny protocol,
+//! spoken in the session-id frame envelope on [`CONTROL_SESSION`]:
 //!
 //! 1. the scraper dials in and sends a `Hello` with `version ==`
 //!    [`PROTOCOL_VERSION_MUX`] and `player ==` [`ADMIN_PLAYER`] — the
@@ -15,22 +14,18 @@
 //!    after the handshake, so `bci top` holds one connection open and
 //!    re-requests, while `bci stat` does one round trip and hangs up.
 //!
-//! The multiplexed coordinator answers admin peers inline from its
-//! reactor loop (`bci-mux`); the v1 thread-per-connection coordinator is
-//! sequential and must not block its session loop, so it runs the
-//! [`AdminServer`] here on a dedicated listener thread instead. Both
-//! paths build replies with [`stats_reply`], so the two coordinators are
-//! indistinguishable to a scraper.
+//! The mux daemon answers admin peers inline from its reactor loop, and
+//! after the run while `bci serve --admin-linger-ms` lasts (`bci-mux`);
+//! it builds every reply with [`stats_reply`] and validates every
+//! handshake with [`check_admin_hello`]. [`AdminClient`] and [`scrape`]
+//! are the scraping side.
 //!
 //! Scraping is read-only by construction: nothing in this module touches
 //! session state or any RNG, which is how the determinism gates can
 //! prove a scraped run produces bit-identical transcripts.
 
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bci_telemetry::{Recorder, Snapshot};
@@ -41,14 +36,16 @@ use crate::frame::{
 };
 use crate::NetConfig;
 
-/// Protocol id announced in admin hellos. Coordinators accept any id
+/// How long one [`AdminClient`] read blocks before the reply deadline is
+/// checked again.
+const READ_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// Protocol id announced in admin hellos. The daemon accepts any id
 /// from an [`ADMIN_PLAYER`] peer (the sentinel alone authorizes
 /// read-only access), but a distinct id keeps diagnostics legible.
 pub const ADMIN_PROTOCOL_ID: &str = "bci-admin";
 
 /// Builds the reply to a [`Frame::Stats`] request from a live recorder.
-/// Shared by the mux reactor and the [`AdminServer`] so both
-/// coordinators serve byte-identical sections for the same state.
 pub fn stats_reply(recorder: &Recorder, what: u8) -> StatsReplyFrame {
     StatsReplyFrame {
         payload: if what & stats_request::SNAPSHOT != 0 {
@@ -140,7 +137,7 @@ impl AdminClient {
 
     fn handshake(mut stream: TcpStream, config: &NetConfig) -> Result<AdminClient, NetError> {
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(config.poll_sleep.max(Duration::from_millis(1))))?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         stream.set_write_timeout(Some(config.io_timeout))?;
         send_control(
             &mut stream,
@@ -153,7 +150,7 @@ impl AdminClient {
                 params: vec![],
             }),
         )?;
-        let mut reader = FrameReader::with_limits(true, config.max_frame_len);
+        let mut reader = FrameReader::with_limits(config.max_frame_len);
         let deadline = Instant::now() + config.io_timeout;
         match recv_control(&mut stream, &mut reader, deadline)? {
             Frame::Hello(_) => Ok(AdminClient {
@@ -202,147 +199,4 @@ impl AdminClient {
 /// One-shot scrape: connect, handshake, fetch, hang up.
 pub fn scrape(addr: &str, what: u8, config: &NetConfig) -> Result<StatsReplyFrame, NetError> {
     AdminClient::connect(addr, config)?.fetch(what)
-}
-
-/// A dedicated admin listener serving scrapes for a coordinator whose
-/// main loop can't (the v1 thread-per-connection coordinator runs
-/// sessions sequentially and must never block on an observer). Each
-/// accepted connection gets its own short-lived thread; all of them
-/// serve from the same shared [`Recorder`] handle.
-///
-/// The server stops accepting when dropped or [`AdminServer::stop`]ped;
-/// in-flight connection threads notice the flag within one poll tick.
-#[derive(Debug)]
-pub struct AdminServer {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl AdminServer {
-    /// Spawns the accept loop on `listener` (which is moved in and
-    /// switched to non-blocking).
-    pub fn spawn(
-        listener: TcpListener,
-        recorder: Recorder,
-        config: NetConfig,
-    ) -> std::io::Result<AdminServer> {
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || {
-            let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let recorder = recorder.clone();
-                        let config = config.clone();
-                        let conn_stop = Arc::clone(&accept_stop);
-                        conn_threads.push(std::thread::spawn(move || {
-                            let _ = serve_admin_conn(stream, &recorder, &config, &conn_stop);
-                        }));
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for handle in conn_threads {
-                let _ = handle.join();
-            }
-        });
-        Ok(AdminServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The listener's bound address.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the accept loop (and, transitively, all
-    /// connection threads).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Serves one admin connection until the peer hangs up, errs, or `stop`
-/// is raised. Exposed for coordinators that want to serve a scrape
-/// inline on an already-accepted stream.
-pub fn serve_admin_conn(
-    mut stream: TcpStream,
-    recorder: &Recorder,
-    config: &NetConfig,
-    stop: &AtomicBool,
-) -> Result<(), NetError> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(5)))?;
-    stream.set_write_timeout(Some(config.io_timeout))?;
-    let mut reader = FrameReader::with_limits(true, config.max_frame_len);
-    let mut greeted = false;
-    let mut last_activity = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        if last_activity.elapsed() > config.io_timeout {
-            return Err(NetError::Protocol("admin peer idle too long".into()));
-        }
-        let frame = match reader.poll_mux(&mut stream) {
-            Ok(Some((_, frame))) => frame,
-            Ok(None) => continue,
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        last_activity = Instant::now();
-        match frame {
-            Frame::Hello(hello) if !greeted => match check_admin_hello(&hello) {
-                Ok(ack) => {
-                    send_control(&mut stream, &ack)?;
-                    greeted = true;
-                }
-                Err(reject) => {
-                    send_control(&mut stream, &reject)?;
-                    return Err(NetError::Protocol("bad admin hello".into()));
-                }
-            },
-            Frame::Stats { what } if greeted => {
-                let reply = Frame::StatsReply(Box::new(stats_reply(recorder, what)));
-                send_control(&mut stream, &reply)?;
-            }
-            Frame::Heartbeat { .. } => {}
-            other => {
-                let reject = Frame::Error {
-                    code: 1,
-                    message: format!("unexpected {} on admin channel", other.name()),
-                };
-                send_control(&mut stream, &reject).ok();
-                return Err(NetError::Protocol("admin protocol violation".into()));
-            }
-        }
-    }
 }

@@ -1,17 +1,9 @@
 //! Length-prefixed binary frames and the incremental frame reader.
 //!
-//! Every message on a `bci-net` socket is one frame. The v1 layout
-//! (single-session coordinator, `Hello.version == 1`):
-//!
-//! ```text
-//! ┌────────────────┬─────────┬────────────────────┐
-//! │ u32 LE length  │ u8 tag  │ payload (Wire-coded)│
-//! └────────────────┴─────────┴────────────────────┘
-//! ```
-//!
-//! The multiplexed coordinator (`Hello.version == 2`, the `bci-mux`
-//! crate) extends the header with a session id so thousands of
-//! concurrent sessions can interleave on one pooled connection:
+//! Every message on a `bci-net` socket is one frame, and every frame
+//! carries a session id so thousands of concurrent sessions can
+//! interleave on one pooled connection (`Hello.version == 2`, spoken by
+//! the `bci-mux` daemon):
 //!
 //! ```text
 //! ┌────────────────┬───────────────────┬─────────┬────────────────────┐
@@ -19,20 +11,17 @@
 //! └────────────────┴───────────────────┴─────────┴────────────────────┘
 //! ```
 //!
-//! In both layouts the length counts everything after the length prefix
-//! (session id, tag, payload), so a reader needs exactly two reads to
-//! know how much to buffer. Payloads are encoded with the dependency-free
-//! [`Wire`] codec from `bci-encoding` and are *identical* between v1 and
-//! v2 — only the envelope differs; see `docs/net.md` for the per-tag
-//! field tables.
+//! The length counts everything after the length prefix (session id,
+//! tag, payload), so a reader needs exactly two reads to know how much to
+//! buffer. Payloads are encoded with the dependency-free [`Wire`] codec
+//! from `bci-encoding`; see `docs/net.md` for the per-tag field tables.
 //!
 //! [`FrameReader`] is deliberately *incremental*: it consumes whatever
 //! bytes `read` returns and surfaces a frame only once one is complete, so
 //! a read timeout that fires mid-frame never corrupts the stream — the
-//! partial bytes stay buffered and the caller observes an idle tick. A
-//! reader is constructed for one envelope version ([`FrameReader::new`]
-//! for v1, [`FrameReader::new_mux`] for v2) and can cap the accepted
-//! frame length below [`MAX_FRAME_LEN`] via [`FrameReader::with_limits`].
+//! partial bytes stay buffered and the caller observes an idle tick.
+//! [`FrameReader::with_limits`] caps the accepted frame length below
+//! [`MAX_FRAME_LEN`].
 
 use std::fmt;
 use std::io::{self, Read};
@@ -41,20 +30,20 @@ use bci_encoding::bitio::BitVec;
 use bci_encoding::wire::{Wire, WireError};
 use bci_telemetry::{Histogram, Snapshot};
 
-/// Version carried in every `Hello` to the single-session coordinator;
-/// peers with a different version refuse the handshake.
-pub const PROTOCOL_VERSION: u16 = 1;
-
 /// `Hello` version spoken by the multiplexed coordinator (`bci-mux`):
 /// every frame carries a `u64` session id between the length prefix and
-/// the tag byte. Payload encodings are identical to v1.
+/// the tag byte. Peers announcing another version are refused.
 pub const PROTOCOL_VERSION_MUX: u16 = 2;
+
+/// Framing bytes every frame pays: the `u32` length prefix, the `u64`
+/// session id and the tag byte.
+pub const HEADER_BYTES: u64 = 13;
 
 /// Sentinel player id: "nobody" (initial grant has no prior speaker; a
 /// final broadcast grants no next turn).
 pub const NO_PLAYER: u32 = u32::MAX;
 
-/// Session id used for connection-scoped v2 frames (`Hello`,
+/// Session id used for connection-scoped frames (`Hello`,
 /// `Heartbeat`, fatal `Error`) that belong to no particular session.
 pub const CONTROL_SESSION: u64 = u64::MAX;
 
@@ -75,8 +64,8 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 /// the pre-allocation attack surface.
 pub const MAX_FRAME_LEN_CEILING: usize = 1 << 30;
 
-/// Smallest admissible frame-length cap: a v2 header (8-byte session id
-/// and tag) plus a `Heartbeat` payload must fit, or no liveness traffic
+/// Smallest admissible frame-length cap: a header (8-byte session id and
+/// tag) plus a `Heartbeat` payload must fit, or no liveness traffic
 /// can flow at all.
 pub const MIN_FRAME_LEN_CAP: usize = 64;
 
@@ -131,7 +120,7 @@ impl From<WireError> for NetError {
 /// echoed back (with the session parameters filled in) as the ack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
-    /// [`PROTOCOL_VERSION`] of the sender.
+    /// [`PROTOCOL_VERSION_MUX`] for roster players and admin peers.
     pub version: u16,
     /// Protocol identifier both sides must agree on (e.g. `"disj"`).
     pub protocol_id: String,
@@ -562,20 +551,8 @@ impl Frame {
         }
     }
 
-    /// Serializes tag + payload + length prefix into a write-ready v1
-    /// buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.encode_body(&mut body);
-        let len = u32::try_from(body.len()).expect("frame fits u32");
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&body);
-        out
-    }
-
-    /// Serializes into a write-ready v2 (multiplexed) buffer: the length
-    /// prefix is followed by `session` and then the v1 body.
+    /// Serializes into a write-ready buffer: the length prefix, then
+    /// `session`, then the tag and payload.
     pub fn to_bytes_mux(&self, session: u64) -> Vec<u8> {
         let mut body = session.to_le_bytes().to_vec();
         self.encode_body(&mut body);
@@ -620,20 +597,17 @@ impl Frame {
 
 /// Incremental frame decoder over any [`Read`].
 ///
-/// `poll` returns `Ok(Some(frame))` when a complete frame is buffered,
+/// `poll_mux` returns `Ok(Some((session, frame)))` when a complete frame
+/// is buffered,
 /// `Ok(None)` on an idle tick (the read timed out / would block with no
 /// complete frame available), and errors on EOF, I/O failure, or a
 /// malformed frame. Partial frames persist in the buffer across polls.
 ///
-/// A reader decodes exactly one envelope version: [`FrameReader::new`]
-/// for v1 (no session id), [`FrameReader::new_mux`] for v2 (every frame
-/// carries a `u64` session id). [`FrameReader::with_limits`] additionally
-/// caps the accepted frame length.
+/// [`FrameReader::new_mux`] accepts frames up to [`MAX_FRAME_LEN`];
+/// [`FrameReader::with_limits`] sets another cap.
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
-    /// Whether frames carry a v2 session-id header.
-    sessioned: bool,
     /// Frames whose length field exceeds this are rejected before any
     /// payload is buffered.
     max_len: usize,
@@ -642,48 +616,25 @@ pub struct FrameReader {
     pub bytes_read: u64,
     /// Total complete frames produced.
     pub frames_read: u64,
-    /// Total Wire-payload bytes decoded: [`Self::bytes_read`] minus all
-    /// framing (length prefix + tag, plus the session id on v2). The
-    /// difference is the exact framing overhead on the inbound half.
+    /// Total Wire-payload bytes decoded: [`Self::bytes_read`] minus the
+    /// [`HEADER_BYTES`] of framing each frame pays.
     pub payload_bytes_read: u64,
 }
 
-impl Default for FrameReader {
-    fn default() -> Self {
-        FrameReader::with_limits(false, MAX_FRAME_LEN)
-    }
-}
-
 impl FrameReader {
-    /// A v1 reader with an empty buffer and the default length cap.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// A v2 (session-id) reader with the default length cap.
+    /// A reader with an empty buffer and the default length cap.
     pub fn new_mux() -> Self {
-        FrameReader::with_limits(true, MAX_FRAME_LEN)
+        FrameReader::with_limits(MAX_FRAME_LEN)
     }
 
-    /// A reader for the given envelope version and frame-length cap.
-    pub fn with_limits(sessioned: bool, max_len: usize) -> Self {
+    /// A reader rejecting frames longer than `max_len`.
+    pub fn with_limits(max_len: usize) -> Self {
         FrameReader {
             buf: Vec::new(),
-            sessioned,
             max_len,
             bytes_read: 0,
             frames_read: 0,
             payload_bytes_read: 0,
-        }
-    }
-
-    /// Bytes of per-frame framing this reader's envelope version pays:
-    /// length prefix + tag, plus the session id on v2.
-    pub fn header_bytes_per_frame(&self) -> u64 {
-        if self.sessioned {
-            13
-        } else {
-            5
         }
     }
 
@@ -701,16 +652,11 @@ impl FrameReader {
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
-        let body = &self.buf[4..4 + len];
-        let (session, body) = if self.sessioned {
-            if len < 9 {
-                return Err(NetError::BadFrame("truncated session header"));
-            }
-            let session = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-            (session, &body[8..])
-        } else {
-            (0, body)
-        };
+        if len < 9 {
+            return Err(NetError::BadFrame("truncated session header"));
+        }
+        let session = u64::from_le_bytes(self.buf[4..12].try_into().expect("8 bytes"));
+        let body = &self.buf[12..4 + len];
         let frame = Frame::from_body(body)?;
         // The body still holds the tag byte; payload is everything after.
         self.payload_bytes_read += (body.len() - 1) as u64;
@@ -743,15 +689,9 @@ impl FrameReader {
         }
     }
 
-    /// Makes progress on a v1 `stream`: drains buffered frames first,
-    /// then reads. See the type docs for the return contract.
-    pub fn poll(&mut self, stream: &mut impl Read) -> Result<Option<Frame>, NetError> {
-        debug_assert!(!self.sessioned, "poll() on a v2 reader discards sessions");
-        Ok(self.poll_mux(stream)?.map(|(_, frame)| frame))
-    }
-
-    /// Makes progress on `stream` and surfaces `(session_id, frame)`
-    /// pairs. On a v1 reader the session id is always 0.
+    /// Makes progress on `stream`: drains buffered frames first, then
+    /// reads, and surfaces `(session_id, frame)` pairs. See the type docs
+    /// for the return contract.
     pub fn poll_mux(&mut self, stream: &mut impl Read) -> Result<Option<(u64, Frame)>, NetError> {
         loop {
             if let Some(hit) = self.take_buffered()? {
@@ -771,7 +711,7 @@ mod tests {
     fn sample_frames() -> Vec<Frame> {
         vec![
             Frame::Hello(Hello {
-                version: PROTOCOL_VERSION,
+                version: PROTOCOL_VERSION_MUX,
                 protocol_id: "disj".into(),
                 player: 2,
                 players: 4,
@@ -834,10 +774,11 @@ mod tests {
     #[test]
     fn frames_round_trip_through_bytes() {
         for frame in sample_frames() {
-            let bytes = frame.to_bytes();
+            let bytes = frame.to_bytes_mux(9);
             let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
             assert_eq!(len, bytes.len() - 4);
-            assert_eq!(Frame::from_body(&bytes[4..]).unwrap(), frame);
+            assert_eq!(u64::from_le_bytes(bytes[4..12].try_into().unwrap()), 9);
+            assert_eq!(Frame::from_body(&bytes[12..]).unwrap(), frame);
         }
     }
 
@@ -846,14 +787,14 @@ mod tests {
         // Concatenate all sample frames, then feed the stream one byte at
         // a time: every frame must come out intact and in order.
         let frames = sample_frames();
-        let stream: Vec<u8> = frames.iter().flat_map(Frame::to_bytes).collect();
-        let mut reader = FrameReader::new();
+        let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_bytes_mux(3)).collect();
+        let mut reader = FrameReader::new_mux();
         let mut out = Vec::new();
         for &byte in &stream {
             // A one-byte Read yields the byte then "WouldBlock" (empty
             // slice read returns Ok(0) = EOF, so stop before that).
             if let Some((session, frame)) = reader.take_buffered().unwrap() {
-                assert_eq!(session, 0, "v1 frames carry no session");
+                assert_eq!(session, 3);
                 out.push(frame);
             }
             reader.buf.push(byte);
@@ -864,9 +805,8 @@ mod tests {
         }
         assert_eq!(out, frames);
         assert_eq!(reader.bytes_read, stream.len() as u64);
-        let header_bytes = reader.frames_read * reader.header_bytes_per_frame();
         assert_eq!(
-            reader.payload_bytes_read + header_bytes,
+            reader.payload_bytes_read + reader.frames_read * HEADER_BYTES,
             reader.bytes_read,
             "payload + framing must account for every byte"
         );
@@ -894,7 +834,7 @@ mod tests {
         }
         let expected: Vec<(u64, Frame)> = sessions.into_iter().zip(frames).collect();
         assert_eq!(out, expected);
-        let header_bytes = reader.frames_read * reader.header_bytes_per_frame();
+        let header_bytes = reader.frames_read * HEADER_BYTES;
         assert_eq!(reader.payload_bytes_read + header_bytes, reader.bytes_read);
     }
 
@@ -912,29 +852,29 @@ mod tests {
 
     #[test]
     fn configured_length_cap_is_enforced() {
-        let mut reader = FrameReader::with_limits(false, 128);
+        let mut reader = FrameReader::with_limits(128);
         let frame = Frame::Error {
             code: 0,
             message: "x".repeat(200),
         };
-        let bytes = frame.to_bytes();
+        let bytes = frame.to_bytes_mux(0);
         let mut cursor = &bytes[..];
         assert!(matches!(
-            reader.poll(&mut cursor),
+            reader.poll_mux(&mut cursor),
             Err(NetError::BadFrame("oversized frame"))
         ));
     }
 
     #[test]
     fn oversized_and_zero_length_frames_are_rejected() {
-        let mut reader = FrameReader::new();
+        let mut reader = FrameReader::new_mux();
         reader.buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             reader.take_buffered(),
             Err(NetError::BadFrame("zero-length frame"))
         ));
 
-        let mut reader = FrameReader::new();
+        let mut reader = FrameReader::new_mux();
         reader
             .buf
             .extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
@@ -1014,10 +954,10 @@ mod tests {
 
     #[test]
     fn eof_is_disconnected() {
-        let mut reader = FrameReader::new();
+        let mut reader = FrameReader::new_mux();
         let mut empty: &[u8] = &[];
         assert!(matches!(
-            reader.poll(&mut empty),
+            reader.poll_mux(&mut empty),
             Err(NetError::Disconnected)
         ));
     }

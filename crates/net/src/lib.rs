@@ -1,33 +1,25 @@
-//! `bci-net` — a TCP broadcast transport for the fabric.
+//! `bci-net` — the wire layer under the multiplexed coordinator.
 //!
-//! The fabric's in-process transports emulate distribution; this crate
-//! does it for real. A **coordinator daemon** owns the blackboard and
-//! plays sequencer; **player clients** dial in over TCP, handshake with a
-//! versioned `Hello`, receive their input share, and exchange
-//! length-prefixed binary frames. The crate splits into:
+//! The fabric's in-process transports emulate distribution; the
+//! `bci-mux` daemon does it for real over TCP, and this crate holds what
+//! that daemon, its players and its observers share on the wire:
 //!
-//! * [`frame`] — the wire format: `u32` LE length + tag byte + a
-//!   [`bci_encoding::wire::Wire`]-encoded payload, and the incremental
-//!   [`frame::FrameReader`] that never tears a frame on a timeout;
-//! * [`admin`] — the read-only admin stats channel: live
-//!   [`bci_telemetry::Snapshot`] scrapes and flight-recorder dumps for
-//!   `bci stat` / `bci top` (see `docs/observability.md`);
-//! * [`conn`] — a framed non-blocking socket with byte/frame accounting;
+//! * [`frame`] — the wire format: `u32` LE length + `u64` LE session id +
+//!   tag byte + a [`bci_encoding::wire::Wire`]-encoded payload, and the
+//!   incremental [`frame::FrameReader`] that never tears a frame on a
+//!   timeout;
+//! * [`admin`] — the read-only admin stats channel's client side and
+//!   reply builder: live [`bci_telemetry::Snapshot`] scrapes and
+//!   flight-recorder dumps for `bci stat` / `bci top` (see
+//!   `docs/observability.md`);
 //! * [`backoff`] — capped exponential reconnect backoff with
 //!   deterministic jitter, seeded per `(run, player)`;
-//! * [`coordinator`] — roster assembly and the sequencer loop;
-//! * [`client`] — the player loop: board replica, heartbeats, and
-//!   fault behaviors that produce *real* wire failures;
-//! * [`transport`] — [`transport::TcpTransport`] (the fabric
-//!   [`bci_fabric::transport::Transport`] impl) and the loopback harness;
-//! * [`overhead`] — wire-bytes-vs-transcript-bits measurement sweeps.
+//! * [`overhead`] — [`WireStats`] byte/frame accounting and the
+//!   transcript digests that compare a networked run with the
+//!   in-process transport.
 //!
-//! The load-bearing property, inherited from the fabric: for the same
-//! seeds, a session over TCP produces a transcript **bit-identical** to
-//! [`bci_fabric::transport::InProcessTransport`], because the coordinator
-//! serializes writes exactly like the channel transport's sequencer and
-//! the session RNG state (41 bytes of ChaCha8) rides inside the turn
-//! grant frames.
+//! [`NetConfig`] carries the timeouts, heartbeat policy, frame cap and
+//! runaway guard every connection of a deployment shares.
 
 #![warn(missing_docs)]
 
@@ -35,15 +27,11 @@ use std::time::Duration;
 
 pub mod admin;
 pub mod backoff;
-pub mod client;
-pub mod conn;
-pub mod coordinator;
 pub mod frame;
 pub mod overhead;
-pub mod transport;
 
-pub use frame::{Frame, NetError, PROTOCOL_VERSION, PROTOCOL_VERSION_MUX};
-pub use transport::{loopback_session, TcpTransport, WireStats};
+pub use frame::{Frame, NetError, PROTOCOL_VERSION_MUX};
+pub use overhead::WireStats;
 
 /// Timeouts, heartbeat cadence, and reconnect policy for one deployment.
 #[derive(Debug, Clone)]
@@ -56,10 +44,6 @@ pub struct NetConfig {
     /// Bound on any single blocking-ish wait: handshake ack, roster
     /// assembly, stalled writes.
     pub io_timeout: Duration,
-    /// Sleep between idle socket sweeps. Small enough that poll latency
-    /// is negligible against protocol computation; large enough not to
-    /// spin a core.
-    pub poll_sleep: Duration,
     /// Total connection attempts before a dial gives up (≥ 1).
     pub connect_attempts: u32,
     /// First reconnect backoff delay; doubles per retry.
@@ -73,9 +57,9 @@ pub struct NetConfig {
     /// [`NetConfig::validate`]).
     pub max_frame_len: usize,
     /// Runaway guard: a session whose protocol has not halted after this
-    /// many turns is aborted (`protocol exceeded … turns`). Applies to
-    /// both the v1 coordinator and the mux daemon; defaults to the serial
-    /// runner's [`bci_blackboard::protocol::MAX_STEPS`].
+    /// many turns is aborted (`protocol exceeded … turns`) by the mux
+    /// daemon; defaults to the serial runner's
+    /// [`bci_blackboard::protocol::MAX_STEPS`].
     pub max_steps: usize,
 }
 
@@ -85,7 +69,6 @@ impl Default for NetConfig {
             heartbeat_interval: Duration::from_secs(1),
             miss_limit: 5,
             io_timeout: Duration::from_secs(10),
-            poll_sleep: Duration::from_micros(200),
             connect_attempts: 5,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),

@@ -1,54 +1,76 @@
-//! Wire overhead measurement: how many wire bits the TCP deployment
-//! spends per transcript bit, swept over `(n, k)` points.
+//! Wire overhead accounting: how many wire bytes a networked run spends,
+//! against how many transcript bits it carries, and the transcript
+//! digests that compare a networked run with the in-process transport.
 //!
-//! Each session is run twice from the same derived seed — once over the
-//! loopback TCP harness, once on the in-process transport — and the two
-//! transcripts are digest-compared, so every sweep doubles as a
-//! determinism check. Seeding follows the scheduler's discipline exactly
-//! (`derive_trial_seed(point_seed, session)` → sample inputs → clone the
-//! RNG into the session), which makes the digests comparable to any
+//! Digests follow the scheduler's seeding discipline
+//! (`derive_trial_seed(master, session)` → sample inputs → the same RNG
+//! becomes the session RNG), so a networked fold is comparable to any
 //! fabric monte-carlo run with the same seeds.
 
 use bci_blackboard::board::Board;
-use bci_blackboard::runner::derive_trial_seed;
 use bci_encoding::wire::fnv1a;
-use bci_fabric::session::SessionOutcome;
-use bci_fabric::transport::{InProcessTransport, SessionContext, Transport, DISABLED_RECORDER};
-use bci_protocols::disj::broadcast::BroadcastDisj;
-use bci_protocols::workload;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use crate::transport::{loopback_session, WireStats};
-use crate::NetConfig;
-
-/// Input density used by the sweep's random DISJ workloads (matches the
-/// fabric's smoke-test workloads).
+/// Input density of the synthetic DISJ workloads the load harness runs
+/// (matches the fabric's smoke-test workloads).
 pub const SWEEP_DENSITY: f64 = 0.7;
 
-/// Measurements for one `(n, k)` sweep point.
-#[derive(Debug, Clone)]
-pub struct OverheadPoint {
-    /// Universe size.
-    pub n: usize,
-    /// Number of players.
-    pub k: usize,
-    /// Sessions run at this point.
-    pub sessions: usize,
-    /// Wire stats accumulated across all sessions.
-    pub wire: WireStats,
-    /// FNV-1a digest of the concatenated TCP transcripts.
-    pub digest_tcp: u64,
-    /// FNV-1a digest of the concatenated in-process transcripts.
-    pub digest_inprocess: u64,
-    /// Sessions that completed on the TCP side.
-    pub completed: usize,
+/// Wire-level accounting for a networked run, measured at the
+/// coordinator (whose tx+rx sees every byte on every connection) or, for
+/// a remote coordinator, summed over the players' connections.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireStats {
+    /// Bytes the coordinator wrote across all player connections.
+    pub bytes_tx: u64,
+    /// Bytes the coordinator read across all player connections.
+    pub bytes_rx: u64,
+    /// Frames the coordinator wrote.
+    pub frames_tx: u64,
+    /// Frames the coordinator read.
+    pub frames_rx: u64,
+    /// Wire-payload bytes the coordinator wrote (framing excluded).
+    pub payload_bytes_tx: u64,
+    /// Wire-payload bytes the coordinator read (framing excluded).
+    pub payload_bytes_rx: u64,
+    /// Bits on the final boards (the quantity the paper's communication
+    /// measures count).
+    pub transcript_bits: u64,
+    /// Total connect retries across all players.
+    pub reconnects: u64,
 }
 
-impl OverheadPoint {
-    /// Did the TCP and in-process transcripts agree byte for byte?
-    pub fn digests_match(&self) -> bool {
-        self.digest_tcp == self.digest_inprocess
+impl WireStats {
+    /// Total bytes on the wire in both directions.
+    pub fn bytes_total(&self) -> u64 {
+        self.bytes_tx + self.bytes_rx
+    }
+
+    /// Framing bytes in both directions: length prefixes, session ids
+    /// and tag bytes, i.e. `bytes_total - payload_total`. The identity
+    /// `framing_bytes == 13 × (frames_tx + frames_rx)` holds and is
+    /// asserted by the mux determinism gate.
+    pub fn framing_bytes(&self) -> u64 {
+        self.bytes_total() - (self.payload_bytes_tx + self.payload_bytes_rx)
+    }
+
+    /// Folds another run's stats into this accumulator.
+    pub fn merge(&mut self, other: &WireStats) {
+        self.bytes_tx += other.bytes_tx;
+        self.bytes_rx += other.bytes_rx;
+        self.frames_tx += other.frames_tx;
+        self.frames_rx += other.frames_rx;
+        self.payload_bytes_tx += other.payload_bytes_tx;
+        self.payload_bytes_rx += other.payload_bytes_rx;
+        self.transcript_bits += other.transcript_bits;
+        self.reconnects += other.reconnects;
+    }
+
+    /// Wire bits per transcript bit: `8 × bytes_total / transcript_bits`
+    /// (`∞`-avoiding: 0.0 when the transcript is empty).
+    pub fn overhead_ratio(&self) -> f64 {
+        if self.transcript_bits == 0 {
+            return 0.0;
+        }
+        (self.bytes_total() * 8) as f64 / self.transcript_bits as f64
     }
 }
 
@@ -57,111 +79,14 @@ pub fn transcript_digest(board: &Board) -> u64 {
     fnv1a(&board.to_bytes())
 }
 
-/// Folds another board into a running concatenated-transcript digest.
-/// Start from `0` and fold boards in session order; two runs agree iff
-/// every folded transcript is bit-identical in the same order. The mux
-/// load harness folds per-session digests with [`fold_digest_u64`]
-/// instead (sessions finish out of order there), so the two digests are
-/// *not* interchangeable — compare like with like.
-pub fn fold_digest(acc: u64, board: &Board) -> u64 {
-    let mut bytes = acc.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&board.to_bytes());
-    fnv1a(&bytes)
-}
-
 /// Folds a per-session digest (e.g. [`transcript_digest`]) into a running
-/// accumulator. Order-sensitive, so callers with out-of-order completion
-/// must fold in a canonical order (the mux harness folds by session id).
+/// accumulator. Start from `0`; two runs agree iff every folded digest is
+/// equal in the same order. Order-sensitive, so callers with
+/// out-of-order completion must fold in a canonical order (the mux
+/// harness folds by session id).
 pub fn fold_digest_u64(acc: u64, digest: u64) -> u64 {
     let mut bytes = [0u8; 16];
     bytes[..8].copy_from_slice(&acc.to_le_bytes());
     bytes[8..].copy_from_slice(&digest.to_le_bytes());
     fnv1a(&bytes)
-}
-
-/// Runs `sessions` DISJ sessions at `(n, k)` over both transports and
-/// accumulates wire stats and transcript digests.
-pub fn overhead_point(
-    n: usize,
-    k: usize,
-    sessions: usize,
-    point_seed: u64,
-    config: &NetConfig,
-) -> OverheadPoint {
-    let protocol = BroadcastDisj::new(n, k);
-    let mut wire = WireStats::default();
-    let mut digest_tcp = 0u64;
-    let mut digest_inprocess = 0u64;
-    let mut completed = 0usize;
-    for session in 0..sessions {
-        let seed = derive_trial_seed(point_seed, session as u64);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let inputs = workload::random_sets(n, k, SWEEP_DENSITY, &mut rng);
-        let ctx = SessionContext {
-            session_id: session as u64,
-            deadline: None,
-            faults: &[],
-            recorder: &DISABLED_RECORDER,
-        };
-        let (tcp, stats) =
-            loopback_session(&protocol, &inputs, rng.clone(), &ctx, config, "disj", seed);
-        let inproc = InProcessTransport.run_session(&protocol, &inputs, rng.clone(), &ctx);
-        wire.merge(&stats);
-        digest_tcp = fold_digest(digest_tcp, &tcp.board);
-        digest_inprocess = fold_digest(digest_inprocess, &inproc.board);
-        if tcp.outcome == SessionOutcome::Completed {
-            completed += 1;
-        }
-        debug_assert_eq!(tcp.output, inproc.output, "outputs diverge at n={n} k={k}");
-    }
-    OverheadPoint {
-        n,
-        k,
-        sessions,
-        wire,
-        digest_tcp,
-        digest_inprocess,
-        completed,
-    }
-}
-
-/// Runs [`overhead_point`] for every `(n, k)` in `points`, deriving each
-/// point's seed from `master_seed` by index.
-pub fn overhead_sweep(
-    points: &[(usize, usize)],
-    sessions: usize,
-    master_seed: u64,
-    config: &NetConfig,
-) -> Vec<OverheadPoint> {
-    points
-        .iter()
-        .enumerate()
-        .map(|(idx, &(n, k))| {
-            overhead_point(
-                n,
-                k,
-                sessions,
-                derive_trial_seed(master_seed, idx as u64),
-                config,
-            )
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overhead_point_agrees_across_transports() {
-        let point = overhead_point(32, 3, 2, 7, &NetConfig::default());
-        assert!(point.digests_match(), "transcripts diverged");
-        assert_eq!(point.completed, 2);
-        assert!(point.wire.transcript_bits > 0);
-        assert!(
-            point.wire.overhead_ratio() > 1.0,
-            "framing cannot be free: {}",
-            point.wire.overhead_ratio()
-        );
-    }
 }

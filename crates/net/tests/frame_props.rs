@@ -1,16 +1,15 @@
 //! Property tests (proptest) for the incremental [`FrameReader`]: any
 //! frame stream must decode identically no matter how the bytes are cut
 //! into reads — byte-at-a-time, randomized split boundaries, headers
-//! torn across reads — for both the v1 and v2 (session-id) envelopes,
-//! and malicious length prefixes must be rejected before any payload
-//! allocation.
+//! torn across reads — and malicious length prefixes must be rejected
+//! before any payload allocation.
 
 use std::io::{self, Read};
 
 use bci_encoding::bitio::BitVec;
 use bci_net::frame::{
-    BroadcastFrame, Frame, FrameReader, Hello, InputFrame, NetError, OutcomeFrame, MAX_FRAME_LEN,
-    MIN_FRAME_LEN_CAP, PROTOCOL_VERSION,
+    BroadcastFrame, Frame, FrameReader, Hello, InputFrame, NetError, OutcomeFrame, HEADER_BYTES,
+    MAX_FRAME_LEN, MIN_FRAME_LEN_CAP, PROTOCOL_VERSION_MUX,
 };
 use proptest::prelude::*;
 
@@ -78,7 +77,7 @@ fn any_frame() -> impl Strategy<Value = Frame> {
             let text: String = letters.iter().map(|&l| (b'a' + l) as char).collect();
             match variant {
                 0 => Frame::Hello(Hello {
-                    version: PROTOCOL_VERSION,
+                    version: PROTOCOL_VERSION_MUX,
                     protocol_id: text,
                     player: b,
                     players: c,
@@ -148,7 +147,7 @@ proptest! {
         prop_assert_eq!(reader.frames_read, frames.len() as u64);
         prop_assert_eq!(
             reader.bytes_read,
-            reader.payload_bytes_read + reader.header_bytes_per_frame() * reader.frames_read
+            reader.payload_bytes_read + HEADER_BYTES * reader.frames_read
         );
     }
 
@@ -165,32 +164,6 @@ proptest! {
         prop_assert_eq!(decoded, frames);
     }
 
-    /// The v1 envelope under the same fragmentation torture, via the
-    /// v1 `poll()` entry point.
-    #[test]
-    fn v1_decodes_identically_at_any_split(
-        frames in prop::collection::vec(any_frame(), 1..10),
-        chunks in prop::collection::vec(1usize..32, 0..96),
-    ) {
-        let mut data = Vec::new();
-        for frame in &frames {
-            data.extend_from_slice(&frame.to_bytes());
-        }
-        let total = data.len() as u64;
-        let mut stream = ChunkedReader::new(data, chunks);
-        let mut reader = FrameReader::new();
-        let mut decoded = Vec::new();
-        while let Some(frame) = reader.poll(&mut stream).expect("valid stream") {
-            decoded.push(frame);
-        }
-        prop_assert_eq!(&decoded, &frames);
-        prop_assert_eq!(reader.bytes_read, total);
-        prop_assert_eq!(
-            reader.bytes_read,
-            reader.payload_bytes_read + 5 * reader.frames_read
-        );
-    }
-
     /// A maliciously huge length prefix is rejected as soon as the
     /// 4-byte header is readable — before the rest of the "frame"
     /// arrives, no matter how the bytes dribble in — and never
@@ -200,12 +173,11 @@ proptest! {
         announced in (MAX_FRAME_LEN as u32 + 1)..u32::MAX,
         junk in prop::collection::vec(any::<u8>(), 0..32),
         chunks in prop::collection::vec(1usize..8, 0..16),
-        sessioned in any::<bool>(),
     ) {
         let mut data = announced.to_le_bytes().to_vec();
         data.extend_from_slice(&junk);
         let mut stream = ChunkedReader::new(data, chunks);
-        let mut reader = FrameReader::with_limits(sessioned, MAX_FRAME_LEN);
+        let mut reader = FrameReader::new_mux();
         // The 4-byte prefix is always present, so however the reads are
         // cut, the reader must reach it and reject — never decode, never
         // wait for the announced gigabytes.
@@ -229,21 +201,20 @@ proptest! {
         });
         let data = frame.to_bytes_mux(session);
         let mut stream = ChunkedReader::new(data, Vec::new());
-        let mut reader = FrameReader::with_limits(true, MIN_FRAME_LEN_CAP);
+        let mut reader = FrameReader::with_limits(MIN_FRAME_LEN_CAP);
         match reader.poll_mux(&mut stream) {
             Err(NetError::BadFrame(msg)) => prop_assert_eq!(msg, "oversized frame"),
             other => prop_assert!(false, "expected rejection, got {other:?}"),
         }
     }
 
-    /// Zero-length frames (a length prefix of 0) are malformed on both
-    /// envelope versions.
+    /// Zero-length frames (a length prefix of 0) are malformed.
     #[test]
-    fn zero_length_frames_are_rejected(sessioned in any::<bool>(), tail in prop::collection::vec(any::<u8>(), 0..8)) {
+    fn zero_length_frames_are_rejected(tail in prop::collection::vec(any::<u8>(), 0..8)) {
         let mut data = 0u32.to_le_bytes().to_vec();
         data.extend_from_slice(&tail);
         let mut stream = ChunkedReader::new(data, Vec::new());
-        let mut reader = FrameReader::with_limits(sessioned, MAX_FRAME_LEN);
+        let mut reader = FrameReader::new_mux();
         match reader.poll_mux(&mut stream) {
             Err(NetError::BadFrame(msg)) => prop_assert_eq!(msg, "zero-length frame"),
             other => prop_assert!(false, "expected rejection, got {other:?}"),

@@ -25,9 +25,9 @@
 //! * [`fabric`] — the concurrent execution fabric: transports, session
 //!   scheduling with backpressure, fault injection, and a deterministic
 //!   parallel Monte-Carlo driver.
-//! * [`net`] — the fabric over real TCP sockets: coordinator daemon,
-//!   length-prefixed frames, heartbeats, reconnect backoff, and
-//!   wire-overhead measurement (see `docs/net.md`).
+//! * [`net`] — the wire layer under the multiplexed TCP coordinator
+//!   (`bci-mux`): session-id frames, the admin stats channel, reconnect
+//!   backoff, and wire-overhead accounting (see `docs/net.md`).
 //! * [`telemetry`] — structured tracing and metrics: spans, counters,
 //!   fixed-bucket histograms, and a dependency-free JSON writer; recording
 //!   never perturbs results (see `docs/telemetry.md`).

@@ -121,7 +121,7 @@ proptest! {
         let bytes = frame.to_bytes_mux(CONTROL_SESSION);
 
         let config = NetConfig::default();
-        let mut reader = FrameReader::with_limits(true, config.max_frame_len);
+        let mut reader = FrameReader::with_limits(config.max_frame_len);
         let mut cursor: &[u8] = &bytes;
         let (session, decoded) = reader
             .poll_mux(&mut cursor)
