@@ -255,6 +255,7 @@ fn removed_and_unknown_network_options_are_rejected_by_name() {
 
 #[test]
 fn serve_and_two_joins_run_every_session_end_to_end() {
+    use std::io::{BufRead, BufReader, Read};
     use std::process::{Child, Stdio};
     use std::time::{Duration, Instant};
 
@@ -284,7 +285,7 @@ fn serve_and_two_joins_run_every_session_end_to_end() {
             .spawn()
             .expect("binary runs")
     };
-    let serve = spawn(&[
+    let mut serve = spawn(&[
         "serve",
         "--port",
         &port,
@@ -297,6 +298,14 @@ fn serve_and_two_joins_run_every_session_end_to_end() {
         "--roster-timeout-s",
         "20",
     ]);
+    // Dial only once the listener is bound: serve says so on stderr. The
+    // pipe stays open until serve exits, so its later lines can land.
+    let mut serve_err = BufReader::new(serve.stderr.take().expect("piped stderr"));
+    let mut bound = String::new();
+    serve_err
+        .read_line(&mut bound)
+        .expect("read serve's first line");
+    assert!(bound.contains("serving"), "serve: {bound}");
     let addr = format!("127.0.0.1:{port}");
     let joins: Vec<Child> = ["0", "1"]
         .iter()
@@ -314,7 +323,9 @@ fn serve_and_two_joins_run_every_session_end_to_end() {
         );
     }
     let out = wait(serve, deadline);
-    assert!(out.status.success(), "serve: {out:?}");
+    let mut rest = String::new();
+    serve_err.read_to_string(&mut rest).ok();
+    assert!(out.status.success(), "serve: {out:?} {rest}");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("transcript fold"), "{stdout}");
 }
