@@ -30,7 +30,7 @@ use bci_core::table::{f, Table};
 use bci_fabric::driver::{monte_carlo_fabric, FabricReport};
 use bci_fabric::scheduler::SchedulerConfig;
 use bci_fabric::session::{FaultKind, FaultPlan, FaultSpec, SessionSelector};
-use bci_fabric::transport::{ChannelTransport, InProcessTransport};
+use bci_fabric::transport::InProcessTransport;
 use bci_info::divergence::kl;
 use bci_lowerbound::cic::cic_hard;
 use bci_lowerbound::hard_dist::HardDist;
@@ -129,11 +129,11 @@ USAGE:
   bci sparse   --n <N> --s <S> [--trials T] [--seed S]
   bci amortize --k <K> --copies <N> [--trials T] [--seed S]
   bci fabric   --sessions <N> --workers <W> [--protocol disj|and] [--n N] [--k K] [--seed S]
-               [--transport channel|inprocess] [--deadline-ms MS] [--batch B] [--queue Q]
+               [--density D] [--deadline-ms MS] [--batch B] [--queue Q]
                [--fault none|slow|crash|drop] [--fault-player P] [--fault-every N] [--slow-ms MS]
                [--trace PATH]
   bci trace    [--engine fabric|serial] [--sessions N] [--n N] [--k K] [--seed S] [--workers W]
-               [--transport channel|inprocess] [--out PATH]
+               [--out PATH]
   bci serve    --port <P> --players <K> [--protocol disj] [--n N] [--sessions N] [--seed S]
                [--density D] [--deadline-ms MS] [--roster-timeout-s SECS]
                [--inflight M] [--max-frame-len B] [--miss-limit N] [--max-steps T]
@@ -169,8 +169,8 @@ NETWORK:
   and with --json writes a bci.bench.v1 report. --scrape-ms re-runs the
   workload with a live admin scraper attached and records the overhead in the
   report's meta. --max-steps caps turns per session (the runaway guard): a
-  protocol that has not halted by then is aborted. serve, join and load reject
-  any option they do not read.
+  protocol that has not halted by then is aborted. fabric, trace, serve, join
+  and load reject any option they do not read.
 
 OBSERVABILITY:
   The coordinator answers read-only admin Stats frames inline on its own
@@ -191,6 +191,24 @@ const FLAGS: [&str; 3] = ["quiet", "verbose", "no-verify"];
 /// `--verbose` are accepted everywhere.
 fn known_options(cmd: &str) -> Option<(&str, &'static [&'static str])> {
     let known: &'static [&'static str] = match cmd {
+        "fabric" => &[
+            "sessions",
+            "workers",
+            "seed",
+            "protocol",
+            "n",
+            "k",
+            "density",
+            "deadline-ms",
+            "batch",
+            "queue",
+            "fault",
+            "fault-player",
+            "fault-every",
+            "slow-ms",
+            "trace",
+        ],
+        "trace" => &["engine", "sessions", "n", "k", "seed", "workers", "out"],
         "serve" => &[
             "port",
             "players",
@@ -533,7 +551,6 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
     let batch: usize = get(opts, "batch", Some(32usize))?;
     let queue: usize = get(opts, "queue", Some(8usize))?;
     let protocol_name = opts.get("protocol").map_or("disj", String::as_str);
-    let transport_name = opts.get("transport").map_or("channel", String::as_str);
     let fault_name = opts.get("fault").map_or("none", String::as_str);
     let fault_player: usize = get(opts, "fault-player", Some(0usize))?;
     let fault_every: u64 = get(opts, "fault-every", Some(10u64))?;
@@ -587,14 +604,14 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
 
     println!(
         "fabric: {sessions} sessions of {protocol_name} (n={n}, k={k}) on {workers} workers, \
-         {transport_name} transport, seed {seed}, fault {fault_name}\n"
+         seed {seed}, fault {fault_name}\n"
     );
     match protocol_name {
         "disj" => {
             let proto = BroadcastDisj::new(n, k);
             let sample = move |rng: &mut dyn RngCore| workload::random_sets(n, k, density, rng);
-            let report = run_fabric(
-                transport_name,
+            let report = monte_carlo_fabric(
+                &InProcessTransport,
                 &proto,
                 &sample,
                 &|inputs: &[_]| disj_function(inputs),
@@ -602,7 +619,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
                 seed,
                 &plan,
                 &config,
-            )?;
+            );
             print_fabric_report(&report, &recorder);
         }
         "and" => {
@@ -610,8 +627,8 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
             let sample = move |rng: &mut dyn RngCore| -> Vec<bool> {
                 (0..k).map(|_| rng.random_bool(0.9)).collect()
             };
-            let report = run_fabric(
-                transport_name,
+            let report = monte_carlo_fabric(
+                &InProcessTransport,
                 &proto,
                 &sample,
                 &|inputs: &[bool]| and_function(inputs),
@@ -619,7 +636,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
                 seed,
                 &plan,
                 &config,
-            )?;
+            );
             print_fabric_report(&report, &recorder);
         }
         other => return Err(format!("unknown protocol '{other}'")),
@@ -645,7 +662,6 @@ fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
     let k: usize = get(opts, "k", Some(4usize))?;
     let seed: u64 = get(opts, "seed", Some(1u64))?;
     let workers: usize = get(opts, "workers", Some(2usize))?;
-    let transport_name = opts.get("transport").map_or("channel", String::as_str);
     if workers == 0 || k == 0 {
         return Err("--workers and --k must be positive".into());
     }
@@ -661,8 +677,8 @@ fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
                 recorder: recorder.clone(),
                 ..SchedulerConfig::default()
             };
-            run_fabric(
-                transport_name,
+            monte_carlo_fabric(
+                &InProcessTransport,
                 &proto,
                 &sample,
                 &|inputs: &[_]| disj_function(inputs),
@@ -670,7 +686,7 @@ fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
                 seed,
                 &FaultPlan::new(),
                 &config,
-            )?;
+            );
         }
         "serial" => {
             monte_carlo_seeded_traced::<_, _, _, rand_chacha::ChaCha8Rng>(
@@ -736,7 +752,7 @@ fn net_config_from(opts: &HashMap<String, String>) -> Result<bci_net::NetConfig,
 /// run is reproducible from `--seed` alone.
 fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
     use bci_mux::daemon::{
-        accept_mux_roster, linger_admin, run_mux_daemon_with_admin, MuxOptions, SessionInfo,
+        accept_mux_roster, linger_admin, run_mux_daemon, MuxOptions, SessionInfo,
         DEFAULT_MAX_INFLIGHT,
     };
     use std::net::TcpListener;
@@ -805,7 +821,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
         config: config.clone(),
         dump_flight_on_failure: flight > 0,
     };
-    let report = run_mux_daemon_with_admin(
+    let report = run_mux_daemon(
         &proto,
         conns,
         Some(&listener),
@@ -1305,49 +1321,6 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
         other => Err(format!(
             "unknown experiments subcommand '{other}' (expected list | run)"
         )),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fabric<P, S, F>(
-    transport: &str,
-    protocol: &P,
-    sample: &S,
-    reference: &F,
-    sessions: u64,
-    seed: u64,
-    plan: &FaultPlan,
-    config: &SchedulerConfig,
-) -> Result<FabricReport<P::Output>, String>
-where
-    P: bci_blackboard::protocol::Protocol + Sync,
-    P::Input: Sync + bci_encoding::wire::Wire,
-    P::Output: PartialEq + Send + bci_encoding::wire::Wire,
-    S: Fn(&mut dyn RngCore) -> Vec<P::Input> + Sync,
-    F: Fn(&[P::Input]) -> P::Output + Sync,
-{
-    match transport {
-        "channel" => Ok(monte_carlo_fabric(
-            &ChannelTransport,
-            protocol,
-            sample,
-            reference,
-            sessions,
-            seed,
-            plan,
-            config,
-        )),
-        "inprocess" => Ok(monte_carlo_fabric(
-            &InProcessTransport,
-            protocol,
-            sample,
-            reference,
-            sessions,
-            seed,
-            plan,
-            config,
-        )),
-        other => Err(format!("unknown transport '{other}'")),
     }
 }
 

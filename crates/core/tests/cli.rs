@@ -189,6 +189,33 @@ fn load_and_serve_reject_unusable_limits() {
 }
 
 #[test]
+fn removed_and_misspelled_fabric_options_are_rejected_by_name() {
+    // `--transport` selected the deleted channel transport; like any
+    // option `fabric` and `trace` do not read, it must fail loudly
+    // instead of being ignored.
+    for (args, bad) in [
+        (
+            vec!["fabric", "--sessions", "4", "--transport", "channel"],
+            "--transport",
+        ),
+        (
+            vec!["trace", "--sessions", "2", "--transport", "inprocess"],
+            "--transport",
+        ),
+        (vec!["fabric", "--sesions", "4"], "--sesions"),
+    ] {
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown option '{bad}'")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn removed_and_unknown_network_options_are_rejected_by_name() {
     // The options of the deleted thread-per-connection coordinator must
     // fail loudly, not be ignored or swallow the next argument.

@@ -16,7 +16,7 @@
 //! * compact set representations for player inputs ([`bitset`]),
 //! * fast floating-point `log₂ C(z,b)` for cost-only sweeps ([`approx`]),
 //! * and a canonical binary codec for values crossing the network
-//!   ([`wire`]), used by the `bci-net` TCP transport's frames.
+//!   ([`wire`]), used by the `bci-net` frames the mux daemon speaks.
 //!
 //! Everything here is implemented from scratch; the crate has no runtime
 //! dependencies.
@@ -46,7 +46,6 @@ pub mod bitio;
 pub mod bitset;
 pub mod combinadic;
 pub mod elias;
-pub mod golomb;
 pub mod huffman;
 pub mod unary;
 pub mod wire;

@@ -18,7 +18,6 @@
 use bci_blackboard::protocol::Protocol;
 use bci_blackboard::runner::RunReport;
 use bci_blackboard::stats::CommStats;
-use bci_encoding::wire::Wire;
 use rand::RngCore;
 
 use crate::metrics::FabricMetrics;
@@ -68,8 +67,8 @@ pub fn monte_carlo_fabric<T, P, S, F>(
 where
     T: Transport,
     P: Protocol + Sync,
-    P::Input: Sync + Wire,
-    P::Output: PartialEq + Send + Wire,
+    P::Input: Sync,
+    P::Output: PartialEq + Send,
     S: Fn(&mut dyn RngCore) -> Vec<P::Input> + Sync,
     F: Fn(&[P::Input]) -> P::Output + Sync,
 {
@@ -122,7 +121,7 @@ where
 mod tests {
     use super::*;
     use crate::session::{FaultKind, FaultSpec, SessionSelector};
-    use crate::transport::{ChannelTransport, InProcessTransport};
+    use crate::transport::InProcessTransport;
     use bci_blackboard::runner::monte_carlo_seeded;
     use bci_protocols::disj::broadcast::BroadcastDisj;
     use bci_protocols::disj::disj_function;
@@ -185,7 +184,7 @@ mod tests {
             sessions: SessionSelector::EveryNth(5),
         });
         let fabric = monte_carlo_fabric(
-            &ChannelTransport,
+            &InProcessTransport,
             &proto,
             &sample,
             &reference,

@@ -9,15 +9,12 @@
 //! property experiments live and die by — **determinism**: for a given
 //! master seed, the fabric produces the same per-session transcripts and
 //! the same floating-point statistics as the serial runner, regardless of
-//! worker count, transport, or scheduling order.
+//! worker count or scheduling order.
 //!
 //! The pieces:
 //!
-//! * [`transport`] — *where* player computations run.
-//!   [`InProcessTransport`] executes a
-//!   session on the calling worker;
-//!   [`ChannelTransport`] gives every player
-//!   its own thread and serializes board writes through a sequencer,
+//! * [`transport`] — how one session runs. [`InProcessTransport`]
+//!   executes it on the calling worker, sequencing board writes and
 //!   round-tripping the session RNG with each turn so the randomness
 //!   stream is consumed in serial order.
 //! * [`session`] — structured outcomes
@@ -44,7 +41,7 @@
 //! use bci_fabric::driver::monte_carlo_fabric;
 //! use bci_fabric::scheduler::SchedulerConfig;
 //! use bci_fabric::session::FaultPlan;
-//! use bci_fabric::transport::ChannelTransport;
+//! use bci_fabric::transport::InProcessTransport;
 //! use bci_protocols::disj::broadcast::BroadcastDisj;
 //! use bci_protocols::disj::disj_function;
 //! use bci_protocols::workload;
@@ -52,7 +49,7 @@
 //!
 //! let protocol = BroadcastDisj::new(64, 4);
 //! let report = monte_carlo_fabric(
-//!     &ChannelTransport,
+//!     &InProcessTransport,
 //!     &protocol,
 //!     &|rng: &mut dyn RngCore| workload::random_sets(64, 4, 0.7, rng),
 //!     &|inputs: &[_]| disj_function(inputs),
@@ -77,4 +74,4 @@ pub use metrics::FabricMetrics;
 pub use pool::{JobPool, PoolConfig, PoolRun};
 pub use scheduler::{SchedulerConfig, SessionRecord};
 pub use session::{FaultKind, FaultPlan, FaultSpec, SessionOutcome, SessionSelector};
-pub use transport::{ChannelTransport, InProcessTransport, Transport, DISABLED_RECORDER};
+pub use transport::{InProcessTransport, Transport, DISABLED_RECORDER};

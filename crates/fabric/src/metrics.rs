@@ -13,7 +13,7 @@ use std::time::Duration;
 use bci_blackboard::stats::CommStats;
 use bci_telemetry::hist::{Histogram, LATENCY_US_BOUNDS, QUEUE_DEPTH_BOUNDS};
 
-use crate::scheduler::{SchedulerRun, SessionRecord};
+use crate::scheduler::SchedulerRun;
 use crate::session::SessionOutcome;
 
 /// Latency, throughput, and queue telemetry for one (or, after
@@ -194,20 +194,6 @@ pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Convenience: counts outcomes in a record slice (used by tests and the
-/// driver's report assembly).
-pub fn outcome_counts<O>(records: &[SessionRecord<O>]) -> (u64, u64, u64) {
-    let mut c = (0u64, 0u64, 0u64);
-    for rec in records {
-        match rec.outcome {
-            SessionOutcome::Completed => c.0 += 1,
-            SessionOutcome::TimedOut => c.1 += 1,
-            SessionOutcome::Aborted(_) => c.2 += 1,
-        }
-    }
-    c
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@ use std::time::Duration;
 use bci_blackboard::board::Board;
 use bci_blackboard::protocol::Protocol;
 use bci_blackboard::stats::CommStats;
-use bci_encoding::wire::Wire;
 use bci_telemetry::hist::{Histogram, BITS_BOUNDS, LATENCY_US_BOUNDS};
 use bci_telemetry::{Json, Recorder, SpanKind};
 use rand::{RngCore, SeedableRng};
@@ -142,8 +141,8 @@ pub fn run_sessions<T, P, S, F>(
 where
     T: Transport,
     P: Protocol + Sync,
-    P::Input: Sync + Wire,
-    P::Output: PartialEq + Send + Wire,
+    P::Input: Sync,
+    P::Output: PartialEq + Send,
     S: Fn(&mut dyn RngCore) -> Vec<P::Input> + Sync,
     F: Fn(&[P::Input]) -> P::Output + Sync,
 {
@@ -235,7 +234,7 @@ where
 mod tests {
     use super::*;
     use crate::session::{FaultKind, FaultSpec, SessionSelector};
-    use crate::transport::{ChannelTransport, InProcessTransport};
+    use crate::transport::InProcessTransport;
     use bci_protocols::disj::broadcast::BroadcastDisj;
     use bci_protocols::disj::disj_function;
     use bci_protocols::workload;
@@ -338,7 +337,7 @@ mod tests {
         let mut cfg = config(2);
         cfg.keep_transcripts = true;
         let run = run_sessions(
-            &ChannelTransport,
+            &InProcessTransport,
             &proto,
             &|rng: &mut dyn RngCore| workload::random_sets(32, 3, 0.5, rng),
             &|inputs: &[_]| disj_function(inputs),
@@ -349,7 +348,7 @@ mod tests {
         );
         assert!(run.records.iter().all(|r| r.board.is_some()));
         let no_keep = run_sessions(
-            &ChannelTransport,
+            &InProcessTransport,
             &proto,
             &|rng: &mut dyn RngCore| workload::random_sets(32, 3, 0.5, rng),
             &|inputs: &[_]| disj_function(inputs),
@@ -417,7 +416,7 @@ mod tests {
             &config(3),
         );
         let b = run_sessions(
-            &ChannelTransport,
+            &InProcessTransport,
             &proto,
             &sample,
             &|inputs: &[_]| disj_function(inputs),

@@ -69,8 +69,8 @@ pub struct SessionResult<O> {
 
 impl<O> SessionResult<O> {
     /// Seals a finished (or failed) session into its result, deriving
-    /// `bits_written` from the board. The single finish path shared by
-    /// every driver — in-process, channel, TCP v1, and mux.
+    /// `bits_written` from the board. The single finish path of every
+    /// fabric session.
     pub fn seal(
         outcome: SessionOutcome,
         output: Option<O>,

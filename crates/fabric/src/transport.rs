@@ -1,42 +1,26 @@
 //! How a session's board writes are published and observed.
 //!
-//! A [`Transport`] executes one protocol session and decides *where* each
-//! player's `message` computation runs:
+//! A [`Transport`] executes one protocol session.
+//! [`InProcessTransport`] runs the whole session on the calling worker
+//! thread, like [`bci_blackboard::protocol::run`] plus deadlines and
+//! fault emulation; it is the fabric's one transport. Its turn loop,
+//! `drive_session`, is a sequencer: it owns the board, lends the
+//! session RNG out with each grant and takes it back with the reply, so
+//! the transcript and the randomness stream are the serial executor's.
+//! The `bci-mux` daemon runs the same discipline over TCP, one thread per
+//! player, and its transcripts match this transport's bit for bit.
 //!
-//! * [`InProcessTransport`] — the whole session runs on the calling worker
-//!   thread, like [`bci_blackboard::protocol::run`] plus deadlines and
-//!   fault emulation. Zero synchronization overhead; the baseline.
-//! * [`ChannelTransport`] — each player runs on its own thread and a
-//!   *sequencer* (the calling thread) owns the board. Turns round-trip
-//!   through channels: the sequencer ships the current board and the
-//!   session RNG to the speaking player, the player computes its message
-//!   and ships bits and RNG back, and the sequencer appends the write.
-//!   Serializing writes through the sequencer keeps the board append order
-//!   — and, because the RNG itself makes the round trip, the randomness
-//!   stream — identical to the serial executor, so transcripts are
-//!   bit-for-bit reproducible across transports.
-//!
-//! The same sequencer discipline runs over real TCP sockets in the
-//! `bci-mux` daemon, which is why [`Transport::run_session`] requires
-//! `P::Input: Wire` and `P::Output: Wire`: a protocol run here can also
-//! cross a socket there, so inputs, messages, and outputs must have a
-//! canonical byte encoding. The in-process transports never serialize
-//! anything; the bound only pins down *encodability*.
-//!
-//! Both transports honor per-session deadlines and the fault kinds in
-//! [`FaultKind`], and both contain failures:
-//! a crashed or panicking player aborts *its* session with a structured
-//! [`SessionOutcome`], never the worker.
+//! The transport honors per-session deadlines and emulates the fault
+//! kinds in [`FaultKind`]: a crashed or panicking player aborts *its*
+//! session with a structured [`SessionOutcome`], never the worker.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bci_blackboard::board::Board;
 use bci_blackboard::engine::{Grant, Step, TurnEngine};
 use bci_blackboard::protocol::Protocol;
 use bci_encoding::bitio::BitVec;
-use bci_encoding::wire::Wire;
 use bci_telemetry::{Json, Recorder, SpanKind};
 use rand_chacha::ChaCha8Rng;
 
@@ -66,9 +50,7 @@ pub struct SessionContext<'a> {
 
 impl SessionContext<'_> {
     /// Emits one `hop` point event (board write) when event capture is on.
-    /// Public so out-of-crate transports (the `bci-net` TCP backend) emit
-    /// the same per-write event stream as the in-process transports.
-    pub fn record_hop(&self, hop: usize, speaker: usize, msg_bits: usize, board: &Board) {
+    fn record_hop(&self, hop: usize, speaker: usize, msg_bits: usize, board: &Board) {
         if self.recorder.events_enabled() {
             self.recorder.point(
                 SpanKind::Hop,
@@ -102,10 +84,6 @@ pub trait Transport: Sync {
     /// deadline and faults in `ctx`. Never panics on injected faults: the
     /// failure mode is encoded in the returned
     /// [`SessionOutcome`].
-    ///
-    /// The [`Wire`] bounds exist for transports that cross a process
-    /// boundary (the `bci-net` TCP backend ships inputs and outputs as
-    /// bytes); in-process transports never invoke them.
     fn run_session<P>(
         &self,
         protocol: &P,
@@ -115,8 +93,7 @@ pub trait Transport: Sync {
     ) -> SessionResult<P::Output>
     where
         P: Protocol + Sync,
-        P::Input: Sync + Wire,
-        P::Output: Wire;
+        P::Input: Sync;
 }
 
 /// Drives one session's [`TurnEngine`] to completion, with `perform`
@@ -125,11 +102,10 @@ pub trait Transport: Sync {
 /// RNG, or a terminal [`SessionOutcome`] (crash, timeout) that ends the
 /// session.
 ///
-/// This is the single sequencer loop shared by both in-process
-/// transports — and, structurally, by the TCP drivers in `bci-net` /
-/// `bci-mux`: deadline checks, engine polling, violation → outcome
-/// mapping, hop telemetry, and result sealing all live here, so every
-/// fault path funnels through [`SessionResult::seal`].
+/// Deadline checks, engine polling, violation → outcome mapping, hop
+/// telemetry and result sealing all live here, so every fault path
+/// funnels through [`SessionResult::seal`]. The `bci-mux` daemon's core
+/// drives the same engine over the wire.
 fn drive_session<P, F>(
     protocol: &P,
     input_count: usize,
@@ -200,9 +176,9 @@ where
 /// Runs the whole session on the calling thread.
 ///
 /// Faults are emulated: a crashed player aborts the session the moment it
-/// is scheduled to speak; a dropped wakeup stalls the session (sleeping
-/// out the remaining deadline) exactly as the channel transport would
-/// observe it; a slow player sleeps before each message.
+/// is scheduled to speak; a dropped wakeup stalls the session, sleeping
+/// out the remaining deadline, as a sequencer waiting on a player that
+/// never heard its turn would; a slow player sleeps before each message.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InProcessTransport;
 
@@ -216,8 +192,7 @@ impl Transport for InProcessTransport {
     ) -> SessionResult<P::Output>
     where
         P: Protocol + Sync,
-        P::Input: Sync + Wire,
-        P::Output: Wire,
+        P::Input: Sync,
     {
         let start = Instant::now();
         drive_session(protocol, inputs.len(), &rng, ctx, start, |grant, board| {
@@ -250,117 +225,6 @@ impl Transport for InProcessTransport {
     }
 }
 
-/// A turn shipped from the sequencer to the speaking player.
-struct TurnMsg {
-    board: Board,
-    rng: ChaCha8Rng,
-}
-
-/// The player's answer: the bits to write and the RNG handed back.
-struct Reply {
-    bits: BitVec,
-    rng: ChaCha8Rng,
-}
-
-/// Runs each player on its own thread, writes serialized by a sequencer.
-///
-/// The calling thread acts as the sequencer: it owns the board, asks the
-/// protocol whose turn it is, and round-trips `(board, rng)` through the
-/// speaking player's channel. Player threads only ever see the board
-/// snapshots the sequencer publishes, so the transcript order is exactly
-/// the serial one, and since the session RNG travels with the turn, the
-/// randomness stream is consumed in the same order too — the foundation of
-/// the fabric's determinism guarantee.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChannelTransport;
-
-impl Transport for ChannelTransport {
-    fn run_session<P>(
-        &self,
-        protocol: &P,
-        inputs: &[P::Input],
-        rng: ChaCha8Rng,
-        ctx: &SessionContext<'_>,
-    ) -> SessionResult<P::Output>
-    where
-        P: Protocol + Sync,
-        P::Input: Sync + Wire,
-        P::Output: Wire,
-    {
-        let k = protocol.num_players();
-        let start = Instant::now();
-
-        std::thread::scope(|scope| {
-            let mut turn_txs = Vec::with_capacity(k);
-            let mut reply_rxs = Vec::with_capacity(k);
-            for (player, input) in inputs.iter().enumerate() {
-                let (turn_tx, turn_rx) = mpsc::channel::<TurnMsg>();
-                let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-                turn_txs.push(turn_tx);
-                reply_rxs.push(reply_rx);
-                let crashed = ctx.fault_for(player, |f| matches!(f, FaultKind::CrashedPlayer));
-                let mut drop_next =
-                    ctx.fault_for(player, |f| matches!(f, FaultKind::DroppedWakeup));
-                let slow = ctx.slow_delay(player);
-                scope.spawn(move || {
-                    while let Ok(TurnMsg { board, mut rng }) = turn_rx.recv() {
-                        if crashed {
-                            // Die without replying; the dropped reply
-                            // channel tells the sequencer we hung up.
-                            return;
-                        }
-                        if drop_next {
-                            // The wakeup is lost: stay alive, never answer
-                            // this turn.
-                            drop_next = false;
-                            continue;
-                        }
-                        if let Some(delay) = slow {
-                            std::thread::sleep(delay);
-                        }
-                        let bits = match catch_unwind(AssertUnwindSafe(|| {
-                            protocol.message(player, input, &board, &mut rng)
-                        })) {
-                            Ok(bits) => bits,
-                            Err(_) => return, // hangup ⇒ sequencer aborts
-                        };
-                        if reply_tx.send(Reply { bits, rng }).is_err() {
-                            return; // session ended while we worked
-                        }
-                    }
-                });
-            }
-
-            drive_session(protocol, inputs.len(), &rng, ctx, start, |grant, board| {
-                let speaker = grant.speaker;
-                let turn = TurnMsg {
-                    board: board.clone(),
-                    // The engine parks the RNG between turns and lends it
-                    // out with each grant, so the state the player resumes
-                    // from is exactly the one the previous reply returned.
-                    rng: grant.resume_rng(),
-                };
-                if turn_txs[speaker].send(turn).is_err() {
-                    return Err(SessionOutcome::Aborted(format!("player {speaker} crashed")));
-                }
-                let wait = ctx
-                    .deadline
-                    .map(|d| d.saturating_sub(start.elapsed()))
-                    .unwrap_or(DEFAULT_STALL_CAP);
-                match reply_rxs[speaker].recv_timeout(wait) {
-                    Ok(Reply { bits, rng }) => Ok((bits, rng)),
-                    Err(mpsc::RecvTimeoutError::Timeout) => Err(SessionOutcome::TimedOut),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        Err(SessionOutcome::Aborted(format!("player {speaker} crashed")))
-                    }
-                }
-            })
-            // `turn_txs` drop here: player loops see the hangup and exit,
-            // and the scope joins them before returning.
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn both_transports_match_the_serial_executor() {
+    fn inprocess_transport_matches_the_serial_executor() {
         let proto = BroadcastDisj::new(120, 5);
         for trial in 0..10u64 {
             let mut sample_rng: ChaCha8Rng = derive_trial_rng(3, trial);
@@ -397,20 +261,11 @@ mod tests {
                 sample_rng.clone(),
                 &no_faults(trial),
             );
-            let chan = ChannelTransport.run_session(
-                &proto,
-                &inputs,
-                sample_rng.clone(),
-                &no_faults(trial),
-            );
 
             assert_eq!(inproc.outcome, SessionOutcome::Completed);
-            assert_eq!(chan.outcome, SessionOutcome::Completed);
             assert_eq!(inproc.board, serial.board, "trial {trial}");
-            assert_eq!(chan.board, serial.board, "trial {trial}");
             assert_eq!(inproc.output, Some(serial.output));
-            assert_eq!(chan.output, Some(serial.output));
-            assert_eq!(chan.bits_written, serial.bits_written);
+            assert_eq!(inproc.bits_written, serial.bits_written);
         }
     }
 
@@ -453,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_preserves_the_randomness_stream() {
+    fn the_rng_round_trip_preserves_the_randomness_stream() {
         let proto = NoisyEcho { k: 4 };
         let inputs = vec![true, false, true, true];
         for seed in 0..20u64 {
@@ -461,14 +316,14 @@ mod tests {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 bci_blackboard::protocol::run(&proto, &inputs, &mut rng)
             };
-            let chan = ChannelTransport.run_session(
+            let inproc = InProcessTransport.run_session(
                 &proto,
                 &inputs,
                 ChaCha8Rng::seed_from_u64(seed),
                 &no_faults(seed),
             );
-            assert_eq!(chan.board, serial.board, "seed {seed}");
-            assert_eq!(chan.output, Some(serial.output));
+            assert_eq!(inproc.board, serial.board, "seed {seed}");
+            assert_eq!(inproc.output, Some(serial.output));
         }
     }
 
@@ -487,20 +342,17 @@ mod tests {
         };
         let proto = SequentialAnd::new(4);
         let inputs = vec![true; 4];
-        for result in [
-            ChannelTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(0), &ctx),
-            InProcessTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(0), &ctx),
-        ] {
-            match &result.outcome {
-                SessionOutcome::Aborted(reason) => {
-                    assert!(reason.contains("player 2"), "reason: {reason}")
-                }
-                other => panic!("expected abort, got {other:?}"),
+        let result =
+            InProcessTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(0), &ctx);
+        match &result.outcome {
+            SessionOutcome::Aborted(reason) => {
+                assert!(reason.contains("player 2"), "reason: {reason}")
             }
-            assert!(result.output.is_none());
-            // Players 0 and 1 got their writes in before the crash.
-            assert_eq!(result.board.messages().len(), 2);
+            other => panic!("expected abort, got {other:?}"),
         }
+        assert!(result.output.is_none());
+        // Players 0 and 1 got their writes in before the crash.
+        assert_eq!(result.board.messages().len(), 2);
     }
 
     #[test]
@@ -521,7 +373,7 @@ mod tests {
         let inputs = vec![true; 3];
         let started = Instant::now();
         let result =
-            ChannelTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(1), &ctx);
+            InProcessTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(1), &ctx);
         assert_eq!(result.outcome, SessionOutcome::TimedOut);
         assert!(result.output.is_none());
         assert!(
@@ -532,8 +384,8 @@ mod tests {
 
     #[test]
     fn slow_player_exceeds_a_tight_deadline() {
-        // Player 1 naps longer than the whole session budget: the sequencer
-        // gives up waiting for its reply at the deadline.
+        // Player 1 naps longer than the whole session budget: the next
+        // turn finds the deadline passed.
         let faults = [FaultSpec {
             kind: FaultKind::SlowPlayer(Duration::from_millis(80)),
             player: 1,
@@ -547,13 +399,10 @@ mod tests {
         };
         let proto = SequentialAnd::new(4);
         let inputs = vec![true; 4];
-        for result in [
-            ChannelTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(2), &ctx),
-            InProcessTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(2), &ctx),
-        ] {
-            assert_eq!(result.outcome, SessionOutcome::TimedOut);
-            assert!(result.output.is_none());
-        }
+        let result =
+            InProcessTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(2), &ctx);
+        assert_eq!(result.outcome, SessionOutcome::TimedOut);
+        assert!(result.output.is_none());
     }
 
     #[test]
@@ -572,7 +421,7 @@ mod tests {
         let proto = SequentialAnd::new(3);
         let inputs = vec![true; 3];
         let result =
-            ChannelTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(3), &ctx);
+            InProcessTransport.run_session(&proto, &inputs, ChaCha8Rng::seed_from_u64(3), &ctx);
         assert_eq!(result.outcome, SessionOutcome::Completed);
         assert_eq!(result.output, Some(true));
         assert!(result.latency >= Duration::from_millis(5));
@@ -610,26 +459,17 @@ mod tests {
     #[test]
     fn player_panic_is_contained_as_abort() {
         let ctx = no_faults(0);
-        for result in [
-            ChannelTransport.run_session(
-                &PanickyPlayer,
-                &[(), ()],
-                ChaCha8Rng::seed_from_u64(0),
-                &ctx,
-            ),
-            InProcessTransport.run_session(
-                &PanickyPlayer,
-                &[(), ()],
-                ChaCha8Rng::seed_from_u64(0),
-                &ctx,
-            ),
-        ] {
-            match &result.outcome {
-                SessionOutcome::Aborted(reason) => {
-                    assert!(reason.contains("player 1"), "reason: {reason}")
-                }
-                other => panic!("expected abort, got {other:?}"),
+        let result = InProcessTransport.run_session(
+            &PanickyPlayer,
+            &[(), ()],
+            ChaCha8Rng::seed_from_u64(0),
+            &ctx,
+        );
+        match &result.outcome {
+            SessionOutcome::Aborted(reason) => {
+                assert!(reason.contains("player 1"), "reason: {reason}")
             }
+            other => panic!("expected abort, got {other:?}"),
         }
     }
 }

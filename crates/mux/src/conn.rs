@@ -1,50 +1,101 @@
 //! A pooled, write-buffered connection speaking the session-id frame
-//! envelope.
+//! envelope, and the socket-free write queue it drains.
 //!
-//! The socket is blocking. Writes are queued in memory and written by
-//! [`MuxConn::flush`], which blocks until the queue drains or
-//! `NetConfig::io_timeout` has passed since the flush began — so a peer
-//! that stops draining, or drains a trickle, surfaces as a stall, never
-//! as an unbounded queue or an endless flush. Reads go through a [`FrameReader`] (partial
-//! frames stay buffered across reads) and block until a frame arrives
-//! or the read timeout ends the wait.
-//!
-//! The daemon never reads on its own thread: [`MuxConn::split_reader`]
-//! hands the read side to a dedicated reader thread, and
-//! [`MuxConn::rejoin_reader`] takes the frame reader (and its wire
-//! accounting) back at the end of the run.
+//! An [`Outbox`] holds queued frames and the exact write-side wire
+//! accounting. [`MuxConn::flush_from`] writes one out on a blocking
+//! socket, bounded as a whole by `NetConfig::io_timeout`, so a peer that
+//! stops draining, or drains a trickle, surfaces as a stall, never as an
+//! unbounded queue or an endless flush. Reads go through a
+//! [`FrameReader`]; the daemon hands each connection's read side to a
+//! reader thread ([`MuxConn::split_reader`]) and takes the reader, with
+//! its wire accounting, back at the end ([`MuxConn::rejoin_reader`]).
 
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bci_net::frame::{Frame, FrameReader, NetError, HEADER_BYTES};
-use bci_net::NetConfig;
+use bci_net::{NetConfig, WireStats};
 
 /// Shortest socket timeout set: the OS rejects a zero timeout.
 const MIN_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// A `TimedOut` I/O error.
+fn timed_out(what: &'static str) -> NetError {
+    NetError::Io(io::Error::new(io::ErrorKind::TimedOut, what))
+}
+
+/// Frames queued for one peer but not yet written, with the write-side
+/// wire accounting. Socket-free: whoever owns the socket drains it with
+/// [`Outbox::pending`] and [`Outbox::consume`].
+#[derive(Debug, Clone, Default)]
+pub struct Outbox {
+    /// Queued wire bytes; the first `cursor` of them are already written.
+    /// Compacted on every full drain.
+    buf: Vec<u8>,
+    cursor: usize,
+    /// Total raw bytes written out (framing included).
+    pub bytes_written: u64,
+    /// Total frames queued for write.
+    pub frames_written: u64,
+    /// Total Wire-payload bytes queued: framing excluded.
+    pub payload_bytes_written: u64,
+}
+
+impl Outbox {
+    /// Queues one frame for `session`.
+    pub fn queue(&mut self, session: u64, frame: &Frame) {
+        self.queue_encoded(&frame.to_bytes_mux(session));
+    }
+
+    /// Queues one frame already encoded by [`Frame::to_bytes_mux`], so a
+    /// frame fanned out to every peer is encoded once. Accounts exactly
+    /// as [`Outbox::queue`] does.
+    pub fn queue_encoded(&mut self, bytes: &[u8]) {
+        self.payload_bytes_written += bytes.len() as u64 - HEADER_BYTES;
+        self.frames_written += 1;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The queued bytes not yet written.
+    pub fn pending(&self) -> &[u8] {
+        &self.buf[self.cursor..]
+    }
+
+    /// Marks the first `n` pending bytes written.
+    pub fn consume(&mut self, n: usize) {
+        self.cursor += n;
+        self.bytes_written += n as u64;
+        if self.cursor == self.buf.len() {
+            self.buf.clear();
+            self.cursor = 0;
+        }
+    }
+
+    /// Adds this queue's write side and `reader`'s read side of one
+    /// connection to `wire`.
+    pub fn tally(&self, reader: &FrameReader, wire: &mut WireStats) {
+        wire.bytes_tx += self.bytes_written;
+        wire.bytes_rx += reader.bytes_read;
+        wire.frames_tx += self.frames_written;
+        wire.frames_rx += reader.frames_read;
+        wire.payload_bytes_tx += self.payload_bytes_written;
+        wire.payload_bytes_rx += reader.payload_bytes_read;
+    }
+}
 
 /// One session-multiplexed peer connection.
 #[derive(Debug)]
 pub struct MuxConn {
     stream: TcpStream,
     reader: FrameReader,
-    /// Budget for one whole [`MuxConn::flush`].
+    /// Budget for one whole flush.
     io_timeout: Duration,
     /// The socket's write timeout as last set: `io_timeout`, or what was
     /// left of a flush's budget after a partial write.
     write_timeout: Duration,
-    /// Queued-but-unwritten wire bytes. `out_cursor` marks how much of
-    /// the front has already hit the socket; the buffer is compacted on
-    /// every full drain.
-    out: Vec<u8>,
-    out_cursor: usize,
-    /// Total raw bytes that reached the socket (framing included).
-    pub bytes_written: u64,
-    /// Total frames queued for write.
-    pub frames_written: u64,
-    /// Total Wire-payload bytes queued: framing excluded.
-    pub payload_bytes_written: u64,
+    /// This connection's own write queue, drained by [`MuxConn::flush`].
+    pub out: Outbox,
 }
 
 impl MuxConn {
@@ -61,64 +112,37 @@ impl MuxConn {
             reader: FrameReader::with_limits(config.max_frame_len),
             io_timeout,
             write_timeout: io_timeout,
-            out: Vec::new(),
-            out_cursor: 0,
-            bytes_written: 0,
-            frames_written: 0,
-            payload_bytes_written: 0,
+            out: Outbox::default(),
         })
     }
 
-    /// Total raw bytes consumed from the socket.
-    pub fn bytes_read(&self) -> u64 {
-        self.reader.bytes_read
+    /// The frame reader, with the read-side wire accounting.
+    pub fn reader(&self) -> &FrameReader {
+        &self.reader
     }
 
-    /// Total complete frames decoded from the socket.
-    pub fn frames_read(&self) -> u64 {
-        self.reader.frames_read
+    /// [`MuxConn::flush_from`] this connection's own queue.
+    pub fn flush(&mut self) -> Result<bool, NetError> {
+        let mut out = std::mem::take(&mut self.out);
+        let drained = self.flush_from(&mut out);
+        self.out = out;
+        drained
     }
 
-    /// Total Wire-payload bytes decoded (framing excluded).
-    pub fn payload_bytes_read(&self) -> u64 {
-        self.reader.payload_bytes_read
-    }
-
-    /// Bytes queued but not yet written to the socket.
-    pub fn pending_out(&self) -> usize {
-        self.out.len() - self.out_cursor
-    }
-
-    /// Queues one frame for `session`. Never touches the socket — call
-    /// [`MuxConn::flush`] to make wire progress.
-    pub fn queue(&mut self, session: u64, frame: &Frame) {
-        self.queue_encoded(&frame.to_bytes_mux(session));
-    }
-
-    /// Queues one frame already encoded by [`Frame::to_bytes_mux`], so a
-    /// frame fanned out to every connection is encoded once. Accounts
-    /// exactly as [`MuxConn::queue`] does.
-    pub fn queue_encoded(&mut self, bytes: &[u8]) {
-        self.payload_bytes_written += bytes.len() as u64 - HEADER_BYTES;
-        self.frames_written += 1;
-        self.out.extend_from_slice(bytes);
-    }
-
-    /// Writes the queued bytes. Returns `Ok(true)` when the queue is
+    /// Writes `out`'s queued bytes. Returns `Ok(true)` when the queue is
     /// fully drained, `Ok(false)` when `io_timeout` passes before it is
     /// (or, on a nonblocking socket, when a write would block); the
     /// unwritten bytes stay queued. The budget covers the whole flush, so
     /// a peer that reads a few bytes at a time cannot stretch it.
-    pub fn flush(&mut self) -> Result<bool, NetError> {
+    pub fn flush_from(&mut self, out: &mut Outbox) -> Result<bool, NetError> {
         let deadline = Instant::now() + self.io_timeout;
         self.set_write_timeout(self.io_timeout)?;
-        while self.out_cursor < self.out.len() {
-            match self.stream.write(&self.out[self.out_cursor..]) {
+        while !out.pending().is_empty() {
+            match self.stream.write(out.pending()) {
                 Ok(0) => return Err(NetError::Disconnected),
                 Ok(n) => {
-                    self.out_cursor += n;
-                    self.bytes_written += n as u64;
-                    if self.out_cursor < self.out.len() {
+                    out.consume(n);
+                    if !out.pending().is_empty() {
                         // A partial write: the next one gets what is left.
                         let left = deadline.saturating_duration_since(Instant::now());
                         if left.is_zero() {
@@ -139,8 +163,6 @@ impl MuxConn {
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
-        self.out.clear();
-        self.out_cursor = 0;
         Ok(true)
     }
 
@@ -157,15 +179,11 @@ impl MuxConn {
     /// Queues `frame` and writes everything queued, failing with
     /// `TimedOut` when the flush runs past `io_timeout`.
     pub fn send_now(&mut self, session: u64, frame: &Frame) -> Result<(), NetError> {
-        self.queue(session, frame);
-        if self.flush()? {
-            Ok(())
-        } else {
-            Err(NetError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "write stalled past io_timeout",
-            )))
-        }
+        self.out.queue(session, frame);
+        let drained = self.flush()?;
+        drained
+            .then_some(())
+            .ok_or_else(|| timed_out("write stalled past io_timeout"))
     }
 
     /// Reads the next frame: `Ok(Some((session, frame)))` when one
@@ -181,10 +199,7 @@ impl MuxConn {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Err(NetError::Io(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "no frame before deadline",
-                )));
+                return Err(timed_out("no frame before deadline"));
             }
             self.set_read_timeout(Some(left))?;
             if let Some(hit) = self.recv()? {
@@ -206,14 +221,15 @@ impl MuxConn {
     }
 
     /// Hands the read side to a dedicated reader thread: a clone of the
-    /// socket that blocks without a timeout, and this connection's frame
-    /// reader. Until [`MuxConn::rejoin_reader`], the `*_read` counters
-    /// here read zero.
-    pub fn split_reader(&mut self) -> io::Result<(TcpStream, FrameReader)> {
+    /// socket that blocks without a timeout, a second clone to shut the
+    /// read half down with, and this connection's frame reader. Until
+    /// [`MuxConn::rejoin_reader`], the read counts here read zero.
+    pub fn split_reader(&mut self) -> io::Result<(TcpStream, TcpStream, FrameReader)> {
         let stream = self.stream.try_clone()?;
+        let handle = self.stream.try_clone()?;
         stream.set_read_timeout(None)?;
-        let placeholder = FrameReader::with_limits(0);
-        Ok((stream, std::mem::replace(&mut self.reader, placeholder)))
+        let reader = std::mem::replace(&mut self.reader, FrameReader::with_limits(0));
+        Ok((stream, handle, reader))
     }
 
     /// Takes back the frame reader given out by
@@ -246,26 +262,27 @@ mod tests {
         let (mut client, mut server) = pair(&config);
 
         let frame = Frame::Heartbeat { seq: 7 };
-        client.queue(11, &frame);
-        client.queue(22, &frame);
-        assert!(client.pending_out() > 0);
+        client.out.queue(11, &frame);
+        client.out.queue(22, &frame);
+        assert!(!client.out.pending().is_empty());
         assert!(client.flush().unwrap(), "loopback drains instantly");
-        assert_eq!(client.pending_out(), 0);
+        assert!(client.out.pending().is_empty());
 
         let deadline = Instant::now() + config.io_timeout;
         assert_eq!(server.recv_deadline(deadline).unwrap(), (11, frame.clone()));
         assert_eq!(server.recv_deadline(deadline).unwrap(), (22, frame));
 
         // The framing identity on both ends.
-        assert_eq!(client.frames_written, 2);
+        let (sent, got) = (&client.out, server.reader());
+        assert_eq!(sent.frames_written, 2);
         assert_eq!(
-            client.bytes_written,
-            client.payload_bytes_written + HEADER_BYTES * client.frames_written
+            sent.bytes_written,
+            sent.payload_bytes_written + HEADER_BYTES * sent.frames_written
         );
-        assert_eq!(server.bytes_read(), client.bytes_written);
+        assert_eq!(got.bytes_read, sent.bytes_written);
         assert_eq!(
-            server.bytes_read(),
-            server.payload_bytes_read() + HEADER_BYTES * server.frames_read()
+            got.bytes_read,
+            got.payload_bytes_read + HEADER_BYTES * got.frames_read
         );
     }
 
@@ -296,11 +313,18 @@ mod tests {
         let (mut per_frame, mut per_frame_peer) = pair(&config);
         let (mut encoded, mut encoded_peer) = pair(&config);
         for (session, frame) in &frames {
-            per_frame.queue(*session, frame);
-            encoded.queue_encoded(&frame.to_bytes_mux(*session));
+            per_frame.out.queue(*session, frame);
+            encoded.out.queue_encoded(&frame.to_bytes_mux(*session));
         }
         assert!(per_frame.flush().unwrap() && encoded.flush().unwrap());
-        let counters = |c: &MuxConn| (c.bytes_written, c.frames_written, c.payload_bytes_written);
+        let counters = |c: &MuxConn| {
+            let out = &c.out;
+            (
+                out.bytes_written,
+                out.frames_written,
+                out.payload_bytes_written,
+            )
+        };
         assert_eq!(counters(&per_frame), counters(&encoded));
         let deadline = Instant::now() + config.io_timeout;
         for expected in &frames {
@@ -316,8 +340,7 @@ mod tests {
         let config = NetConfig::default();
         let (mut client, mut server) = pair(&config);
         client.send_now(5, &Frame::Heartbeat { seq: 1 }).unwrap();
-        let (mut stream, mut reader) = server.split_reader().unwrap();
-        let handle = stream.try_clone().unwrap();
+        let (mut stream, handle, mut reader) = server.split_reader().unwrap();
         let reader = std::thread::scope(|scope| {
             let thread = scope.spawn(move || {
                 assert_eq!(
@@ -336,7 +359,7 @@ mod tests {
             thread.join().unwrap()
         });
         server.rejoin_reader(reader);
-        assert_eq!(server.frames_read(), 1);
-        assert_eq!(server.bytes_read(), client.bytes_written);
+        assert_eq!(server.reader().frames_read, 1);
+        assert_eq!(server.reader().bytes_read, client.out.bytes_written);
     }
 }

@@ -30,10 +30,8 @@ use bci_telemetry::{obj, Histogram, Json, Recorder, Snapshot};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::daemon::{
-    accept_mux_roster, run_mux_daemon_with_admin, MuxOptions, MuxRunReport, SessionInfo,
-};
-use crate::player::{connect_mux_player, run_mux_player};
+use crate::daemon::{accept_mux_roster, run_mux_daemon, MuxOptions, MuxRunReport, SessionInfo};
+use crate::player::{connect_mux_player, run_mux_player, MuxPlayerReport};
 
 /// Which coordinator a load run drove.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,12 +185,6 @@ pub fn inprocess_digest_fold(spec: &LoadSpec) -> u64 {
     fold
 }
 
-fn fold_sorted_digests(digests: &[(u64, u64)]) -> u64 {
-    digests
-        .iter()
-        .fold(0u64, |acc, &(_, d)| fold_digest_u64(acc, d))
-}
-
 /// What the live scraper observed.
 struct ScrapeRun {
     scrapes: u64,
@@ -259,89 +251,81 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, NetError> {
     let protocol_id = "disj";
     let recorder = Recorder::metrics_only();
 
+    // Without a remote address the daemon runs here, on an ephemeral
+    // loopback listener; a remote daemon multiplexes its admin channel
+    // (if any) over the same address.
+    let listener = match spec.addr {
+        Some(_) => None,
+        None => Some(TcpListener::bind("127.0.0.1:0").map_err(NetError::Io)?),
+    };
+    let addr = match (&listener, spec.addr) {
+        (Some(listener), _) => listener.local_addr().map_err(NetError::Io)?,
+        (None, addr) => addr.expect("remote address"),
+    };
+    let ready = AtomicBool::new(listener.is_none());
+    let stop = AtomicBool::new(false);
     type MuxRun = (Option<MuxRunReport>, Vec<PlayerRun>, Option<ScrapeRun>);
-    let (daemon_report, player_reports, scrape): MuxRun = match spec.addr {
-        Some(addr) => {
-            // Remote daemon: the admin channel (if any) lives at the same
-            // address, multiplexed over the roster listener.
-            let ready = AtomicBool::new(true);
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|scope| -> Result<MuxRun, NetError> {
-                let (ready, stop) = (&ready, &stop);
-                let scraper = spec.scrape_interval.map(|interval| {
-                    scope.spawn(move || run_scraper(addr, interval, &spec.config, ready, stop))
-                });
-                let reports = run_players(&protocol, protocol_id, addr, spec);
-                stop.store(true, Ordering::Release);
-                let scrape = scraper.map(|h| h.join().expect("scraper thread panicked"));
-                Ok((None, reports?, scrape))
-            })?
-        }
-        None => {
-            let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::Io)?;
-            let addr = listener.local_addr().map_err(NetError::Io)?;
-            let info = SessionInfo {
-                protocol_id: protocol_id.to_string(),
-                players: spec.players as u32,
-                seed: spec.seed,
-                params: vec![spec.n as u64, spec.sessions],
-            };
-            let opts = MuxOptions {
-                deadline: spec.deadline,
-                max_inflight: spec.max_inflight,
-                config: spec.config.clone(),
-                dump_flight_on_failure: false,
-            };
-            let ready = AtomicBool::new(false);
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|scope| -> Result<MuxRun, NetError> {
-                let players = scope.spawn(|| run_players(&protocol, protocol_id, addr, spec));
-                let (ready, stop) = (&ready, &stop);
-                let scraper = spec.scrape_interval.map(|interval| {
-                    scope.spawn(move || run_scraper(addr, interval, &spec.config, ready, stop))
-                });
-                // Everything the daemon side does is wrapped so the stop
-                // flag is set on *every* exit path — a roster failure must
-                // not leave the scraper thread spinning.
-                let run = (|| -> Result<MuxRunReport, NetError> {
+    let (daemon_report, player_reports, scrape) =
+        std::thread::scope(|scope| -> Result<MuxRun, NetError> {
+            let players = scope.spawn(|| run_players(&protocol, protocol_id, addr, spec));
+            let (ready, stop) = (&ready, &stop);
+            let scraper = spec.scrape_interval.map(|interval| {
+                scope.spawn(move || run_scraper(addr, interval, &spec.config, ready, stop))
+            });
+            // Everything the daemon side does is wrapped so the stop flag is
+            // set on *every* exit path — a roster failure must not leave the
+            // scraper thread spinning.
+            let run = listener
+                .as_ref()
+                .map(|listener| -> Result<MuxRunReport, NetError> {
+                    let info = SessionInfo {
+                        protocol_id: protocol_id.to_string(),
+                        players: spec.players as u32,
+                        seed: spec.seed,
+                        params: vec![spec.n as u64, spec.sessions],
+                    };
+                    let opts = MuxOptions {
+                        deadline: spec.deadline,
+                        max_inflight: spec.max_inflight,
+                        config: spec.config.clone(),
+                        dump_flight_on_failure: false,
+                    };
                     let roster_deadline = Instant::now() + spec.config.io_timeout;
                     let conns = accept_mux_roster(
-                        &listener,
+                        listener,
                         &info,
                         &spec.config,
                         roster_deadline,
                         &recorder,
                     )?;
                     ready.store(true, Ordering::Release);
-                    let n = spec.n;
-                    let density = spec.density;
-                    let k = spec.players;
-                    Ok(run_mux_daemon_with_admin(
+                    let (n, density, k) = (spec.n, spec.density, spec.players);
+                    Ok(run_mux_daemon(
                         &protocol,
                         conns,
-                        spec.scrape_interval.is_some().then_some(&listener),
+                        spec.scrape_interval.is_some().then_some(listener),
                         spec.sessions,
                         spec.seed,
                         |_, rng| workload::random_sets(n, k, density, rng),
                         &opts,
                         &recorder,
                     ))
-                })();
-                stop.store(true, Ordering::Release);
-                let scrape = scraper.map(|h| h.join().expect("scraper thread panicked"));
-                let report = run?;
-                let player_reports = players.join().expect("player host thread panicked")?;
-                Ok((Some(report), player_reports, scrape))
-            })?
-        }
-    };
+                });
+            stop.store(true, Ordering::Release);
+            let scrape = scraper.map(|h| h.join().expect("scraper thread panicked"));
+            let report = run.transpose()?;
+            let player_reports = players.join().expect("player host thread panicked")?;
+            Ok((report, player_reports, scrape))
+        })?;
 
     // Player 0 collects replica digests; its fold is the end-to-end
     // transcript identity for the whole run.
-    let digest = fold_sorted_digests(&player_reports[0].digests);
+    let (player0, player0_elapsed) = &player_reports[0];
+    let fold = |acc, &(_, d): &(u64, u64)| fold_digest_u64(acc, d);
+    let digest = player0.digests.iter().fold(0, fold);
     let mut reconnects = 0u64;
     let mut client_wire = WireStats::default();
-    for pr in &player_reports {
+    for (pr, _) in &player_reports {
         reconnects += pr.reconnects as u64;
         client_wire.merge(&pr.wire);
     }
@@ -370,12 +354,11 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, NetError> {
         }
         None => {
             // Remote daemon: client-side view only.
-            let completed = player_reports[0].completed;
-            let mut hist = Histogram::new(TURN_LATENCY_US_BOUNDS);
-            hist.merge(&player_reports[0].turn_gaps);
-            let elapsed = player_reports[0].elapsed;
+            let completed = player0.completed;
+            let hist = player0.turn_gaps.clone();
+            let elapsed = *player0_elapsed;
             client_wire.reconnects = reconnects;
-            client_wire.transcript_bits = player_reports[0].transcript_bits;
+            client_wire.transcript_bits = player0.transcript_bits;
             (
                 completed,
                 spec.sessions.saturating_sub(completed),
@@ -411,16 +394,8 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadReport, NetError> {
     })
 }
 
-/// A player report plus harness-side timing.
-struct PlayerRun {
-    digests: Vec<(u64, u64)>,
-    turn_gaps: Histogram,
-    wire: WireStats,
-    reconnects: u32,
-    completed: u64,
-    elapsed: Duration,
-    transcript_bits: u64,
-}
+/// A player's report, and how long it played after connecting.
+type PlayerRun = (MuxPlayerReport, Duration);
 
 /// Spawns one thread per synthetic player and joins them.
 fn run_players(
@@ -439,15 +414,7 @@ fn run_players(
                     let mut report =
                         run_mux_player(protocol, conn, player, &spec.config, player == 0)?;
                     report.reconnects = retries;
-                    Ok(PlayerRun {
-                        digests: std::mem::take(&mut report.digests),
-                        turn_gaps: report.turn_gaps,
-                        wire: report.wire,
-                        reconnects: retries,
-                        completed: report.completed,
-                        elapsed: started.elapsed(),
-                        transcript_bits: report.transcript_bits,
-                    })
+                    Ok((report, started.elapsed()))
                 })
             })
             .collect();
@@ -473,37 +440,25 @@ fn bench_meta(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
             Json::UInt(spec.max_inflight as u64),
         ),
     ];
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
+    let round2 = |x: f64| Json::Num((x * 100.0).round() / 100.0);
     let unscraped = reports.iter().find(|r| r.kind == CoordinatorKind::Mux);
     let scraped = reports
         .iter()
         .find(|r| r.kind == CoordinatorKind::MuxScraped);
     if let (Some(base), Some(with)) = (unscraped, scraped) {
-        let base_rate = base.sessions_per_sec();
-        let with_rate = with.sessions_per_sec();
-        meta.push((
-            "sessions_per_sec_unscraped".to_owned(),
-            Json::Num(round2(base_rate)),
-        ));
-        meta.push((
-            "sessions_per_sec_scraped".to_owned(),
-            Json::Num(round2(with_rate)),
-        ));
+        let (base_rate, with_rate) = (base.sessions_per_sec(), with.sessions_per_sec());
+        meta.push(("sessions_per_sec_unscraped".to_owned(), round2(base_rate)));
+        meta.push(("sessions_per_sec_scraped".to_owned(), round2(with_rate)));
         if let Some(interval) = spec.scrape_interval {
-            meta.push((
-                "scrape_interval_ms".to_owned(),
-                Json::UInt(interval.as_millis() as u64),
-            ));
+            let ms = Json::UInt(interval.as_millis() as u64);
+            meta.push(("scrape_interval_ms".to_owned(), ms));
         }
         let overhead_pct = if base_rate > 0.0 {
             (base_rate - with_rate) / base_rate * 100.0
         } else {
             0.0
         };
-        meta.push((
-            "scrape_overhead_pct".to_owned(),
-            Json::Num(round2(overhead_pct)),
-        ));
+        meta.push(("scrape_overhead_pct".to_owned(), round2(overhead_pct)));
     }
     Json::Obj(meta)
 }

@@ -100,8 +100,152 @@ pub fn connect_mux_player(
     }
 }
 
+/// What one frame made a player do ([`MuxPlayer::play`]).
+#[derive(Debug)]
+pub enum Played {
+    /// Nothing to send.
+    Idle,
+    /// Answer with this frame, on the frame's session.
+    Reply(Frame),
+    /// The message computation panicked: hang up (the daemon then aborts
+    /// every session, `player i disconnected`).
+    HangUp,
+    /// The run's final outcome (`remaining == 0`) arrived.
+    Finished,
+}
+
+/// The socket-free half of [`run_mux_player`]: one player's per-session
+/// replicas and its running report, advanced one daemon frame at a time
+/// by [`MuxPlayer::play`].
+pub struct MuxPlayer<'p, P: Protocol> {
+    protocol: &'p P,
+    player: usize,
+    collect_digests: bool,
+    replicas: HashMap<u64, SessionReplica<P::Input>>,
+    /// What the player has observed so far; the socket loop fills in
+    /// `wire` and `reconnects`.
+    pub report: MuxPlayerReport,
+}
+
+impl<'p, P> MuxPlayer<'p, P>
+where
+    P: Protocol,
+    P::Input: Wire,
+{
+    /// A player with no session in flight. `collect_digests` switches on
+    /// per-session replica digests.
+    pub fn new(protocol: &'p P, player: usize, collect_digests: bool) -> Self {
+        MuxPlayer {
+            protocol,
+            player,
+            collect_digests,
+            replicas: HashMap::new(),
+            report: MuxPlayerReport {
+                sessions: 0,
+                completed: 0,
+                digests: Vec::new(),
+                turn_gaps: Histogram::new(TURN_LATENCY_US_BOUNDS),
+                reconnects: 0,
+                wire: WireStats::default(),
+                transcript_bits: 0,
+            },
+        }
+    }
+
+    /// Applies one frame the daemon sent on `session`, received at
+    /// `now`: registers an input, applies an authoritative write and
+    /// answers a grant addressed to this player, or seals an outcome.
+    pub fn play(&mut self, now: Instant, session: u64, frame: Frame) -> Result<Played, NetError> {
+        let player = self.player;
+        match frame {
+            Frame::Input(inp) => {
+                if inp.player as usize != player {
+                    return Err(NetError::Protocol(format!(
+                        "input addressed to player {}, I am {player}",
+                        inp.player
+                    )));
+                }
+                self.replicas.insert(
+                    session,
+                    SessionReplica {
+                        input: P::Input::from_wire_bytes(&inp.payload)?,
+                        board: Board::new(),
+                        last_broadcast: None,
+                    },
+                );
+            }
+            Frame::Broadcast(b) => {
+                let replica = self.replicas.get_mut(&session).ok_or_else(|| {
+                    NetError::Protocol(format!("broadcast for unknown session {session}"))
+                })?;
+                if let Some(prev) = replica.last_broadcast.replace(now) {
+                    self.report
+                        .turn_gaps
+                        .record(now.duration_since(prev).as_micros() as u64);
+                }
+                // Apply the authoritative write first; the grant below
+                // must see the post-write board.
+                if b.speaker != NO_PLAYER {
+                    replica.board.write(b.speaker as usize, b.bits);
+                }
+                if b.next == NO_PLAYER || b.next as usize != player {
+                    return Ok(Played::Idle);
+                }
+                let state: [u8; STATE_LEN] = b
+                    .rng
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| NetError::BadFrame("grant without RNG state"))?;
+                let mut rng = ChaCha8Rng::from_state_bytes(&state);
+                let protocol = self.protocol;
+                let Ok(bits) = catch_unwind(AssertUnwindSafe(|| {
+                    protocol.message(player, &replica.input, &replica.board, &mut rng)
+                })) else {
+                    return Ok(Played::HangUp);
+                };
+                return Ok(Played::Reply(Frame::Broadcast(BroadcastFrame {
+                    turn: b.turn,
+                    speaker: player as u32,
+                    bits,
+                    next: NO_PLAYER,
+                    rng: rng.state_bytes().to_vec(),
+                })));
+            }
+            Frame::Outcome(outcome) => {
+                self.report.sessions += 1;
+                if outcome.kind == 0 {
+                    self.report.completed += 1;
+                }
+                if let Some(replica) = self.replicas.remove(&session) {
+                    if self.collect_digests {
+                        self.report
+                            .digests
+                            .push((session, transcript_digest(&replica.board)));
+                        self.report.transcript_bits += replica.board.total_bits() as u64;
+                    }
+                }
+                if outcome.remaining == 0 {
+                    self.report.digests.sort_unstable_by_key(|&(s, _)| s);
+                    return Ok(Played::Finished);
+                }
+            }
+            Frame::Heartbeat { .. } => {}
+            Frame::Error { message, .. } => return Err(NetError::Protocol(message)),
+            Frame::Hello(_) => return Err(NetError::Protocol("unexpected mid-run hello".into())),
+            // Admin traffic is answered on the admin peer's own
+            // connection; it never reaches a roster player.
+            Frame::Stats { .. } | Frame::StatsReply(_) => {
+                let message = "unexpected admin frame on player channel";
+                return Err(NetError::Protocol(message.into()));
+            }
+        }
+        Ok(Played::Idle)
+    }
+}
+
 /// Plays every session multiplexed onto `conn` until the daemon's final
-/// `Outcome` (one with `remaining == 0`).
+/// `Outcome` (one with `remaining == 0`), one [`MuxPlayer::play`] per
+/// frame, heartbeating whenever nothing was sent for one interval.
 ///
 /// `collect_digests` switches on per-session replica digests — the load
 /// harness enables it on player 0 only, so the verification cost is
@@ -117,24 +261,7 @@ where
     P: Protocol,
     P::Input: Wire,
 {
-    let mut replicas: HashMap<u64, SessionReplica<P::Input>> = HashMap::new();
-    let mut report = MuxPlayerReport {
-        sessions: 0,
-        completed: 0,
-        digests: Vec::new(),
-        turn_gaps: Histogram::new(TURN_LATENCY_US_BOUNDS),
-        reconnects: 0,
-        wire: WireStats::default(),
-        transcript_bits: 0,
-    };
-    let fill_wire = |report: &mut MuxPlayerReport, conn: &MuxConn| {
-        report.wire.bytes_tx = conn.bytes_written;
-        report.wire.bytes_rx = conn.bytes_read();
-        report.wire.frames_tx = conn.frames_written;
-        report.wire.frames_rx = conn.frames_read();
-        report.wire.payload_bytes_tx = conn.payload_bytes_written;
-        report.wire.payload_bytes_rx = conn.payload_bytes_read();
-    };
+    let mut state = MuxPlayer::new(protocol, player, collect_digests);
     // Block for frames, waking at least once per heartbeat interval so
     // an idle player still heartbeats on time.
     conn.set_read_timeout(Some(config.heartbeat_interval))?;
@@ -151,98 +278,16 @@ where
                 break hit;
             }
         };
-        match frame {
-            Frame::Input(inp) => {
-                if inp.player as usize != player {
-                    return Err(NetError::Protocol(format!(
-                        "input addressed to player {}, I am {player}",
-                        inp.player
-                    )));
-                }
-                replicas.insert(
-                    session,
-                    SessionReplica {
-                        input: P::Input::from_wire_bytes(&inp.payload)?,
-                        board: Board::new(),
-                        last_broadcast: None,
-                    },
-                );
-            }
-            Frame::Broadcast(b) => {
-                let replica = replicas.get_mut(&session).ok_or_else(|| {
-                    NetError::Protocol(format!("broadcast for unknown session {session}"))
-                })?;
-                let now = Instant::now();
-                if let Some(prev) = replica.last_broadcast.replace(now) {
-                    report
-                        .turn_gaps
-                        .record(now.duration_since(prev).as_micros() as u64);
-                }
-                // Apply the authoritative write first; the grant below
-                // must see the post-write board.
-                if b.speaker != NO_PLAYER {
-                    replica.board.write(b.speaker as usize, b.bits);
-                }
-                if b.next == NO_PLAYER || b.next as usize != player {
-                    continue;
-                }
-                let state: [u8; STATE_LEN] = b
-                    .rng
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| NetError::BadFrame("grant without RNG state"))?;
-                let mut rng = ChaCha8Rng::from_state_bytes(&state);
-                let bits = match catch_unwind(AssertUnwindSafe(|| {
-                    protocol.message(player, &replica.input, &replica.board, &mut rng)
-                })) {
-                    Ok(bits) => bits,
-                    // A panicking player hangs up; the daemon maps the
-                    // EOF to structured aborts (`player i disconnected`).
-                    Err(_) => {
-                        fill_wire(&mut report, &conn);
-                        return Ok(report);
-                    }
-                };
-                let reply = Frame::Broadcast(BroadcastFrame {
-                    turn: b.turn,
-                    speaker: player as u32,
-                    bits,
-                    next: NO_PLAYER,
-                    rng: rng.state_bytes().to_vec(),
-                });
+        match state.play(Instant::now(), session, frame)? {
+            Played::Idle => {}
+            Played::Reply(reply) => {
                 conn.send_now(session, &reply)?;
                 last_sent = Instant::now();
             }
-            Frame::Outcome(outcome) => {
-                report.sessions += 1;
-                if outcome.kind == 0 {
-                    report.completed += 1;
-                }
-                if let Some(replica) = replicas.remove(&session) {
-                    if collect_digests {
-                        report
-                            .digests
-                            .push((session, transcript_digest(&replica.board)));
-                        report.transcript_bits += replica.board.total_bits() as u64;
-                    }
-                }
-                if outcome.remaining == 0 {
-                    report.digests.sort_unstable_by_key(|&(s, _)| s);
-                    fill_wire(&mut report, &conn);
-                    return Ok(report);
-                }
-            }
-            Frame::Heartbeat { .. } => {}
-            Frame::Error { message, .. } => return Err(NetError::Protocol(message)),
-            Frame::Hello(_) => {
-                return Err(NetError::Protocol("unexpected mid-run hello".into()));
-            }
-            Frame::Stats { .. } | Frame::StatsReply(_) => {
-                // Admin traffic is answered on the admin peer's own
-                // connection; it never reaches a roster player.
-                return Err(NetError::Protocol(
-                    "unexpected admin frame on player channel".into(),
-                ));
+            Played::HangUp | Played::Finished => {
+                let mut report = state.report;
+                conn.out.tally(conn.reader(), &mut report.wire);
+                return Ok(report);
             }
         }
     }

@@ -9,9 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bci_mux::daemon::{
-    accept_mux_roster, linger_admin, run_mux_daemon_with_admin, MuxOptions, SessionInfo,
-};
+use bci_mux::daemon::{accept_mux_roster, linger_admin, run_mux_daemon, MuxOptions, SessionInfo};
 use bci_mux::{connect_mux_player, run_mux_player};
 use bci_net::admin::{scrape, AdminClient};
 use bci_net::frame::{stats_request, Frame, FrameReader, Hello, ADMIN_PLAYER, CONTROL_SESSION};
@@ -71,7 +69,7 @@ fn with_lingering_daemon<T>(recorder: &Recorder, scrape: impl FnOnce(SocketAddr)
                 recorder,
             )
             .expect("roster fills");
-            let report = run_mux_daemon_with_admin(
+            let report = run_mux_daemon(
                 proto,
                 conns,
                 Some(&listener),

@@ -4,12 +4,12 @@
 //! bits-written accounting — across random protocols whose turn order
 //! itself depends on the randomness consumed so far.
 //!
-//! The matrix covers all four drivers:
+//! The matrix covers all three drivers:
 //!
 //! 1. the serial runner (`bci_blackboard::protocol::run`),
 //! 2. `InProcessTransport` (fabric, same thread),
-//! 3. `ChannelTransport` (fabric, one thread per player),
-//! 4. the mux daemon (`run_mux_daemon` + `run_mux_player` over loopback),
+//! 3. the mux daemon (`run_mux_daemon` + `run_mux_player` over loopback,
+//!    one thread per player),
 //!
 //! plus a hand-rolled `TurnEngine` drive that checks the *final RNG
 //! state* byte-for-byte against the serial runner's external RNG — the
@@ -36,9 +36,7 @@ use bci_encoding::bitio::BitVec;
 use bci_encoding::bitset::BitSet;
 use bci_encoding::wire::Wire;
 use bci_fabric::session::SessionOutcome;
-use bci_fabric::transport::{
-    ChannelTransport, InProcessTransport, SessionContext, Transport, DISABLED_RECORDER,
-};
+use bci_fabric::transport::{InProcessTransport, SessionContext, Transport, DISABLED_RECORDER};
 use bci_mux::daemon::{accept_mux_roster, SessionInfo, SessionRecord};
 use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxOptions};
 use bci_net::overhead::transcript_digest;
@@ -191,6 +189,7 @@ where
         let report = run_mux_daemon(
             proto,
             conns,
+            None,
             1,
             master_seed,
             |_, rng| sample(rng),
@@ -215,10 +214,10 @@ fn sample_inputs(players: usize, rng: &mut ChaCha8Rng) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random tree protocols × all four drivers: identical boards,
+    /// Random tree protocols × all three drivers: identical boards,
     /// digests, outputs, bits-written, and final RNG state.
     #[test]
-    fn all_four_drivers_agree_bit_for_bit(
+    fn all_three_drivers_agree_bit_for_bit(
         players in 2usize..5,
         rounds in 1usize..4,
         max_extra_bits in 0usize..12,
@@ -260,7 +259,7 @@ proptest! {
         prop_assert_eq!(engine.board(), &serial.board);
         prop_assert_eq!(engine.bits_written(), serial.bits_written);
 
-        // Drivers 2 and 3: the in-process fabric transports.
+        // Driver 2: the in-process fabric transport.
         let inproc =
             InProcessTransport.run_session(&proto, &inputs, session_rng.clone(), &ctx(0));
         prop_assert_eq!(&inproc.outcome, &SessionOutcome::Completed);
@@ -268,14 +267,7 @@ proptest! {
         prop_assert_eq!(&inproc.output, &Some(serial.output));
         prop_assert_eq!(inproc.bits_written, serial.bits_written);
 
-        let channel =
-            ChannelTransport.run_session(&proto, &inputs, session_rng.clone(), &ctx(0));
-        prop_assert_eq!(&channel.outcome, &SessionOutcome::Completed);
-        prop_assert_eq!(&channel.board, &serial.board);
-        prop_assert_eq!(&channel.output, &Some(serial.output));
-        prop_assert_eq!(channel.bits_written, serial.bits_written);
-
-        // Driver 4: the mux daemon. It derives the session seed and
+        // Driver 3: the mux daemon. It derives the session seed and
         // samples inputs itself, so agreement here proves the whole
         // seeding discipline matches, not just the turn loop.
         let record = mux_single_session(&proto, master_seed, |rng| sample_inputs(players, rng));
@@ -290,7 +282,7 @@ proptest! {
 
 /// Runs one routed protocol natively on the routed engine, then through
 /// the [`Embedded`] header shim on the blackboard drivers — serial
-/// runner, both fabric transports and the mux daemon —
+/// runner, the fabric transport and the mux daemon —
 /// and checks every driver's decoded transcript equals the native
 /// routed board byte for byte.
 fn check_routed_matrix<P>(
@@ -326,11 +318,6 @@ where
     prop_assert_eq!(&inproc.outcome, &SessionOutcome::Completed);
     prop_assert_eq!(&inproc.board, &serial.board);
     prop_assert_eq!(&inproc.output, &Some(expect));
-
-    let channel = ChannelTransport.run_session(&embedded, inputs, session_rng.clone(), &ctx(0));
-    prop_assert_eq!(&channel.outcome, &SessionOutcome::Completed);
-    prop_assert_eq!(&channel.board, &serial.board);
-    prop_assert_eq!(&channel.output, &Some(expect));
 
     // The mux daemon seeds the session itself; handing back the fixed
     // inputs without touching the RNG leaves it where the others start.

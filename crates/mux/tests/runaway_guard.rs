@@ -100,6 +100,7 @@ fn every_runaway_session_is_aborted_with_the_step_budget() {
         let report = run_mux_daemon(
             &proto,
             conns,
+            None,
             sessions,
             7,
             |_, rng| (0..proto.k).map(|_| rng.random_bool(0.5)).collect(),

@@ -1,9 +1,9 @@
 //! Routed protocols on blackboard drivers.
 //!
 //! [`Embedded`] simulates a routed protocol *on the blackboard*: every
-//! message is broadcast with a small self-describing link header, so all
-//! five existing execution drivers (serial runner, turn engine, fabric
-//! in-process/channel transports, TCP loopback, mux daemon) can run a
+//! message is broadcast with a small self-describing link header, so
+//! every blackboard execution driver (serial runner, turn engine, fabric
+//! in-process transport, mux daemon) can run a
 //! star or point-to-point protocol without knowing anything about
 //! topologies. The embedding preserves the RNG stream exactly — headers
 //! cost bits, never random draws — so a routed protocol produces the

@@ -1,7 +1,7 @@
 //! The fabric's two contracts, tested end to end:
 //!
 //! 1. **Determinism** — for any master seed, protocol, and pool shape, the
-//!    channel fabric produces per-session transcripts *bit-identical* to
+//!    fabric produces per-session transcripts *bit-identical* to
 //!    the serial seeded runner, and a `RunReport` whose floating-point
 //!    statistics match exactly.
 //! 2. **Fault containment** — injected faults (crashes, dropped wakeups,
@@ -19,7 +19,7 @@ use broadcast_ic::fabric::scheduler::SchedulerConfig;
 use broadcast_ic::fabric::session::{
     FaultKind, FaultPlan, FaultSpec, SessionOutcome, SessionSelector,
 };
-use broadcast_ic::fabric::transport::{ChannelTransport, InProcessTransport};
+use broadcast_ic::fabric::transport::InProcessTransport;
 use broadcast_ic::protocols::and::{and_function, SequentialAnd};
 use broadcast_ic::protocols::disj::broadcast::BroadcastDisj;
 use broadcast_ic::protocols::disj::disj_function;
@@ -60,7 +60,7 @@ fn serial_disj_transcripts(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Channel fabric == serial runner, transcript for transcript, on DISJ.
+    /// Fabric == serial runner, transcript for transcript, on DISJ.
     #[test]
     fn fabric_disj_transcripts_match_serial(
         n in 16usize..80,
@@ -74,7 +74,7 @@ proptest! {
 
         let proto = BroadcastDisj::new(n, k);
         let fabric = monte_carlo_fabric(
-            &ChannelTransport,
+            &InProcessTransport,
             &proto,
             &move |rng: &mut dyn RngCore| workload::random_sets(n, k, density, rng),
             &|inputs: &[_]| disj_function(inputs),
@@ -93,7 +93,7 @@ proptest! {
     }
 
     /// Fabric RunReport == serial seeded RunReport, floats included, on
-    /// DISJ, for both transports.
+    /// DISJ.
     #[test]
     fn fabric_disj_report_is_float_identical(
         n in 16usize..64,
@@ -108,26 +108,21 @@ proptest! {
             &proto, sample, |inputs: &[_]| disj_function(inputs), sessions, seed,
         );
         let cfg = config(workers, false);
-        let channel = monte_carlo_fabric(
-            &ChannelTransport, &proto, &sample,
-            &|inputs: &[_]| disj_function(inputs), sessions, seed, &FaultPlan::new(), &cfg,
-        );
         let inproc = monte_carlo_fabric(
             &InProcessTransport, &proto, &sample,
             &|inputs: &[_]| disj_function(inputs), sessions, seed, &FaultPlan::new(), &cfg,
         );
-        for fabric in [&channel.report, &inproc.report] {
-            prop_assert_eq!(fabric.trials, serial.trials);
-            prop_assert_eq!(fabric.errors, serial.errors);
-            prop_assert_eq!(fabric.comm.count(), serial.comm.count());
-            prop_assert_eq!(fabric.comm.mean().to_bits(), serial.comm.mean().to_bits());
-            prop_assert_eq!(
-                fabric.comm.variance().to_bits(),
-                serial.comm.variance().to_bits()
-            );
-            prop_assert_eq!(fabric.comm.min().to_bits(), serial.comm.min().to_bits());
-            prop_assert_eq!(fabric.comm.max().to_bits(), serial.comm.max().to_bits());
-        }
+        let fabric = &inproc.report;
+        prop_assert_eq!(fabric.trials, serial.trials);
+        prop_assert_eq!(fabric.errors, serial.errors);
+        prop_assert_eq!(fabric.comm.count(), serial.comm.count());
+        prop_assert_eq!(fabric.comm.mean().to_bits(), serial.comm.mean().to_bits());
+        prop_assert_eq!(
+            fabric.comm.variance().to_bits(),
+            serial.comm.variance().to_bits()
+        );
+        prop_assert_eq!(fabric.comm.min().to_bits(), serial.comm.min().to_bits());
+        prop_assert_eq!(fabric.comm.max().to_bits(), serial.comm.max().to_bits());
     }
 
     /// Same determinism contract on AND_k, whose input sampling consumes a
@@ -148,7 +143,7 @@ proptest! {
             &proto, sample, |inputs: &[bool]| and_function(inputs), sessions, seed,
         );
         let fabric = monte_carlo_fabric(
-            &ChannelTransport, &proto, &sample,
+            &InProcessTransport, &proto, &sample,
             &|inputs: &[bool]| and_function(inputs), sessions, seed,
             &FaultPlan::new(), &config(workers, false),
         );
@@ -219,7 +214,7 @@ fn crashed_player_sessions_abort_and_others_complete() {
     };
     let started = Instant::now();
     let fabric = monte_carlo_fabric(
-        &ChannelTransport,
+        &InProcessTransport,
         &proto,
         &move |rng: &mut dyn RngCore| workload::random_sets(n, k, 0.7, rng),
         &|inputs: &[_]| disj_function(inputs),
@@ -297,7 +292,7 @@ fn dropped_wakeup_sessions_time_out_within_deadline() {
         ..SchedulerConfig::default()
     };
     let fabric = monte_carlo_fabric(
-        &ChannelTransport,
+        &InProcessTransport,
         &proto,
         &|rng: &mut dyn RngCore| workload::random_sets(32, 3, 0.6, rng),
         &|inputs: &[_]| disj_function(inputs),

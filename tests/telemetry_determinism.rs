@@ -1,5 +1,5 @@
 //! Telemetry must be purely observational: turning the recorder on — in
-//! either mode, on either transport, at any worker count — leaves the
+//! either mode, at any worker count — leaves the
 //! fabric's `RunReport` bit-identical to the serial seeded runner, while
 //! still populating counters, histograms, and (in event mode) the event
 //! stream.
@@ -10,7 +10,7 @@ use broadcast_ic::blackboard::runner::monte_carlo_seeded;
 use broadcast_ic::fabric::driver::monte_carlo_fabric;
 use broadcast_ic::fabric::scheduler::SchedulerConfig;
 use broadcast_ic::fabric::session::FaultPlan;
-use broadcast_ic::fabric::transport::{ChannelTransport, InProcessTransport};
+use broadcast_ic::fabric::transport::InProcessTransport;
 use broadcast_ic::protocols::disj::broadcast::BroadcastDisj;
 use broadcast_ic::protocols::disj::disj_function;
 use broadcast_ic::protocols::workload;
@@ -35,7 +35,6 @@ fn traced_config(workers: usize, recorder: Recorder) -> SchedulerConfig {
 }
 
 fn fabric_report(
-    channel: bool,
     workers: usize,
     sessions: u64,
     seed: u64,
@@ -45,31 +44,17 @@ fn fabric_report(
     let sample = |rng: &mut dyn RngCore| workload::random_sets(N, K, DENSITY, rng);
     let reference = |inputs: &[_]| disj_function(inputs);
     let config = traced_config(workers, recorder);
-    if channel {
-        monte_carlo_fabric(
-            &ChannelTransport,
-            &proto,
-            &sample,
-            &reference,
-            sessions,
-            seed,
-            &FaultPlan::new(),
-            &config,
-        )
-        .report
-    } else {
-        monte_carlo_fabric(
-            &InProcessTransport,
-            &proto,
-            &sample,
-            &reference,
-            sessions,
-            seed,
-            &FaultPlan::new(),
-            &config,
-        )
-        .report
-    }
+    monte_carlo_fabric(
+        &InProcessTransport,
+        &proto,
+        &sample,
+        &reference,
+        sessions,
+        seed,
+        &FaultPlan::new(),
+        &config,
+    )
+    .report
 }
 
 fn assert_reports_bit_identical(
@@ -88,13 +73,12 @@ fn assert_reports_bit_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For any worker count, transport, and recorder mode, the traced
+    /// For any worker count and recorder mode, the traced
     /// fabric run is bit-identical to the serial runner — and to the
     /// untraced fabric run.
     #[test]
     fn recording_never_perturbs_the_report(
         workers in 1usize..6,
-        channel in any::<bool>(),
         events in any::<bool>(),
         seed in 0u64..1_000,
     ) {
@@ -109,8 +93,8 @@ proptest! {
         );
 
         let recorder = if events { Recorder::new() } else { Recorder::metrics_only() };
-        let traced = fabric_report(channel, workers, sessions, seed, recorder.clone());
-        let quiet = fabric_report(channel, workers, sessions, seed, Recorder::disabled());
+        let traced = fabric_report(workers, sessions, seed, recorder.clone());
+        let quiet = fabric_report(workers, sessions, seed, Recorder::disabled());
 
         assert_reports_bit_identical(&serial, &traced);
         assert_reports_bit_identical(&quiet, &traced);
