@@ -106,12 +106,6 @@ impl Report {
         });
     }
 
-    /// Same as [`push_table`](Report::push_table), builder-style.
-    pub fn with_table(mut self, label: impl Into<String>, table: &Table) -> Report {
-        self.push_table(label, table);
-        self
-    }
-
     /// The human-readable rendering: title, notes, then each table behind
     /// its label.
     pub fn render_text(&self) -> String {
@@ -234,10 +228,11 @@ mod tests {
         let mut t = Table::new(["n", "bits"]);
         t.row(["4096".to_owned(), "12.5".to_owned()]);
         t.row(["8192".to_owned(), "n/a".to_owned()]);
-        Report::new("e1", "E1 — sample")
+        let mut r = Report::new("e1", "E1 — sample")
             .note("(a context line)")
-            .meta("seed", Json::UInt(225))
-            .with_table("", &t)
+            .meta("seed", Json::UInt(225));
+        r.push_table("", &t);
+        r
     }
 
     #[test]
@@ -264,7 +259,8 @@ mod tests {
     fn labels_appear_above_their_table() {
         let mut t = Table::new(["x"]);
         t.row(["1".to_owned()]);
-        let r = Report::new("e4", "t").with_table("k = 16", &t);
+        let mut r = Report::new("e4", "t");
+        r.push_table("k = 16", &t);
         assert!(r.render_text().contains("\nk = 16\n"));
     }
 

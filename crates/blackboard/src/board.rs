@@ -62,29 +62,6 @@ impl Board {
         self.total_bits
     }
 
-    /// Number of messages written by `player`.
-    pub fn messages_by(&self, player: PlayerId) -> usize {
-        self.messages.iter().filter(|m| m.speaker == player).count()
-    }
-
-    /// Total bits written by `player` — its share of the communication.
-    pub fn bits_by(&self, player: PlayerId) -> usize {
-        self.messages
-            .iter()
-            .filter(|m| m.speaker == player)
-            .map(|m| m.bits.len())
-            .sum()
-    }
-
-    /// The concatenated bits of all messages, without speaker attribution.
-    pub fn flat_bits(&self) -> BitVec {
-        let mut out = BitVec::with_capacity(self.total_bits);
-        for m in &self.messages {
-            out.extend_from(&m.bits);
-        }
-        out
-    }
-
     /// Serializes the board to a self-describing byte format (for shipping
     /// transcripts between processes or persisting experiment artifacts).
     ///
@@ -189,23 +166,6 @@ mod tests {
         b.write(0, BitVec::new()); // zero-bit message is legal
         assert_eq!(b.total_bits(), 4);
         assert_eq!(b.messages().len(), 3);
-        assert_eq!(b.messages_by(0), 2);
-        assert_eq!(b.messages_by(1), 1);
-        assert_eq!(b.messages_by(9), 0);
-        assert_eq!(b.bits_by(0), 1);
-        assert_eq!(b.bits_by(1), 3);
-        assert_eq!(b.bits_by(9), 0);
-    }
-
-    #[test]
-    fn flat_bits_concatenates() {
-        let mut b = Board::new();
-        b.write(0, BitVec::from_bools(&[true, false]));
-        b.write(1, BitVec::from_bools(&[true]));
-        assert_eq!(
-            b.flat_bits().iter().collect::<Vec<_>>(),
-            vec![true, false, true]
-        );
     }
 
     #[test]
@@ -226,7 +186,6 @@ mod tests {
         a.write(0, BitVec::from_bools(&[true]));
         let mut b = Board::new();
         b.write(0, BitVec::from_bools(&[true, true]));
-        assert_eq!(a.flat_bits(), b.flat_bits());
         assert_ne!(a.transcript_key(), b.transcript_key());
     }
 

@@ -194,6 +194,17 @@ pub enum ProtocolViolation {
         /// The player that actually replied.
         speaker: PlayerId,
     },
+    /// A reply named an earlier turn than the one its speaker was
+    /// granted: a duplicate or delayed answer. Only a driver that sees
+    /// the turn on the wire (the mux daemon) can report it.
+    StaleTurn {
+        /// The replying player.
+        speaker: PlayerId,
+        /// The turn the outstanding grant is for ([`Engine::steps`]).
+        expected: usize,
+        /// The turn the reply named.
+        got: usize,
+    },
     /// The reply's serialized RNG state was missing or malformed.
     BadRngState {
         /// The replying player.
@@ -222,6 +233,14 @@ impl fmt::Display for ProtocolViolation {
             ProtocolViolation::WrongSpeaker { granted, speaker } => {
                 write!(f, "player {speaker} replied on player {granted}'s grant")
             }
+            ProtocolViolation::StaleTurn {
+                speaker,
+                expected,
+                got,
+            } => write!(
+                f,
+                "player {speaker} replied to turn {got} during turn {expected}"
+            ),
             ProtocolViolation::BadRngState { speaker, .. } => {
                 write!(f, "player {speaker} returned a bad RNG state")
             }
@@ -521,11 +540,6 @@ impl<M: TranscriptModel> Engine<M> {
     /// The player holding an outstanding grant, if any.
     pub fn granted(&self) -> Option<PlayerId> {
         self.granted.map(|(speaker, _)| speaker)
-    }
-
-    /// `true` once [`poll`](Self::poll) has observed the halt.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// The parked session-RNG state, when the engine holds one and no
@@ -833,7 +847,7 @@ mod tests {
             assert_eq!(engine.output(), serial.output);
             assert_eq!(engine.bits_written(), serial.bits_written);
             assert_eq!(engine.steps(), 5);
-            assert!(engine.is_halted());
+            assert_eq!(engine.poll().unwrap(), Step::Halted);
         }
     }
 
@@ -886,7 +900,6 @@ mod tests {
         let mut engine = TurnEngine::new(&RoundRobin { k: 0 }, 0).unwrap();
         assert_eq!(engine.poll().unwrap(), Step::Halted);
         assert_eq!(engine.poll().unwrap(), Step::Halted);
-        assert!(engine.is_halted());
         let mut engine = Engine::new(Star { k: 3, rounds: 0 }, 3).unwrap();
         assert_eq!(engine.poll().unwrap(), Step::Halted);
         assert_eq!(engine.poll().unwrap(), Step::Halted);

@@ -362,37 +362,41 @@ impl GeneralTree {
     }
 }
 
-/// Converts a binary [`ProtocolTree`](crate::tree::ProtocolTree) into the
-/// generalized form (alphabet 2 for every player) — used to cross-validate
-/// the two implementations.
-pub fn from_binary(tree: &crate::tree::ProtocolTree) -> GeneralTree {
-    use crate::tree::Node;
-    let k = tree.num_players();
-    let mut b = GeneralTreeBuilder::new(vec![2; k]);
-    // Rebuild bottom-up with a node-id map via DFS post-order.
-    fn convert(tree: &crate::tree::ProtocolTree, id: usize, b: &mut GeneralTreeBuilder) -> NodeId {
-        match tree.node(id) {
-            Node::Leaf { output } => b.leaf(*output),
-            Node::Internal { speaker, edges } => {
-                let converted: Vec<(BitVec, Vec<f64>, NodeId)> = edges
-                    .iter()
-                    .map(|e| {
-                        let child = convert(tree, e.child, b);
-                        (e.label.clone(), vec![e.prob[0], e.prob[1]], child)
-                    })
-                    .collect();
-                b.internal(*speaker, converted)
-            }
-        }
-    }
-    let root = convert(tree, tree.root(), &mut b);
-    b.finish(root)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::TreeBuilder;
+
+    /// Converts a binary [`ProtocolTree`](crate::tree::ProtocolTree) into the
+    /// generalized form (alphabet 2 for every player) — used to cross-validate
+    /// the two implementations.
+    fn from_binary(tree: &crate::tree::ProtocolTree) -> GeneralTree {
+        use crate::tree::Node;
+        let k = tree.num_players();
+        let mut b = GeneralTreeBuilder::new(vec![2; k]);
+        // Rebuild bottom-up with a node-id map via DFS post-order.
+        fn convert(
+            tree: &crate::tree::ProtocolTree,
+            id: usize,
+            b: &mut GeneralTreeBuilder,
+        ) -> NodeId {
+            match tree.node(id) {
+                Node::Leaf { output } => b.leaf(*output),
+                Node::Internal { speaker, edges } => {
+                    let converted: Vec<(BitVec, Vec<f64>, NodeId)> = edges
+                        .iter()
+                        .map(|e| {
+                            let child = convert(tree, e.child, b);
+                            (e.label.clone(), vec![e.prob[0], e.prob[1]], child)
+                        })
+                        .collect();
+                    b.internal(*speaker, converted)
+                }
+            }
+        }
+        let root = convert(tree, tree.root(), &mut b);
+        b.finish(root)
+    }
 
     fn bit(v: bool) -> BitVec {
         BitVec::from_bools(&[v])

@@ -79,7 +79,6 @@ pub mod protocol;
 pub mod runner;
 pub mod stats;
 pub mod tree;
-pub mod tree_protocol;
 
 pub use board::{Board, Message};
 pub use engine::{Engine, Grant, ProtocolViolation, Step, TranscriptModel, TurnEngine};
@@ -89,3 +88,6 @@ pub use tree::ProtocolTree;
 
 /// Index of a player, `0 ≤ id < k`.
 pub type PlayerId = usize;
+
+#[cfg(test)]
+mod tree_protocol;

@@ -1,11 +1,10 @@
-//! Monte-Carlo harness for executable protocols: communication statistics,
-//! error rates, and transcript frequency tables.
+//! Monte-Carlo harness for executable protocols: communication statistics
+//! and error rates.
 
-use bci_info::estimate::FreqTable;
 use bci_telemetry::{Json, Recorder, SpanKind};
 use rand::{RngCore, SeedableRng};
 
-use crate::protocol::{run, run_traced, Protocol};
+use crate::protocol::{run_traced, Protocol};
 use crate::stats::CommStats;
 
 /// Aggregate result of a Monte-Carlo run.
@@ -27,42 +26,6 @@ impl RunReport {
         } else {
             self.errors as f64 / self.trials as f64
         }
-    }
-}
-
-/// Runs `protocol` on `trials` sampled inputs, comparing each output against
-/// `reference`.
-///
-/// `sample_inputs` draws one joint input (a `Vec` with one entry per player)
-/// per trial.
-pub fn monte_carlo<P, S, F>(
-    protocol: &P,
-    mut sample_inputs: S,
-    reference: F,
-    trials: u64,
-    rng: &mut dyn RngCore,
-) -> RunReport
-where
-    P: Protocol,
-    P::Output: PartialEq,
-    S: FnMut(&mut dyn RngCore) -> Vec<P::Input>,
-    F: Fn(&[P::Input]) -> P::Output,
-{
-    let mut comm = CommStats::new();
-    let mut errors = 0u64;
-    for _ in 0..trials {
-        let inputs = sample_inputs(rng);
-        let expected = reference(&inputs);
-        let exec = run(protocol, &inputs, rng);
-        comm.record(exec.bits_written as f64);
-        if exec.output != expected {
-            errors += 1;
-        }
-    }
-    RunReport {
-        comm,
-        errors,
-        trials,
     }
 }
 
@@ -89,9 +52,10 @@ pub fn derive_trial_rng<R: SeedableRng>(master_seed: u64, trial: u64) -> R {
     R::seed_from_u64(derive_trial_seed(master_seed, trial))
 }
 
-/// Like [`monte_carlo`], but each trial runs on its own RNG derived from
-/// `master_seed` via [`derive_trial_rng`], instead of all trials sharing one
-/// stream.
+/// Runs `protocol` on `trials` sampled inputs, comparing each output
+/// against `reference`; `sample_inputs` draws one joint input (one entry
+/// per player) per trial. Each trial runs on its own RNG derived from
+/// `master_seed` via [`derive_trial_rng`].
 ///
 /// Trial `i` samples its inputs and executes the protocol on a fresh
 /// `R::seed_from_u64(derive_trial_seed(master_seed, i))`, so trials are
@@ -187,38 +151,14 @@ where
     }
 }
 
-/// Collects a frequency table of transcripts over `trials` sampled inputs,
-/// keyed by [`Board::transcript_key`](crate::board::Board::transcript_key).
-///
-/// Feed the result to
-/// [`FreqTable::entropy_miller_madow`](bci_info::estimate::FreqTable) to
-/// estimate `H(Π)` — for deterministic protocols this equals `I(Π; X)`.
-pub fn transcript_table<P, S>(
-    protocol: &P,
-    mut sample_inputs: S,
-    trials: u64,
-    rng: &mut dyn RngCore,
-) -> FreqTable<String>
-where
-    P: Protocol,
-    S: FnMut(&mut dyn RngCore) -> Vec<P::Input>,
-{
-    let mut table = FreqTable::new();
-    for _ in 0..trials {
-        let inputs = sample_inputs(rng);
-        let exec = run(protocol, &inputs, rng);
-        table.record(exec.board.transcript_key());
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::board::Board;
+    use crate::protocol::run;
     use crate::PlayerId;
     use bci_encoding::bitio::BitVec;
-    use rand::{Rng, SeedableRng};
+    use rand::Rng;
 
     /// k players announce their bit in order; output = AND.
     struct AllSpeakAnd {
@@ -254,13 +194,12 @@ mod tests {
 
     #[test]
     fn correct_protocol_has_zero_errors() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let report = monte_carlo(
+        let report = monte_carlo_seeded::<_, _, _, rand_chacha::ChaCha8Rng>(
             &AllSpeakAnd { k: 5 },
             |rng| (0..5).map(|_| rng.random_bool(0.5)).collect(),
             |inputs| inputs.iter().all(|&b| b),
             500,
-            &mut rng,
+            3,
         );
         assert_eq!(report.errors, 0);
         assert_eq!(report.error_rate(), 0.0);
@@ -270,13 +209,12 @@ mod tests {
 
     #[test]
     fn wrong_reference_shows_errors() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let report = monte_carlo(
+        let report = monte_carlo_seeded::<_, _, _, rand_chacha::ChaCha8Rng>(
             &AllSpeakAnd { k: 3 },
             |rng| (0..3).map(|_| rng.random_bool(0.5)).collect(),
             |inputs| inputs.iter().any(|&b| b), // OR, not AND
             2000,
-            &mut rng,
+            3,
         );
         // AND != OR whenever the input is mixed: prob = 1 − 2/8 = 3/4.
         assert!((report.error_rate() - 0.75).abs() < 0.05);
@@ -335,19 +273,5 @@ mod tests {
         let again = run(&AllSpeakAnd { k: 4 }, &inputs2, &mut rng2);
         assert_eq!(solo.board, again.board);
         assert_eq!(solo.output, again.output);
-    }
-
-    #[test]
-    fn transcript_entropy_of_uniform_inputs() {
-        // 2 players, uniform bits: transcript = input, H = 2 bits.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8);
-        let table = transcript_table(
-            &AllSpeakAnd { k: 2 },
-            |rng| (0..2).map(|_| rng.random_bool(0.5)).collect(),
-            20_000,
-            &mut rng,
-        );
-        assert_eq!(table.distinct(), 4);
-        assert!((table.entropy_plugin() - 2.0).abs() < 0.01);
     }
 }

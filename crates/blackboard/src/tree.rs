@@ -51,7 +51,6 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use bci_encoding::bitio::BitVec;
-use bci_info::dist::Dist;
 use bci_info::num::{clamp_nonneg, xlog2_ratio};
 use rand::Rng;
 
@@ -373,16 +372,6 @@ impl ProtocolTree {
         self.metas.iter().map(|m| m.path_bits).max().unwrap_or(0)
     }
 
-    /// Expected communication under independent priors
-    /// (`priors[i] = Pr[Xᵢ = 1]`).
-    pub fn expected_bits_product(&self, priors: &[f64]) -> f64 {
-        self.check_priors(priors);
-        self.leaves()
-            .iter()
-            .map(|l| l.prob_under_product(priors) * l.path_bits as f64)
-            .sum()
-    }
-
     /// The exact transcript distribution (over leaf indices) on input `x`.
     ///
     /// This is the dense generic path: every leaf is evaluated through its
@@ -515,10 +504,9 @@ impl ProtocolTree {
     ///    the sign of a zero accumulator — a difference that cannot
     ///    propagate (`±0.0 + g = g` for `g ≠ 0`, and `x + ±0.0 = x` in the
     ///    final `total` fold, whose accumulator is never `-0.0`). Both
-    ///    conditions are **checked at runtime per distinct prior**; a slice
-    ///    containing a prior that fails them falls back to the dense kernel
-    ///    for that slice. Early-exiting the product at an exact `0.0` is
-    ///    also exact: masses are finite and non-negative, so `0.0` absorbs.
+    ///    conditions are **asserted at runtime per distinct prior**.
+    ///    Early-exiting the product at an exact `0.0` is also exact:
+    ///    masses are finite and non-negative, so `0.0` absorbs.
     /// 4. **Shared prefixes.** In DFS order a leaf's writer list mostly
     ///    repeats the previous leaf's (for `sequential_and(k)`, all but the
     ///    last entry). The layout records the length of that shared prefix
@@ -541,9 +529,14 @@ impl ProtocolTree {
     ///
     /// The check in fact holds for *every* f64 prior in `[0,1]` — `1−p`
     /// errs by at most a half-ulp (`2⁻⁵⁴`), so `(1−p)+p` ties back to
-    /// exactly `1.0` under round-to-even (pinned by a sweep test) — making
-    /// the dense fallback a guard against future refactors of the posterior
-    /// formulas rather than a path real data can take.
+    /// exactly `1.0` under round-to-even (pinned by a sweep test) — so the
+    /// assertion guards against future refactors of the posterior formulas
+    /// rather than against any input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice has the wrong length or a prior outside `[0,1]`,
+    /// or if a prior breaks the exact-skip invariant above.
     pub fn information_cost_product_many<S: AsRef<[f64]>>(&self, slices: &[S]) -> Vec<f64> {
         // --- SoA layout, computed once per call -------------------------
         let mut qpairs: Vec<[f64; 2]> = Vec::new();
@@ -609,18 +602,13 @@ impl ProtocolTree {
             // Runtime skip-safety check (point 3 above): every distinct
             // prior must make the neutral q-pair's mass exactly 1.0 and its
             // divergence term exactly +0.0.
-            let skips_are_exact = pvals.iter().all(|&p| {
+            for &p in &pvals {
                 let mass = (1.0 - p) * 1.0 + p * 1.0;
-                if mass != 1.0 {
-                    return false;
-                }
-                let post1 = p * 1.0 / mass;
-                let g = xlog2_ratio(post1, p) + xlog2_ratio(1.0 - post1, 1.0 - p);
-                g.to_bits() == 0 // exactly +0.0
-            });
-            if !skips_are_exact {
-                out.push(self.information_cost_product(priors));
-                continue;
+                let g = xlog2_ratio(p / mass, p) + xlog2_ratio(1.0 - p / mass, 1.0 - p);
+                assert!(
+                    mass == 1.0 && g.to_bits() == 0,
+                    "prior {p} breaks the exact-skip invariant (mass {mass}, term {g})"
+                );
             }
             // (mass, g) per (distinct prior, distinct q-pair) cell — the
             // only transcendentals in this slice.
@@ -904,25 +892,6 @@ impl ProtocolTree {
         }
     }
 
-    /// The message distribution at an internal node given the speaker's
-    /// input bit: a distribution over the node's edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is a leaf.
-    pub fn message_dist(&self, id: NodeId, input_bit: bool) -> Dist {
-        match &self.nodes[id] {
-            Node::Leaf { .. } => panic!("node {id} is a leaf"),
-            Node::Internal { edges, .. } => Dist::from_weights(
-                edges
-                    .iter()
-                    .map(|e| e.prob[usize::from(input_bit)])
-                    .collect(),
-            )
-            .expect("edge probabilities sum to one"),
-        }
-    }
-
     fn check_priors(&self, priors: &[f64]) {
         assert_eq!(
             priors.len(),
@@ -973,8 +942,6 @@ mod tests {
         assert_eq!(t.num_players(), 2);
         assert_eq!(t.leaves().len(), 3);
         assert_eq!(t.worst_case_bits(), 2);
-        // Uniform inputs: E[bits] = 1·Pr[X₀=0] + 2·Pr[X₀=1] = 1.5.
-        assert!((t.expected_bits_product(&[0.5, 0.5]) - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1405,8 +1372,8 @@ mod tests {
         // f64 p ∈ [0,1], fl(1−p) errs by at most a half-ulp (2⁻⁵⁴, since
         // 1−p ∈ [0.5, 1] where the ulp is 2⁻⁵³), so fl(fl(1−p)+p) lands
         // within a half-ulp of 1.0 and ties round to even — exactly 1.0.
-        // The fallback branch is therefore unreachable for valid priors;
-        // it guards future refactors of the posterior formulas, not data.
+        // The assertion therefore never fires for valid priors; it guards
+        // future refactors of the posterior formulas, not data.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let mut priors = vec![
             0.0,
@@ -1491,15 +1458,6 @@ mod tests {
         assert_eq!(bits.iter().collect::<Vec<_>>(), vec![true, true]);
         let (_, bits) = t.simulate(&[false, true], &mut rng);
         assert_eq!(bits.iter().collect::<Vec<_>>(), vec![false]);
-    }
-
-    #[test]
-    fn message_dist_reflects_input() {
-        let t = and2();
-        let d0 = t.message_dist(t.root(), false);
-        assert_eq!(d0.prob(0), 1.0);
-        let d1 = t.message_dist(t.root(), true);
-        assert_eq!(d1.prob(1), 1.0);
     }
 
     #[test]

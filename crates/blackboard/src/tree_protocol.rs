@@ -1,4 +1,4 @@
-//! Runs a [`ProtocolTree`] as an executable [`Protocol`].
+//! Runs a [`ProtocolTree`] as an executable [`Protocol`] (test-only).
 //!
 //! The adapter closes the loop between the two protocol representations:
 //! the tree's edge labels become real board messages, the board alone
@@ -17,40 +17,12 @@ use crate::tree::{Node, NodeId, ProtocolTree};
 use crate::PlayerId;
 
 /// Adapter exposing a [`ProtocolTree`] through the [`Protocol`] trait.
-///
-/// # Example
-///
-/// ```
-/// use bci_blackboard::protocol::run;
-/// use bci_blackboard::tree::TreeBuilder;
-/// use bci_blackboard::tree_protocol::TreeProtocol;
-/// use bci_encoding::bitio::BitVec;
-/// use rand::SeedableRng;
-///
-/// let mut b = TreeBuilder::new(1);
-/// let l0 = b.leaf(0);
-/// let l1 = b.leaf(1);
-/// let root = b.internal(
-///     0,
-///     vec![
-///         (BitVec::from_bools(&[false]), [1.0, 0.0], l0),
-///         (BitVec::from_bools(&[true]), [0.0, 1.0], l1),
-///     ],
-/// );
-/// let tree = b.finish(root);
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let exec = run(&TreeProtocol::new(&tree), &[true], &mut rng);
-/// assert_eq!(exec.output, 1);
-/// assert_eq!(exec.bits_written, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TreeProtocol<'a> {
+struct TreeProtocol<'a> {
     tree: &'a ProtocolTree,
 }
 
 impl<'a> TreeProtocol<'a> {
-    /// Wraps a tree.
-    pub fn new(tree: &'a ProtocolTree) -> Self {
+    fn new(tree: &'a ProtocolTree) -> Self {
         TreeProtocol { tree }
     }
 

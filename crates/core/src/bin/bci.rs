@@ -25,8 +25,9 @@ use std::process::ExitCode;
 use bci_blackboard::runner::monte_carlo_seeded_traced;
 use bci_compression::amortized::compress_nfold;
 use bci_compression::gap::and_gap;
-use bci_compression::sampling::{exchange, lemma7_bound, SamplerConfig};
+use bci_compression::sampling::{exchange_many, lemma7_bound, SamplerConfig};
 use bci_core::table::{f, Table};
+use bci_encoding::bitset::SparseBitSet;
 use bci_fabric::driver::{monte_carlo_fabric, FabricReport};
 use bci_fabric::scheduler::SchedulerConfig;
 use bci_fabric::session::{FaultKind, FaultPlan, FaultSpec, SessionSelector};
@@ -76,7 +77,11 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match parse_opts(&args[1..], known_options(cmd)) {
+    let parsed = match known_options(cmd) {
+        Some(known) => parse_opts(cmd, &args[1..], &[known, &GLOBAL_FLAGS[..]].concat()),
+        None => Err(format!("unknown command '{cmd}'")),
+    };
+    let opts = match parsed {
         Ok(o) => o,
         Err(e) => {
             Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
@@ -103,11 +108,11 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&opts, &diag),
         "join" => cmd_join(&opts, &diag),
         "load" => cmd_load(&opts, &diag),
-        "help" | "--help" | "-h" => {
+        // `help` and its aliases: `known_options` admits no other command.
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -169,8 +174,8 @@ NETWORK:
   and with --json writes a bci.bench.v1 report. --scrape-ms re-runs the
   workload with a live admin scraper attached and records the overhead in the
   report's meta. --max-steps caps turns per session (the runaway guard): a
-  protocol that has not halted by then is aborted. fabric, trace, serve, join
-  and load reject any option they do not read.
+  protocol that has not halted by then is aborted. Every command rejects any
+  option it does not read.
 
 OBSERVABILITY:
   The coordinator answers read-only admin Stats frames inline on its own
@@ -185,12 +190,23 @@ OBSERVABILITY:
 /// Option keys that are boolean flags: present means on, they take no value.
 const FLAGS: [&str; 3] = ["quiet", "verbose", "no-verify"];
 
-/// The options a command reads, for the commands that reject all others:
-/// a stale or misspelled option then fails by name instead of being
-/// ignored, or swallowing the next argument as its value. `--quiet` and
-/// `--verbose` are accepted everywhere.
-fn known_options(cmd: &str) -> Option<(&str, &'static [&'static str])> {
-    let known: &'static [&'static str] = match cmd {
+/// The diagnostics flags every command that reports through [`Diag`]
+/// accepts.
+const GLOBAL_FLAGS: [&str; 2] = ["quiet", "verbose"];
+
+/// The options a command reads besides [`GLOBAL_FLAGS`], or `None` for an
+/// unknown command. Every command rejects all other options, so a stale
+/// or misspelled one fails by name instead of being ignored, or
+/// swallowing the next argument as its value.
+fn known_options(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "disj" => &["n", "k", "density", "workload", "seed"],
+        "union" => &["n", "k", "density", "seed"],
+        "cic" | "gap" => &["k"],
+        "sample" => &["universe", "sharpness", "trials", "seed"],
+        "sparse" => &["n", "s", "trials", "seed"],
+        "amortize" => &["k", "copies", "trials", "seed"],
+        "help" | "--help" | "-h" => &[],
         "fabric" => &[
             "sessions",
             "workers",
@@ -244,15 +260,15 @@ fn known_options(cmd: &str) -> Option<(&str, &'static [&'static str])> {
             "max-steps",
         ],
         _ => return None,
-    };
-    Some((cmd, known))
+    })
 }
 
-/// Parses `--key value` pairs and [`FLAGS`]. With `known` set, any option
-/// outside it (or `--quiet` / `--verbose`) is an error naming it.
+/// Parses `--key value` pairs and [`FLAGS`]; any option outside `known`
+/// is an error naming it and `cmd`.
 fn parse_opts(
+    cmd: &str,
     args: &[String],
-    known: Option<(&str, &[&str])>,
+    known: &[&str],
 ) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut it = args.iter();
@@ -260,10 +276,8 @@ fn parse_opts(
         let key = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --option, got '{key}'"))?;
-        if let Some((cmd, known)) = known {
-            if !known.contains(&key) && key != "quiet" && key != "verbose" {
-                return Err(format!("{cmd}: unknown option '--{key}'"));
-            }
+        if !known.contains(&key) {
+            return Err(format!("{cmd}: unknown option '--{key}'"));
         }
         if FLAGS.contains(&key) {
             map.insert(key.to_owned(), "true".to_owned());
@@ -464,14 +478,12 @@ fn cmd_sample(opts: &HashMap<String, String>) -> Result<(), String> {
     let eta = bci_info::dist::Dist::new(probs).map_err(|e| e.to_string())?;
     let nu = bci_info::dist::Dist::uniform(u);
     let d = kl(&eta, &nu);
-    let config = SamplerConfig::default();
-    let mut bits = 0usize;
-    let mut agreed = 0u64;
-    for t in 0..trials {
-        let e = exchange(&eta, &nu, &config, seed.wrapping_add(t * 104_729));
-        bits += e.bits;
-        agreed += u64::from(e.agreed());
-    }
+    let seeds: Vec<u64> = (0..trials)
+        .map(|t| seed.wrapping_add(t * 104_729))
+        .collect();
+    let runs = exchange_many(&eta, &nu, &SamplerConfig::default(), &seeds);
+    let bits: usize = runs.iter().map(|e| e.bits).sum();
+    let agreed = runs.iter().filter(|e| e.agreed()).count();
     println!("Lemma 7 sampling over |U| = {u}, D(eta||nu) = {d:.3} bits:");
     println!("  mean bits     = {:.2}", bits as f64 / trials as f64);
     println!("  Lemma 7 curve = {:.2}", lemma7_bound(d));
@@ -490,8 +502,8 @@ fn cmd_sparse(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut rng = rng_from(opts)?;
     let mut bits = 0.0;
     for _ in 0..trials {
-        let mut x = bci_encoding::bitset::BitSet::new(n);
-        let mut y = bci_encoding::bitset::BitSet::new(n);
+        let mut x = SparseBitSet::new(n);
+        let mut y = SparseBitSet::new(n);
         while x.len() < s {
             x.insert(rng.random_range(0..n));
         }
@@ -501,8 +513,7 @@ fn cmd_sparse(opts: &HashMap<String, String>) -> Result<(), String> {
                 y.insert(e);
             }
         }
-        let out = sparse::run(&x, &y, &mut rng);
-        bits += out.bits;
+        bits += sparse::run_sparse(&x, &y, &mut rng).bits;
     }
     println!("Hastad-Wigderson sparse disjointness, |X| = |Y| = {s}, n = {n}:");
     println!(
@@ -1110,7 +1121,8 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             "top needs an address: bci top <host:port> [--interval-ms MS] [--iters K]".into(),
         );
     };
-    let opts = parse_opts(&args[1..], None)?;
+    let known = ["interval-ms", "iters"];
+    let opts = parse_opts("top", &args[1..], &[&known[..], &GLOBAL_FLAGS[..]].concat())?;
     let interval_ms: u64 = get(&opts, "interval-ms", Some(1000u64))?;
     let iters: u64 = get(&opts, "iters", Some(0u64))?;
     if interval_ms == 0 {
@@ -1273,16 +1285,11 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                         .join(", ")
                 )
             })?;
-            let opts = parse_opts(&args[2..], None)?;
-            if let Some(bad) = opts
-                .keys()
-                .filter(|k| !["workers", "seed", "topology"].contains(&k.as_str()))
-                .min()
-            {
-                return Err(format!(
-                    "experiments run: unknown option '--{bad}' (expected --workers, --seed or --topology)"
-                ));
-            }
+            let opts = parse_opts(
+                "experiments run",
+                &args[2..],
+                &["workers", "seed", "topology"],
+            )?;
             let restricted: Box<dyn Experiment>;
             let exp: &dyn Experiment = match opts.get("topology") {
                 None => exp,

@@ -8,10 +8,9 @@
 //! over `(D, X, Π)`, exact to float precision.
 
 use bci_lowerbound::cic::cic_hard;
-use bci_lowerbound::direct_sum::{nfold_cic_bruteforce, nfold_ic_bruteforce};
+use bci_lowerbound::direct_sum::{disj_cic_exact, nfold_cic_bruteforce, nfold_ic_bruteforce};
 use bci_lowerbound::hard_dist::HardDist;
 use bci_protocols::and_trees::{noisy_sequential_and, sequential_and};
-use bci_protocols::disj_trees::{and_cic_exact, disj_cic_exact};
 
 use super::registry::{Experiment, LabeledTable, Point, PointResult};
 use crate::table::{f, Table};
@@ -142,7 +141,7 @@ pub fn run_case(&case: &Case) -> Row {
             quantity: "CIC (hard mu^n)",
             n,
             nfold: disj_cic_exact(n, k),
-            n_times_single: n as f64 * and_cic_exact(k),
+            n_times_single: n as f64 * cic_hard(&sequential_and(k), &HardDist::new(k)),
         },
     }
 }

@@ -80,21 +80,6 @@ pub fn approx_binomial_code_len(n: u64, k: u64) -> u64 {
     }
 }
 
-/// The binary entropy function `h(p) = −p log₂ p − (1−p) log₂(1−p)`.
-///
-/// Defined as `0` at the endpoints (the usual `0 log 0 = 0` convention).
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]`.
-pub fn binary_entropy(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p = {p} outside [0,1]");
-    if p == 0.0 || p == 1.0 {
-        return 0.0;
-    }
-    -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +118,9 @@ mod tests {
     fn log2_binomial_matches_exact() {
         for n in [10u64, 100, 1000] {
             for k in [0u64, 1, 2, n / 10, n / 3, n / 2, n] {
-                let exact = binomial(n, k).to_f64().log2();
+                // The decimal expansion parses to the correctly rounded f64.
+                let exact: f64 = binomial(n, k).to_decimal().parse().unwrap();
+                let exact = exact.log2();
                 let approx = log2_binomial(n, k);
                 let expect = if k == 0 || k == n { 0.0 } else { exact };
                 assert!(
@@ -155,21 +142,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn entropy_endpoints_and_symmetry() {
-        assert_eq!(binary_entropy(0.0), 0.0);
-        assert_eq!(binary_entropy(1.0), 0.0);
-        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-15);
-        for p in [0.1, 0.25, 0.4] {
-            assert!((binary_entropy(p) - binary_entropy(1.0 - p)).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn entropy_is_concave_peak_at_half() {
-        assert!(binary_entropy(0.3) < binary_entropy(0.5));
-        assert!(binary_entropy(0.3) > binary_entropy(0.1));
     }
 }

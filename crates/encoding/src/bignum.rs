@@ -107,18 +107,6 @@ impl BigUint {
         }
     }
 
-    /// Converts to `f64`, saturating to `f64::INFINITY` for huge values.
-    pub fn to_f64(&self) -> f64 {
-        let mut v = 0.0f64;
-        for &limb in self.limbs.iter().rev() {
-            v = v * 2f64.powi(64) + limb as f64;
-            if v.is_infinite() {
-                return f64::INFINITY;
-            }
-        }
-        v
-    }
-
     /// `self += other`.
     pub fn add_assign(&mut self, other: &BigUint) {
         let mut carry = 0u64;
@@ -279,7 +267,6 @@ mod tests {
         assert_eq!(z.bit_length(), 0);
         assert_eq!(z.to_u64(), Some(0));
         assert_eq!(z.to_decimal(), "0");
-        assert_eq!(z.to_f64(), 0.0);
     }
 
     #[test]
@@ -364,13 +351,6 @@ mod tests {
         assert!(!x.bit(2));
         assert!(x.bit(3));
         assert!(!x.bit(200));
-    }
-
-    #[test]
-    fn to_f64_is_close_for_moderate_values() {
-        let x = big(1u128 << 100);
-        let rel = (x.to_f64() - 2f64.powi(100)).abs() / 2f64.powi(100);
-        assert!(rel < 1e-12);
     }
 
     #[test]

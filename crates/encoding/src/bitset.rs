@@ -195,19 +195,6 @@ impl BitSet {
             .all(|(&a, &b)| a & b == 0)
     }
 
-    /// Whether every element of `self` is in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(&a, &b)| a & !b == 0)
-    }
-
     /// Read access to the backing words (little-endian; bit `j` of word `w`
     /// is element `64w + j`).
     pub fn words(&self) -> &[u64] {
@@ -594,17 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_disjoint_predicates() {
+    fn disjoint_predicate() {
         let a = BitSet::from_elements(130, [1, 64, 129]);
         let b = BitSet::from_elements(130, [1, 64, 100, 129]);
         let c = BitSet::from_elements(130, [2, 65]);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
-        assert!(a.is_subset(&a), "reflexive");
         assert!(a.is_disjoint(&c));
         assert!(!a.is_disjoint(&b));
         let empty = BitSet::new(130);
-        assert!(empty.is_subset(&a));
         assert!(empty.is_disjoint(&a));
         assert!(empty.is_disjoint(&empty));
     }

@@ -1,4 +1,4 @@
-//! Elias γ and δ universal codes for positive integers.
+//! The Elias γ universal code for positive integers.
 //!
 //! The compression protocol of Section 6 sends two variable-length fields —
 //! the block index `⌈t/|U|⌉` and the log-ratio `s` — whose magnitudes are
@@ -6,13 +6,9 @@
 //! `n` while remaining self-delimiting, exactly the "variable-length
 //! encoding" the paper stipulates.
 //!
-//! * γ(n): `⌊log₂ n⌋` in unary, then the `⌊log₂ n⌋` low bits of `n`
-//!   (`2⌊log₂ n⌋ + 1` bits total).
-//! * δ(n): `⌊log₂ n⌋ + 1` in γ, then the low bits
-//!   (`⌊log₂ n⌋ + 2⌊log₂(⌊log₂ n⌋+1)⌋ + 1` bits — asymptotically shorter).
-//!
-//! Both code *positive* integers; callers encoding values that may be zero
-//! shift by one (`encode(v + 1)`).
+//! γ(n) is `⌊log₂ n⌋` in unary, then the `⌊log₂ n⌋` low bits of `n`
+//! (`2⌊log₂ n⌋ + 1` bits total). It codes *positive* integers; callers
+//! encoding values that may be zero shift by one (`encode(v + 1)`).
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::unary;
@@ -64,39 +60,6 @@ pub fn gamma_decode(reader: &mut BitReader<'_>) -> Option<u64> {
     Some((1u64 << bits) | low)
 }
 
-/// Writes `n ≥ 1` in Elias δ.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn delta_encode(n: u64, writer: &mut BitWriter) {
-    assert!(n >= 1, "Elias delta codes positive integers only");
-    let bits = 63 - n.leading_zeros(); // ⌊log₂ n⌋
-    gamma_encode(u64::from(bits) + 1, writer);
-    writer.write_bits(n & !(1u64 << bits), bits);
-}
-
-/// Length in bits of δ(n).
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn delta_len(n: u64) -> u64 {
-    assert!(n >= 1, "Elias delta codes positive integers only");
-    let bits = u64::from(63 - n.leading_zeros());
-    gamma_len(bits + 1) + bits
-}
-
-/// Reads a δ-coded value; `None` on truncated input.
-pub fn delta_decode(reader: &mut BitReader<'_>) -> Option<u64> {
-    let bits = gamma_decode(reader)?.checked_sub(1)?;
-    if bits > 63 {
-        return None;
-    }
-    let low = reader.read_bits(bits as u32)?;
-    Some((1u64 << bits) | low)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,26 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_round_trip() {
-        for n in (1..200u64).chain([1 << 20, u64::MAX, (1 << 63) + 5]) {
-            let mut w = BitWriter::new();
-            delta_encode(n, &mut w);
-            assert_eq!(w.len() as u64, delta_len(n), "len of delta({n})");
-            let bits = w.into_bits();
-            let mut r = BitReader::new(&bits);
-            assert_eq!(delta_decode(&mut r), Some(n));
-            assert_eq!(r.remaining(), 0);
-        }
-    }
-
-    #[test]
-    fn delta_beats_gamma_for_large_values() {
-        assert!(delta_len(1 << 40) < gamma_len(1 << 40));
-        // ... but not for tiny ones.
-        assert!(delta_len(2) >= gamma_len(2));
-    }
-
-    #[test]
     fn gamma_len_is_2floorlog_plus_1() {
         assert_eq!(gamma_len(1), 1);
         assert_eq!(gamma_len(2), 3);
@@ -172,13 +115,13 @@ mod tests {
     fn mixed_stream_is_self_delimiting() {
         let mut w = BitWriter::new();
         gamma_encode(5, &mut w);
-        delta_encode(1000, &mut w);
+        gamma_encode(1000, &mut w);
         gamma_encode(1, &mut w);
         w.write_bits(0b101, 3);
         let bits = w.into_bits();
         let mut r = BitReader::new(&bits);
         assert_eq!(gamma_decode(&mut r), Some(5));
-        assert_eq!(delta_decode(&mut r), Some(1000));
+        assert_eq!(gamma_decode(&mut r), Some(1000));
         assert_eq!(gamma_decode(&mut r), Some(1));
         assert_eq!(r.read_bits(3), Some(0b101));
         assert_eq!(r.remaining(), 0);

@@ -4,7 +4,7 @@
 //!
 //! The rest of the workspace executes protocols *serially*:
 //! [`bci_blackboard::protocol::run`] drives one session on one thread, and
-//! [`monte_carlo`](bci_blackboard::runner::monte_carlo) loops it. This
+//! [`monte_carlo_seeded`](bci_blackboard::runner::monte_carlo_seeded) loops it. This
 //! crate scales that up to many concurrent sessions without giving up the
 //! property experiments live and die by — **determinism**: for a given
 //! master seed, the fabric produces the same per-session transcripts and

@@ -145,46 +145,6 @@ impl FabricMetrics {
             0.0
         }
     }
-
-    /// Fraction of sessions that did not complete.
-    pub fn failure_rate(&self) -> f64 {
-        if self.sessions == 0 {
-            0.0
-        } else {
-            (self.timed_out + self.aborted) as f64 / self.sessions as f64
-        }
-    }
-
-    /// Exports the metrics as a [`bci_telemetry::Snapshot`], the same
-    /// shape the live admin channel serves — so a fabric run can be
-    /// rendered with `Snapshot::to_json` / `to_prometheus`, or merged
-    /// with snapshots scraped off a coordinator.
-    pub fn to_snapshot(&self) -> bci_telemetry::Snapshot {
-        let mut counters = std::collections::BTreeMap::new();
-        counters.insert("fabric.sessions".to_owned(), self.sessions);
-        counters.insert("fabric.sessions_completed".to_owned(), self.completed);
-        counters.insert("fabric.sessions_timed_out".to_owned(), self.timed_out);
-        counters.insert("fabric.sessions_aborted".to_owned(), self.aborted);
-        let mut gauges = std::collections::BTreeMap::new();
-        gauges.insert("fabric.workers".to_owned(), self.workers as u64);
-        gauges.insert(
-            "fabric.max_queue_depth".to_owned(),
-            self.max_queue_depth as u64,
-        );
-        gauges.insert(
-            "fabric.latency_max_us".to_owned(),
-            self.latency_max.as_micros() as u64,
-        );
-        let mut hists = std::collections::BTreeMap::new();
-        hists.insert("fabric.session_latency_us".to_owned(), self.latency.clone());
-        hists.insert("fabric.queue_depth".to_owned(), self.queue_depth.clone());
-        bci_telemetry::Snapshot {
-            uptime_us: self.elapsed.as_micros() as u64,
-            counters,
-            gauges,
-            hists,
-        }
-    }
 }
 
 /// The `p`-th percentile (nearest-rank) of an ascending-sorted slice.
@@ -227,7 +187,6 @@ mod tests {
         let m = FabricMetrics::collect(&run, 4);
         assert_eq!(m.sessions, 0);
         assert_eq!(m.sessions_per_sec(), 0.0);
-        assert_eq!(m.failure_rate(), 0.0);
         assert_eq!(m.latency_p50(), Duration::ZERO);
         assert_eq!(m.latency_p99(), Duration::ZERO);
     }
@@ -270,7 +229,6 @@ mod tests {
         assert_eq!(a.max_queue_depth, 7);
         assert_eq!(a.elapsed, ms(8));
         assert_eq!(a.workers, 8);
-        assert!((a.failure_rate() - 2.0 / 14.0).abs() < 1e-12);
     }
 
     #[test]
@@ -303,24 +261,5 @@ mod tests {
             Duration::from_micros(m.latency.percentile(100.0)),
             m.latency_max
         );
-    }
-
-    #[test]
-    fn snapshot_export_carries_outcomes_and_histograms() {
-        let mut m = FabricMetrics::empty();
-        m.sessions = 5;
-        m.completed = 4;
-        m.timed_out = 1;
-        m.latency.record(250);
-        m.queue_depth.record(3);
-        m.elapsed = ms(2);
-        let snap = m.to_snapshot();
-        assert_eq!(snap.counter("fabric.sessions"), 5);
-        assert_eq!(snap.counter("fabric.sessions_completed"), 4);
-        assert_eq!(snap.counter("fabric.sessions_timed_out"), 1);
-        assert_eq!(snap.counter("fabric.sessions_aborted"), 0);
-        assert_eq!(snap.uptime_us, 2_000);
-        assert_eq!(snap.hist("fabric.session_latency_us").unwrap().count(), 1);
-        assert_eq!(snap.hist("fabric.queue_depth").unwrap().count(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Shannon entropy and conditional entropy (Definitions 1–2 of the paper).
+//! Shannon entropy (Definition 1 of the paper).
 
 use crate::num::{clamp_nonneg, xlog2x};
 
@@ -18,14 +18,6 @@ use crate::num::{clamp_nonneg, xlog2x};
 /// ```
 pub fn entropy(probs: &[f64]) -> f64 {
     clamp_nonneg(-probs.iter().copied().map(xlog2x).sum::<f64>(), 1e-9)
-}
-
-/// Conditional entropy `H(X|Y) = Σ_y p(y) H(X | Y = y)`.
-///
-/// `conditionals` holds, for each `y`, the weight `p(y)` and the conditional
-/// probability vector of `X` given `Y = y`.
-pub fn conditional_entropy(conditionals: &[(f64, Vec<f64>)]) -> f64 {
-    conditionals.iter().map(|(w, cond)| w * entropy(cond)).sum()
 }
 
 /// Entropy of an empirical distribution given raw counts.
@@ -72,21 +64,6 @@ mod tests {
         let skewed = entropy(&[0.9, 0.05, 0.05]);
         let uniform = entropy(&[1.0 / 3.0; 3]);
         assert!(skewed < uniform);
-    }
-
-    #[test]
-    fn conditional_entropy_weighted_average() {
-        // Y uniform over {0,1}; X deterministic given Y=0, fair coin given Y=1.
-        let h = conditional_entropy(&[(0.5, vec![1.0, 0.0]), (0.5, vec![0.5, 0.5])]);
-        assert!((h - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn conditioning_reduces_entropy() {
-        // H(X|Y) ≤ H(X) where X's marginal is the mixture.
-        let cond = [(0.5, vec![0.9, 0.1]), (0.5, vec![0.1, 0.9])];
-        let marginal = [0.5, 0.5];
-        assert!(conditional_entropy(&cond) < entropy(&marginal));
     }
 
     #[test]

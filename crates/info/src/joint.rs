@@ -2,7 +2,6 @@
 //! Definition 3.
 
 use crate::dist::Dist;
-use crate::entropy::entropy;
 use crate::num::{clamp_nonneg, xlog2_ratio};
 
 /// A joint distribution over `(X, Y)` pairs stored as a dense
@@ -63,27 +62,6 @@ impl Joint2 {
         Ok(j)
     }
 
-    /// Builds the joint distribution of `(X, f(X))`-style channels:
-    /// `Pr[x, y] = px(x) · channel(x).prob(y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel outputs have inconsistent supports.
-    pub fn from_channel(px: &Dist, channel: impl Fn(usize) -> Dist) -> Self {
-        let rows: Vec<Vec<f64>> = (0..px.len())
-            .map(|x| {
-                let cy = channel(x);
-                cy.probs().iter().map(|&p| px.prob(x) * p).collect()
-            })
-            .collect();
-        let cols = rows[0].len();
-        assert!(
-            rows.iter().all(|r| r.len() == cols),
-            "channel outputs must share a support"
-        );
-        Joint2 { probs: rows }
-    }
-
     /// Number of `X` outcomes.
     pub fn x_len(&self) -> usize {
         self.probs.len()
@@ -133,20 +111,6 @@ impl Joint2 {
             }
         }
         clamp_nonneg(i, 1e-9)
-    }
-
-    /// Conditional entropy `H(Y | X)`.
-    pub fn conditional_entropy_y_given_x(&self) -> f64 {
-        let px = self.marginal_x();
-        (0..self.x_len())
-            .filter(|&x| px.prob(x) > 0.0)
-            .map(|x| {
-                let cond = self
-                    .conditional_y_given_x(x)
-                    .expect("positive-probability row");
-                px.prob(x) * entropy(cond.probs())
-            })
-            .sum()
     }
 }
 
@@ -198,7 +162,11 @@ mod tests {
         // I(X;Y) = H(Y) − H(Y|X).
         let j = Joint2::new(vec![vec![0.1, 0.2], vec![0.4, 0.3]]).unwrap();
         let lhs = j.mutual_information();
-        let rhs = j.marginal_y().entropy() - j.conditional_entropy_y_given_x();
+        let px = j.marginal_x();
+        let h_y_given_x: f64 = (0..j.x_len())
+            .map(|x| px.prob(x) * j.conditional_y_given_x(x).unwrap().entropy())
+            .sum();
+        let rhs = j.marginal_y().entropy() - h_y_given_x;
         assert!((lhs - rhs).abs() < 1e-12);
     }
 
@@ -217,16 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn from_channel_builds_joint() {
-        let px = Dist::bernoulli(0.5).unwrap();
+    fn binary_symmetric_channel_mi() {
         // Y = X through a binary symmetric channel with flip prob 0.1.
-        let j = Joint2::from_channel(&px, |x| {
-            if x == 0 {
-                Dist::bernoulli(0.1).unwrap()
-            } else {
-                Dist::bernoulli(0.9).unwrap()
-            }
-        });
+        let j = Joint2::new(vec![vec![0.45, 0.05], vec![0.05, 0.45]]).unwrap();
         // I(X;Y) = 1 − h(0.1) for a BSC with uniform input.
         let h01 = -(0.1f64 * 0.1f64.log2() + 0.9 * 0.9f64.log2());
         assert!((j.mutual_information() - (1.0 - h01)).abs() < 1e-12);

@@ -14,7 +14,9 @@
 //! the regime where exhaustive enumeration is still exact and fast.
 
 use bci_blackboard::tree::ProtocolTree;
+use bci_info::dist::Dist;
 use bci_info::joint::{conditional_mutual_information, Joint2};
+use bci_protocols::disj_trees::coordinatewise_disj_tree;
 
 use crate::hard_dist::HardDist;
 
@@ -143,6 +145,58 @@ pub fn nfold_cic_bruteforce(tree: &ProtocolTree, dist: &HardDist, n: usize) -> f
     conditional_mutual_information(&slices)
 }
 
+/// The n-fold hard-distribution prior for one player: the product over
+/// coordinates of `Bern(Pr[Xᵢ = 1 | Z = zⱼ])`, as a distribution over set
+/// symbols in `0..2ⁿ`.
+fn player_prior(dist: &HardDist, player: usize, zvec: &[usize]) -> Dist {
+    let n = zvec.len();
+    let p1: Vec<f64> = zvec
+        .iter()
+        .map(|&z| dist.priors_given_z(z)[player])
+        .collect();
+    let probs: Vec<f64> = (0..(1usize << n))
+        .map(|s| {
+            p1.iter()
+                .enumerate()
+                .map(|(j, &p)| if (s >> j) & 1 == 1 { p } else { 1.0 - p })
+                .product()
+        })
+        .collect();
+    Dist::new(probs).expect("product of Bernoullis")
+}
+
+/// Exact `CIC_{μⁿ}(coordinate-wise DISJ_{n,k}) = I(Π; X | Z₁…Z_n)`,
+/// computed directly on the full set-valued
+/// [`coordinatewise_disj_tree`] by averaging over all `kⁿ` auxiliary
+/// vectors. This is the general-alphabet counterpart of
+/// [`nfold_cic_bruteforce`]: it shares no code with the binary kernel
+/// behind [`cic_hard`](crate::cic::cic_hard).
+///
+/// # Panics
+///
+/// Panics if `k < 2` or `kⁿ > 4096`.
+pub fn disj_cic_exact(n: usize, k: usize) -> f64 {
+    let dist = HardDist::new(k);
+    let n_aux = k.pow(n as u32);
+    assert!(n_aux <= 4096, "auxiliary space too large");
+    let tree = coordinatewise_disj_tree(n, k);
+    let w = 1.0 / n_aux as f64;
+    let mut total = 0.0;
+    for zi in 0..n_aux {
+        let mut rest = zi;
+        let zvec: Vec<usize> = (0..n)
+            .map(|_| {
+                let z = rest % k;
+                rest /= k;
+                z
+            })
+            .collect();
+        let priors: Vec<Dist> = (0..k).map(|i| player_prior(&dist, i, &zvec)).collect();
+        total += w * tree.information_cost_product(&priors);
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +272,44 @@ mod tests {
             "{two} vs {}",
             2.0 * single
         );
+    }
+
+    #[test]
+    fn lemma1_equality_on_the_full_disjointness_tree() {
+        // CIC_{μⁿ}(DISJ tree) = n · CIC_μ(AND_k): the general-alphabet
+        // tree on one side, the binary batched kernel on the other.
+        for (n, k) in [(1usize, 3usize), (2, 3), (3, 3), (2, 4)] {
+            let whole = disj_cic_exact(n, k);
+            let per_copy = cic_hard(&sequential_and(k), &HardDist::new(k));
+            assert!(
+                (whole - n as f64 * per_copy).abs() < 1e-9,
+                "(n={n},k={k}): {whole} vs {}",
+                n as f64 * per_copy
+            );
+        }
+    }
+
+    #[test]
+    fn disj_cic_grows_linearly_in_n() {
+        let k = 3;
+        let c1 = disj_cic_exact(1, k);
+        let c2 = disj_cic_exact(2, k);
+        let c3 = disj_cic_exact(3, k);
+        assert!((c2 - 2.0 * c1).abs() < 1e-9);
+        assert!((c3 - 3.0 * c1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn player_prior_is_a_valid_product_distribution() {
+        let d = player_prior(&HardDist::new(4), 1, &[0, 1, 2]);
+        assert_eq!(d.len(), 8);
+        // Player 1 is special in coordinate 1: every symbol with bit 1 set
+        // has probability 0.
+        for s in 0..8usize {
+            if (s >> 1) & 1 == 1 {
+                assert_eq!(d.prob(s), 0.0, "symbol {s}");
+            }
+        }
     }
 
     #[test]

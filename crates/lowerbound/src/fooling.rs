@@ -1,4 +1,6 @@
-//! Generic fooling-set machinery for deterministic protocols.
+//! Generic fooling-set machinery for deterministic protocols (test-only:
+//! E4 runs [`counting`](crate::counting); this harness checks Lemma 6's
+//! collision directly on executable protocols).
 //!
 //! Lemma 6's proof is a collision argument: two inputs with different
 //! correct answers but identical transcripts force an error. This module
@@ -19,14 +21,14 @@ use rand::SeedableRng;
 
 /// A witnessed collision: two input indices with identical transcripts but
 /// different reference outputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Collision {
+#[derive(Debug)]
+struct Collision {
     /// Index (into the supplied input list) of the first input.
-    pub first: usize,
+    first: usize,
     /// Index of the second input.
-    pub second: usize,
+    second: usize,
     /// The shared transcript key.
-    pub transcript: String,
+    transcript: String,
 }
 
 /// Runs a deterministic protocol on every input and searches for a fooling
@@ -39,11 +41,7 @@ pub struct Collision {
 /// # Panics
 ///
 /// Panics if the protocol misbehaves under [`run`] (wrong speaker, etc.).
-pub fn find_collision<P, F>(
-    protocol: &P,
-    inputs: &[Vec<P::Input>],
-    reference: F,
-) -> Option<Collision>
+fn find_collision<P, F>(protocol: &P, inputs: &[Vec<P::Input>], reference: F) -> Option<Collision>
 where
     P: Protocol,
     P::Input: Clone,
@@ -76,7 +74,7 @@ where
 
 /// The Lemma 6 input family: the all-ones input plus, for each player, the
 /// input whose only zero is that player's.
-pub fn lemma6_inputs(k: usize) -> Vec<Vec<bool>> {
+fn lemma6_inputs(k: usize) -> Vec<Vec<bool>> {
     let mut inputs = vec![vec![true; k]];
     for z in 0..k {
         let mut x = vec![true; k];

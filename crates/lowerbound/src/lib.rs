@@ -10,7 +10,7 @@
 //!   player `Z` receives 0; everyone else receives 0 independently with
 //!   probability `1/k`. Conditioned on `Z` the inputs are independent
 //!   (Lemma 1's condition 2) and `AND_k` is always 0 on the support
-//!   (condition 1).
+//!   (condition 1). It is the workspace's only copy of `μ`.
 //! * [`cic`] — exact conditional information cost `CIC_μ(Π) = I(Π; X | Z)`
 //!   for protocol trees, via the factorized posterior computation.
 //! * [`qdecomp`] — the Lemma 3 `q`-decomposition and the α-coefficients
@@ -20,7 +20,8 @@
 //!   Lemma 5 (for most of `π₂`'s mass, some player has `α_i^ℓ ≥ c·k`).
 //! * [`direct_sum`] — brute-force verification of Lemma 1 (`CIC` adds up
 //!   across independent copies) and the Theorem 4 equality on product
-//!   distributions.
+//!   distributions, plus `CIC_{μⁿ}` of the full set-valued `DISJ_{n,k}`
+//!   tree.
 //! * [`counting`] — the Lemma 6 fooling argument: deterministic protocols in
 //!   which few players speak err under the two-point hard distribution `μ′`.
 //!
@@ -43,7 +44,6 @@
 pub mod cic;
 pub mod counting;
 pub mod direct_sum;
-pub mod fooling;
 pub mod good_transcripts;
 pub mod hard_dist;
 pub mod internal;
@@ -51,3 +51,6 @@ pub mod qdecomp;
 
 pub use cic::{cic_hard, cic_product};
 pub use hard_dist::HardDist;
+
+#[cfg(test)]
+mod fooling;

@@ -57,11 +57,6 @@ pub fn alpha(leaf: &Leaf, player: usize) -> Alpha {
     }
 }
 
-/// Computes all `k` α-coefficients of a leaf.
-pub fn alphas(leaf: &Leaf, k: usize) -> Vec<Alpha> {
-    (0..k).map(|i| alpha(leaf, i)).collect()
-}
-
 /// Lemma 4: the posterior `Pr[Xᵢ = 0 | Π = ℓ, Z ≠ i]` under the hard
 /// distribution, i.e. with prior `Pr[Xᵢ = 0] = 1/k`:
 /// `α/(α + k − 1)` (1 when `α = ∞`, 0 when undefined).

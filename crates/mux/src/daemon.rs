@@ -511,8 +511,26 @@ where
                 let _ = conn.flush_from(out);
             }
         }
-        // Readers blocked on a read see end-of-stream; readers blocked on
-        // a full channel see the reactor hang up.
+        // Close gracefully: end each honest stream after its outcomes and
+        // drain its reader until the peer hangs up (bounded by
+        // io_timeout). A late reply left unread when the socket closes
+        // would answer the peer with a reset, which can destroy outcomes
+        // it has not read yet.
+        for (player, stream) in shutdown.0.iter().enumerate() {
+            let how = if culprit == Some(player) {
+                std::net::Shutdown::Both
+            } else {
+                std::net::Shutdown::Write
+            };
+            let _ = stream.shutdown(how);
+        }
+        let until = Instant::now() + opts.config.io_timeout;
+        while rx
+            .recv_timeout(until.saturating_duration_since(Instant::now()))
+            .is_ok()
+        {}
+        // Readers still blocked on a read see end-of-stream; readers
+        // blocked on a full channel see the reactor hang up.
         drop(shutdown);
         drop(rx);
         for (player, thread) in readers {

@@ -395,8 +395,8 @@ where
     /// the session's engine (which re-parks the RNG state and writes the
     /// board), records the turn's latency and phases, and issues the next
     /// grant. Engine violations — a reply with no grant outstanding, the
-    /// wrong speaker, a malformed RNG state — finish the session aborted
-    /// with the violation's canonical reason.
+    /// wrong speaker, a stale turn, a malformed RNG state — finish the
+    /// session aborted with the violation's canonical reason.
     fn apply_reply(
         &mut self,
         now: Instant,
@@ -411,12 +411,21 @@ where
             return;
         };
         // The wire names the speaker twice (connection index and frame
-        // field); a frame naming another player spends no grant.
+        // field) and echoes the grant's turn; a frame naming another
+        // player or an earlier turn spends no grant.
+        let expected = slot.engine.steps();
         let applied = match slot.engine.granted() {
             Some(granted) if reply.speaker as usize != player => {
                 Err(ProtocolViolation::WrongSpeaker {
                     granted,
                     speaker: player,
+                })
+            }
+            Some(granted) if granted == player && reply.turn as usize != expected => {
+                Err(ProtocolViolation::StaleTurn {
+                    speaker: player,
+                    expected,
+                    got: reply.turn as usize,
                 })
             }
             _ => slot

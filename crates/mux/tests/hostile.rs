@@ -1,9 +1,11 @@
 //! Well-framed but adversarial peers on the simulated network, each
 //! next to an honest player 0: a reply for a session that is finished or
-//! was never admitted, and a second reply to one grant. Either must
-//! cost exactly what it names — a `mux.late_replies` count, or the one
-//! session it targets — while every honest session completes with the
-//! transcript of an `InProcessTransport` replay of its seed.
+//! was never admitted, and a second reply to one grant, both when the
+//! next grant goes to the other player and when it goes to the same
+//! one. Each must cost exactly what it names — a `mux.late_replies`
+//! count, or the one session it targets — while every honest session
+//! completes with the transcript of an `InProcessTransport` replay of
+//! its seed.
 
 mod sim;
 
@@ -22,11 +24,21 @@ use sim::{
 
 const SEED: u64 = 0xBAD5EED;
 const SESSIONS: u64 = 8;
-static COINS: Coins = Coins { turns: 4 };
+/// The players alternate every turn.
+static COINS: Coins = Coins {
+    turns: 4,
+    streak: 1,
+};
+/// Each player speaks twice in a row: turns 0, 1 are player 0's and
+/// turns 2, 3 player 1's.
+static PAIRS: Coins = Coins {
+    turns: 4,
+    streak: 2,
+};
 
-/// Runs [`SESSIONS`] sessions of [`Coins`] with the honest player 0 and
+/// Runs [`SESSIONS`] sessions of `protocol` with the honest player 0 and
 /// `player1`.
-fn simulate(player1: Script<'static>) -> (SimRun, Snapshot) {
+fn simulate(protocol: &'static Coins, player1: Script<'static>) -> (SimRun, Snapshot) {
     let recorder = Recorder::metrics_only();
     let config = NetConfig::default();
     let opts = MuxOptions {
@@ -38,7 +50,7 @@ fn simulate(player1: Script<'static>) -> (SimRun, Snapshot) {
     let outboxes = vec![Outbox::default(); 2];
     let core = MuxCore::new(
         base,
-        &COINS,
+        protocol,
         outboxes,
         SESSIONS,
         SEED,
@@ -46,7 +58,7 @@ fn simulate(player1: Script<'static>) -> (SimRun, Snapshot) {
         &opts,
         &recorder,
     );
-    let peers = vec![Peer::new(honest(&COINS, 0)), Peer::new(player1)];
+    let peers = vec![Peer::new(honest(protocol, 0)), Peer::new(player1)];
     let run = SimNet::new(base, core, peers, &config).run();
     (run, recorder.snapshot())
 }
@@ -78,8 +90,8 @@ fn honest_plus(trigger: fn(u64, &Frame) -> bool, extra: (u64, Frame)) -> Script<
 }
 
 /// The honest player 1, which sends its first answer in `target` twice.
-fn doubles_first_answer_in(target: u64) -> Script<'static> {
-    let mut play = honest(&COINS, 1);
+fn doubles_first_answer_in(protocol: &'static Coins, target: u64) -> Script<'static> {
+    let mut play = honest(protocol, 1);
     let mut doubled = false;
     Box::new(move |now, session, frame| {
         let mut answer = play(now, session, frame)?;
@@ -91,22 +103,26 @@ fn doubles_first_answer_in(target: u64) -> Script<'static> {
     })
 }
 
-/// Simulates with `player1()` 100 times, checks every repeat gives the
-/// same records, counters and end, and returns the first.
-fn simulate_100(player1: impl Fn() -> Script<'static>) -> (SimRun, Snapshot) {
-    let (run, snapshot) = simulate(player1());
+/// Simulates `protocol` with `player1()` 100 times, checks every repeat
+/// gives the same records, counters and end, and returns the first.
+fn simulate_100(
+    protocol: &'static Coins,
+    player1: impl Fn() -> Script<'static>,
+) -> (SimRun, Snapshot) {
+    let (run, snapshot) = simulate(protocol, player1());
     let first = fingerprint(&run, &snapshot);
     for _ in 1..100 {
-        let (run, snapshot) = simulate(player1());
+        let (run, snapshot) = simulate(protocol, player1());
         assert_eq!(fingerprint(&run, &snapshot), first);
     }
     (run, snapshot)
 }
 
 /// Asserts that the sessions not in `spoiled` completed with their
-/// in-process replay's digest, and both players saw every session end.
-fn assert_honest_sessions_match_inprocess(run: &SimRun, spoiled: &[u64]) {
-    let replay = inprocess_digests(&COINS, SESSIONS, SEED, coin_inputs);
+/// in-process replay's digest under `protocol`, and both players saw
+/// every session end.
+fn assert_honest_sessions_match_inprocess(protocol: &Coins, run: &SimRun, spoiled: &[u64]) {
+    let replay = inprocess_digests(protocol, SESSIONS, SEED, coin_inputs);
     assert_eq!(run.report.records.len() as u64, SESSIONS);
     for record in &run.report.records {
         if spoiled.contains(&record.session) {
@@ -136,7 +152,8 @@ fn a_reply_for_a_dead_session_counts_one_late_reply_and_nothing_else() {
         ),
     ];
     for (name, trigger, session) in cases {
-        let (run, snapshot) = simulate_100(|| honest_plus(trigger, (session, forged_reply())));
+        let (run, snapshot) =
+            simulate_100(&COINS, || honest_plus(trigger, (session, forged_reply())));
         assert_eq!(snapshot.counter("mux.late_replies"), 1, "{name}");
         assert_eq!(
             snapshot.counter("mux.sessions_completed"),
@@ -144,7 +161,7 @@ fn a_reply_for_a_dead_session_counts_one_late_reply_and_nothing_else() {
             "{name}"
         );
         assert_eq!(snapshot.counter("mux.sessions_aborted"), 0, "{name}");
-        assert_honest_sessions_match_inprocess(&run, &[]);
+        assert_honest_sessions_match_inprocess(&COINS, &run, &[]);
     }
 }
 
@@ -154,7 +171,7 @@ fn a_second_reply_to_one_grant_aborts_only_that_session() {
     // is applied and grants player 0, so the second names the wrong
     // speaker.
     const TARGET: u64 = 2;
-    let (run, snapshot) = simulate_100(|| doubles_first_answer_in(TARGET));
+    let (run, snapshot) = simulate_100(&COINS, || doubles_first_answer_in(&COINS, TARGET));
     let reason = ProtocolViolation::WrongSpeaker {
         granted: 0,
         speaker: 1,
@@ -163,10 +180,34 @@ fn a_second_reply_to_one_grant_aborts_only_that_session() {
     let target = &run.report.records[TARGET as usize];
     assert_eq!((target.kind, target.reason.as_str()), (2, reason.as_str()));
     assert_eq!(target.turns, 2, "the first copy was applied");
-    assert_honest_sessions_match_inprocess(&run, &[TARGET]);
+    assert_honest_sessions_match_inprocess(&COINS, &run, &[TARGET]);
     assert_eq!(snapshot.counter("mux.sessions_aborted"), 1);
     assert_eq!(snapshot.counter("mux.sessions_completed"), SESSIONS - 1);
     // Player 0 answered the grant the first copy earned before the abort
     // reached it; that answer lands late.
+    assert_eq!(snapshot.counter("mux.late_replies"), 1);
+}
+
+#[test]
+fn a_second_reply_when_the_same_player_speaks_next_is_a_stale_turn() {
+    // Player 1 answers turn 2 of session 2 twice. The first copy is
+    // applied and grants player 1 turn 3, so the second copy is for a
+    // turn already spent: it must not be applied as turn 3's message.
+    const TARGET: u64 = 2;
+    let (run, snapshot) = simulate_100(&PAIRS, || doubles_first_answer_in(&PAIRS, TARGET));
+    let reason = ProtocolViolation::StaleTurn {
+        speaker: 1,
+        expected: 3,
+        got: 2,
+    }
+    .to_string();
+    let target = &run.report.records[TARGET as usize];
+    assert_eq!((target.kind, target.reason.as_str()), (2, reason.as_str()));
+    assert_eq!(target.turns, 3, "the first copy was applied");
+    assert_honest_sessions_match_inprocess(&PAIRS, &run, &[TARGET]);
+    assert_eq!(snapshot.counter("mux.sessions_aborted"), 1);
+    assert_eq!(snapshot.counter("mux.sessions_completed"), SESSIONS - 1);
+    // Player 1 answered turn 3's grant before the abort reached it; that
+    // answer lands late.
     assert_eq!(snapshot.counter("mux.late_replies"), 1);
 }

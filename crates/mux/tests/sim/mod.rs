@@ -100,11 +100,13 @@ impl Protocol for PanickyRelay {
     }
 }
 
-/// Two players alternate for `turns` writes of one coin-flipped bit
-/// (XOR their input bit), so a transcript depends on the session seed
-/// and on the RNG riding every grant.
+/// Two players take turns of `streak` consecutive writes each, for
+/// `turns` writes of one coin-flipped bit (XOR their input bit), so a
+/// transcript depends on the session seed and on the RNG riding every
+/// grant.
 pub struct Coins {
     pub turns: usize,
+    pub streak: usize,
 }
 
 impl Protocol for Coins {
@@ -117,7 +119,7 @@ impl Protocol for Coins {
 
     fn next_speaker(&self, board: &Board) -> Option<PlayerId> {
         let written = board.messages().len();
-        (written < self.turns).then_some(written % 2)
+        (written < self.turns).then_some(written / self.streak % 2)
     }
 
     fn message(&self, _: PlayerId, input: &bool, _: &Board, rng: &mut dyn RngCore) -> BitVec {

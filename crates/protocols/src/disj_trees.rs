@@ -8,48 +8,14 @@
 //! column, a full column of ones ends with output 0 ("non-disjoint"); all
 //! columns cleared ends with output 1 ("disjoint").
 //!
-//! With this tree, `CIC_{μⁿ}(DISJ_{n,k})` is computed *directly* — no
-//! additivity assumption — and the tests confirm the Lemma 1 equality
+//! `bci_lowerbound::direct_sum::disj_cic_exact` computes
+//! `CIC_{μⁿ}(DISJ_{n,k})` on this tree *directly* — no additivity
+//! assumption — and checks the Lemma 1 equality
 //! `CIC_{μⁿ}(Πⁿ) = n · CIC_μ(AND_k)` at the level of the full disjointness
 //! protocol.
 
 use bci_blackboard::general_tree::{GeneralTree, GeneralTreeBuilder};
 use bci_encoding::bitio::BitVec;
-use bci_info::dist::Dist;
-
-use crate::and_trees;
-use bci_lowerbound_shim::HardDistLike;
-
-/// Minimal local stand-in so this crate does not depend on
-/// `bci-lowerbound` (which depends on us): the hard distribution's
-/// conditional priors are three lines of arithmetic.
-mod bci_lowerbound_shim {
-    /// Per-player `Pr[bit = 1 | Z = z]` of the Section 4.1 hard
-    /// distribution.
-    pub trait HardDistLike {
-        /// `Pr[Xᵢ = 1 | Z = z]` for player `i`.
-        fn prior_one(&self, i: usize, z: usize) -> f64;
-    }
-
-    /// The hard distribution with `k` players.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Hard {
-        /// Number of players.
-        pub k: usize,
-    }
-
-    impl HardDistLike for Hard {
-        fn prior_one(&self, i: usize, z: usize) -> f64 {
-            if i == z {
-                0.0
-            } else {
-                1.0 - 1.0 / self.k as f64
-            }
-        }
-    }
-}
-
-pub use bci_lowerbound_shim::Hard;
 
 fn bit(v: bool) -> BitVec {
     BitVec::from_bools(&[v])
@@ -120,71 +86,6 @@ pub fn coordinatewise_disj_tree(n: usize, k: usize) -> GeneralTree {
     b.finish(root)
 }
 
-/// The n-fold hard-distribution prior for one player: the product over
-/// coordinates of `Bern(prior given zⱼ)`, as a distribution over set
-/// symbols in `0..2ⁿ`.
-pub fn player_prior(n: usize, k: usize, player: usize, zvec: &[usize]) -> Dist {
-    assert_eq!(zvec.len(), n, "one special player per coordinate");
-    let hard = Hard { k };
-    let probs: Vec<f64> = (0..(1usize << n))
-        .map(|s| {
-            (0..n)
-                .map(|j| {
-                    let p1 = hard.prior_one(player, zvec[j]);
-                    if (s >> j) & 1 == 1 {
-                        p1
-                    } else {
-                        1.0 - p1
-                    }
-                })
-                .product()
-        })
-        .collect();
-    Dist::new(probs).expect("product of Bernoullis")
-}
-
-/// Exact `CIC_{μⁿ}(coordinate-wise DISJ_{n,k}) = I(Π; X | Z₁…Z_n)`,
-/// computed directly on the full tree by averaging over all `kⁿ` auxiliary
-/// vectors.
-///
-/// # Panics
-///
-/// Panics if `kⁿ > 4096`.
-pub fn disj_cic_exact(n: usize, k: usize) -> f64 {
-    let n_aux = k.pow(n as u32);
-    assert!(n_aux <= 4096, "auxiliary space too large");
-    let tree = coordinatewise_disj_tree(n, k);
-    let w = 1.0 / n_aux as f64;
-    let mut total = 0.0;
-    for zi in 0..n_aux {
-        let mut rest = zi;
-        let zvec: Vec<usize> = (0..n)
-            .map(|_| {
-                let z = rest % k;
-                rest /= k;
-                z
-            })
-            .collect();
-        let priors: Vec<Dist> = (0..k).map(|i| player_prior(n, k, i, &zvec)).collect();
-        total += w * tree.information_cost_product(&priors);
-    }
-    total
-}
-
-/// Exact single-copy `CIC_μ(AND_k)` via the binary tree (for the Lemma 1
-/// comparison without importing `bci-lowerbound`).
-pub fn and_cic_exact(k: usize) -> f64 {
-    let tree = and_trees::sequential_and(k);
-    let hard = Hard { k };
-    let w = 1.0 / k as f64;
-    (0..k)
-        .map(|z| {
-            let priors: Vec<f64> = (0..k).map(|i| hard.prior_one(i, z)).collect();
-            w * tree.information_cost_product(&priors)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,44 +126,6 @@ mod tests {
             let dist = tree.transcript_dist_given_input(&symbols);
             let leaf = dist.iter().position(|&p| p > 0.999).expect("deterministic");
             assert_eq!(tree.leaves()[leaf].path_bits, run.bits, "input {symbols:?}");
-        }
-    }
-
-    #[test]
-    fn lemma1_equality_on_the_full_disjointness_tree() {
-        // CIC_{μⁿ}(DISJ tree) = n · CIC_μ(AND_k), computed with zero shared
-        // machinery between the two sides.
-        for (n, k) in [(1usize, 3usize), (2, 3), (3, 3), (2, 4)] {
-            let whole = disj_cic_exact(n, k);
-            let per_copy = and_cic_exact(k);
-            assert!(
-                (whole - n as f64 * per_copy).abs() < 1e-9,
-                "(n={n},k={k}): {whole} vs {}",
-                n as f64 * per_copy
-            );
-        }
-    }
-
-    #[test]
-    fn disj_cic_grows_linearly_in_n() {
-        let k = 3;
-        let c1 = disj_cic_exact(1, k);
-        let c2 = disj_cic_exact(2, k);
-        let c3 = disj_cic_exact(3, k);
-        assert!((c2 - 2.0 * c1).abs() < 1e-9);
-        assert!((c3 - 3.0 * c1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn player_prior_is_a_valid_product_distribution() {
-        let d = player_prior(3, 4, 1, &[0, 1, 2]);
-        assert_eq!(d.len(), 8);
-        // Player 1 is special in coordinate 1: every symbol with bit 1 set
-        // has probability 0.
-        for s in 0..8usize {
-            if (s >> 1) & 1 == 1 {
-                assert_eq!(d.prob(s), 0.0, "symbol {s}");
-            }
         }
     }
 

@@ -12,6 +12,10 @@
 //!   the introduction and the batched `O(n log k + k)` protocol of
 //!   Theorem 2, each with an input-free board decoder that proves the
 //!   transcript is self-describing.
+//! * [`disj_trees`] — the coordinate-wise `DISJ_{n,k}` protocol as one
+//!   exact tree over set-valued inputs. Its information cost under the
+//!   hard distribution is `bci-lowerbound`'s (`direct_sum::disj_cic_exact`):
+//!   this crate holds protocols only, and no copy of the distribution.
 //! * [`msgpass`] — the message-passing counterparts the separations are
 //!   measured against: `DISJ` on the BEOPV coordinator star and on a
 //!   point-to-point ring (both `Θ(nk)`), and star `AND_k` — all as
@@ -21,7 +25,8 @@
 //!   alongside symmetrization, with the same naive/batched pair.
 //! * [`sparse`] — the Håstad–Wigderson `O(s)` two-player protocol for
 //!   sparse set disjointness cited in the introduction (the classic example
-//!   of a log factor that *doesn't* arise).
+//!   of a log factor that *doesn't* arise), run on `SparseBitSet`s in
+//!   `O(s)` time per round.
 //! * [`workload`] — input generators for the disjointness experiments.
 //!
 //! # Example

@@ -31,7 +31,7 @@
 //! distribution (`R ⊇ A`, rest iid fair). Behaviour and cost are
 //! distribution-exact; only the unenumerable scan is elided.
 
-use bci_encoding::bitset::{BitSet, SparseBitSet};
+use bci_encoding::bitset::SparseBitSet;
 use rand::Rng;
 
 /// Result of one run of the sparse-disjointness protocol.
@@ -79,16 +79,13 @@ fn sample_log2_index<R: Rng + ?Sized>(a: usize, rng: &mut R) -> f64 {
     }
 }
 
-/// Draws `R` from its conditional law given `R ⊇ a_set`: the forced
-/// elements plus each other element independently with probability ½
-/// (word-parallel: one random `u64` per 64 elements).
-fn conditioned_random_set<R: Rng + ?Sized>(a_set: &BitSet, rng: &mut R) -> BitSet {
-    let words = a_set
-        .words()
-        .iter()
-        .map(|&w| w | rng.random::<u64>())
-        .collect();
-    BitSet::from_words(a_set.capacity(), words)
+/// Bits to name one coordinate of `[n]` explicitly: `⌈log₂ n⌉`, at least 1.
+fn coord_bits(n: usize) -> f64 {
+    if n <= 1 {
+        1.0
+    } else {
+        (usize::BITS - (n - 1).leading_zeros()) as f64
+    }
 }
 
 /// How many consecutive non-shrinking rounds trigger the explicit fallback.
@@ -99,90 +96,20 @@ const STALL_LIMIT: usize = 4;
 /// Zero-error: the output always equals `x ∩ y = ∅`. The communication is
 /// random; see [`SparseRun::bits`].
 ///
-/// # Panics
-///
-/// Panics if the sets' capacities differ.
-pub fn run<R: Rng + ?Sized>(x: &BitSet, y: &BitSet, rng: &mut R) -> SparseRun {
-    assert_eq!(x.capacity(), y.capacity(), "universe mismatch");
-    let n = x.capacity();
-    let coord_bits = if n <= 1 {
-        1.0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as f64
-    };
-    let mut a = x.clone();
-    let mut b = y.clone();
-    let mut bits = 0.0f64;
-    let mut rounds = 0usize;
-    let mut stall = 0usize;
-    loop {
-        // Speaker holds `a` (roles swap by swapping the bindings).
-        if a.is_empty() {
-            bits += 1.0; // "my set is empty" flag
-            return SparseRun {
-                bits,
-                output: true,
-                rounds,
-                fallback: false,
-            };
-        }
-        if stall >= STALL_LIMIT {
-            // Fallback: announce `a` explicitly; the other side intersects.
-            bits += 1.0 + coord_bits + a.len() as f64 * coord_bits;
-            let disjoint = a.intersection(&b).is_empty();
-            return SparseRun {
-                bits,
-                output: disjoint,
-                rounds,
-                fallback: true,
-            };
-        }
-        // Announce the index of the first shared random set containing `a`.
-        bits += 1.0 + delta_len_from_log2(sample_log2_index(a.len(), rng));
-        let r = conditioned_random_set(&a, rng);
-        let pruned = b.intersection(&r);
-        if pruned.len() == b.len() {
-            stall += 1;
-        } else {
-            stall = 0;
-        }
-        b = pruned;
-        rounds += 1;
-        std::mem::swap(&mut a, &mut b);
-    }
-}
-
-/// Runs the protocol on sparse-set inputs — the `O(s)`-per-round fast
-/// lane.
-///
-/// Behaviorally this is [`run`]: same alternating pruning, stall counter,
-/// explicit fallback, cost accounting, and zero-error guarantee. The
-/// difference is purely computational. The dense path materializes the
-/// shared random set on all `n` coordinates (`n/64` random words) and
-/// intersects full `n`-bit sets every round, even though only the ≤ `s`
-/// surviving elements of the listener's candidate set matter; here the
-/// random set is sampled *lazily on exactly the words the listener's set
-/// occupies* (`R`'s word at index `i` is `a.word(i) | random`), so one
-/// round costs `O(occupied words)` — independent of the universe size.
-///
-/// The RNG stream therefore differs from [`run`]'s (far fewer words are
-/// drawn), so seeded runs are not reproductions of the dense path's runs;
-/// the *distribution* of `(output, bits, rounds, fallback)` is identical,
-/// which the tests check statistically. Zero error holds exactly as for
-/// [`run`]: pruning only removes elements provably outside the other
-/// side's candidate set.
+/// Each round samples the shared random set `R ⊇ a` *lazily on exactly
+/// the words the listener's set occupies* (`R`'s word at index `i` is
+/// `a.word(i) | random`), so one round costs `O(occupied words)` —
+/// independent of the universe size. The tests keep a dense reference
+/// that materializes `R` on all `n` coordinates; its RNG stream differs,
+/// but the distribution of `(output, bits, rounds, fallback)` is the same,
+/// which they check statistically.
 ///
 /// # Panics
 ///
 /// Panics if the sets' capacities differ.
 pub fn run_sparse<R: Rng + ?Sized>(x: &SparseBitSet, y: &SparseBitSet, rng: &mut R) -> SparseRun {
     assert_eq!(x.capacity(), y.capacity(), "universe mismatch");
-    let n = x.capacity();
-    let coord_bits = if n <= 1 {
-        1.0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as f64
-    };
+    let coord_bits = coord_bits(x.capacity());
     let mut a = x.clone();
     let mut b = y.clone();
     let mut bits = 0.0f64;
@@ -223,90 +150,111 @@ pub fn run_sparse<R: Rng + ?Sized>(x: &SparseBitSet, y: &SparseBitSet, rng: &mut
     }
 }
 
-/// Result of the exact-intersection variant.
-#[derive(Debug, Clone)]
-pub struct IntersectRun {
-    /// Total communication in bits.
-    pub bits: f64,
-    /// The computed intersection (always exactly `x ∩ y`).
-    pub intersection: BitSet,
-    /// Pruning rounds executed before the exchange.
-    pub rounds: usize,
-}
-
-/// Computes the **exact intersection** `X ∩ Y` in `O(s)` expected bits —
-/// the stronger primitive of Brody et al. \[8\] that the paper's introduction
-/// mentions ("two players can even compute the exact intersection … using
-/// `O(s)` bits").
-///
-/// Strategy: run the same alternating pruning as [`run`]; the candidate
-/// sets converge onto the intersection (`A ∩ B = X ∩ Y` is invariant and
-/// elements outside it are halved away each round). Once a candidate set
-/// stops shrinking or empties, its holder announces it explicitly — by then
-/// it is within a constant factor of `|X ∩ Y|` — and the other side
-/// intersects with its own candidate and announces the (tiny) result.
-///
-/// # Panics
-///
-/// Panics if the sets' capacities differ.
-pub fn intersect<R: Rng + ?Sized>(x: &BitSet, y: &BitSet, rng: &mut R) -> IntersectRun {
-    assert_eq!(x.capacity(), y.capacity(), "universe mismatch");
-    let n = x.capacity();
-    let coord_bits = if n <= 1 {
-        1.0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as f64
-    };
-    let mut a = x.clone();
-    let mut b = y.clone();
-    let mut bits = 0.0f64;
-    let mut rounds = 0usize;
-    let mut stall = 0usize;
-    while !a.is_empty() && stall < STALL_LIMIT {
-        bits += 1.0 + delta_len_from_log2(sample_log2_index(a.len(), rng));
-        let r = conditioned_random_set(&a, rng);
-        let pruned = b.intersection(&r);
-        if pruned.len() == b.len() {
-            stall += 1;
-        } else {
-            stall = 0;
-        }
-        b = pruned;
-        rounds += 1;
-        std::mem::swap(&mut a, &mut b);
-    }
-    // Speaker announces candidate set `a`; the other intersects with `b`
-    // and announces the final (equal-or-smaller) answer.
-    let announce = |set: &BitSet| 1.0 + coord_bits + set.len() as f64 * coord_bits;
-    bits += announce(&a);
-    let result = a.intersection(&b);
-    bits += announce(&result);
-    debug_assert_eq!(result, x.intersection(y));
-    IntersectRun {
-        bits,
-        intersection: result,
-        rounds,
-    }
-}
-
 /// The naive baseline: one side sends its whole set
 /// (`s·⌈log₂ n⌉ + ⌈log₂ n⌉` bits), the other answers with one bit.
 pub fn naive_bits(n: usize, s: usize) -> f64 {
-    let coord_bits = if n <= 1 {
-        1.0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as f64
-    };
+    let coord_bits = coord_bits(n);
     s as f64 * coord_bits + coord_bits + 1.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bci_encoding::bitset::BitSet;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// Draws `R` from its conditional law given `R ⊇ a_set` on all `n`
+    /// coordinates: the forced elements plus each other element
+    /// independently with probability ½ (one random `u64` per 64 elements).
+    fn conditioned_random_set<R: Rng + ?Sized>(a_set: &BitSet, rng: &mut R) -> BitSet {
+        let words = a_set
+            .words()
+            .iter()
+            .map(|&w| w | rng.random::<u64>())
+            .collect();
+        BitSet::from_words(a_set.capacity(), words)
+    }
+
+    /// The dense reference for [`run_sparse`]: the same protocol, with the
+    /// shared random set materialized on all `n` coordinates every round
+    /// (`O(n)` per round).
+    fn run(x: &BitSet, y: &BitSet, rng: &mut impl Rng) -> SparseRun {
+        assert_eq!(x.capacity(), y.capacity(), "universe mismatch");
+        let coord_bits = coord_bits(x.capacity());
+        let mut a = x.clone();
+        let mut b = y.clone();
+        let mut bits = 0.0f64;
+        let mut rounds = 0usize;
+        let mut stall = 0usize;
+        loop {
+            if a.is_empty() {
+                bits += 1.0;
+                return SparseRun {
+                    bits,
+                    output: true,
+                    rounds,
+                    fallback: false,
+                };
+            }
+            if stall >= STALL_LIMIT {
+                bits += 1.0 + coord_bits + a.len() as f64 * coord_bits;
+                return SparseRun {
+                    bits,
+                    output: a.intersection(&b).is_empty(),
+                    rounds,
+                    fallback: true,
+                };
+            }
+            bits += 1.0 + delta_len_from_log2(sample_log2_index(a.len(), rng));
+            let pruned = b.intersection(&conditioned_random_set(&a, rng));
+            if pruned.len() == b.len() {
+                stall += 1;
+            } else {
+                stall = 0;
+            }
+            b = pruned;
+            rounds += 1;
+            std::mem::swap(&mut a, &mut b);
+        }
+    }
+
+    /// Brody et al.'s **exact intersection** `X ∩ Y` in `O(s)` expected
+    /// bits, the stronger primitive the paper's introduction mentions ("two
+    /// players can even compute the exact intersection … using `O(s)`
+    /// bits"): `(bits, intersection)`.
+    ///
+    /// The same alternating pruning as [`run`]; the candidate sets converge
+    /// onto the intersection (`A ∩ B = X ∩ Y` is invariant and elements
+    /// outside it are halved away each round). Once a candidate set stops
+    /// shrinking or empties, its holder announces it explicitly — by then
+    /// it is within a constant factor of `|X ∩ Y|` — and the other side
+    /// intersects with its own candidate and announces the (tiny) result.
+    fn intersect(x: &BitSet, y: &BitSet, rng: &mut impl Rng) -> (f64, BitSet) {
+        let coord_bits = coord_bits(x.capacity());
+        let mut a = x.clone();
+        let mut b = y.clone();
+        let mut bits = 0.0f64;
+        let mut stall = 0usize;
+        while !a.is_empty() && stall < STALL_LIMIT {
+            bits += 1.0 + delta_len_from_log2(sample_log2_index(a.len(), rng));
+            let pruned = b.intersection(&conditioned_random_set(&a, rng));
+            if pruned.len() == b.len() {
+                stall += 1;
+            } else {
+                stall = 0;
+            }
+            b = pruned;
+            std::mem::swap(&mut a, &mut b);
+        }
+        let announce = |set: &BitSet| 1.0 + coord_bits + set.len() as f64 * coord_bits;
+        bits += announce(&a);
+        let result = a.intersection(&b);
+        bits += announce(&result);
+        (bits, result)
     }
 
     /// Two random disjoint s-subsets of [n].
@@ -339,30 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn always_correct_on_disjoint_inputs() {
-        let mut r = rng(1);
-        for trial in 0..40 {
-            let s = 4 + trial % 30;
-            let (x, y) = disjoint_pair(4096, s, &mut r);
-            let out = run(&x, &y, &mut r);
-            assert!(out.output, "trial {trial}");
-        }
-    }
-
-    #[test]
-    fn always_correct_on_intersecting_inputs() {
-        let mut r = rng(2);
-        for trial in 0..40 {
-            let s = 6 + trial % 30;
-            let overlap = 1 + trial % 3;
-            let (x, y) = overlapping_pair(4096, s, overlap, &mut r);
-            assert!(!x.intersection(&y).is_empty());
-            let out = run(&x, &y, &mut r);
-            assert!(!out.output, "trial {trial}");
-        }
-    }
-
-    #[test]
     fn cost_is_linear_in_s_not_s_log_n() {
         let n = 1 << 20;
         let mut r = rng(3);
@@ -371,7 +295,7 @@ mod tests {
             let mut total = 0.0;
             for _ in 0..trials {
                 let (x, y) = disjoint_pair(n, s, r);
-                total += run(&x, &y, r).bits;
+                total += run_sparse(&to_sparse(&x), &to_sparse(&y), r).bits;
             }
             total / trials as f64
         };
@@ -400,7 +324,7 @@ mod tests {
             (0..trials)
                 .map(|_| {
                     let (x, y) = disjoint_pair(n, 128, r);
-                    run(&x, &y, r).bits
+                    run_sparse(&to_sparse(&x), &to_sparse(&y), r).bits
                 })
                 .sum::<f64>()
                 / trials as f64
@@ -418,7 +342,7 @@ mod tests {
         let mut r = rng(5);
         let n = 1 << 16;
         let (x, y) = overlapping_pair(n, 200, 2, &mut r);
-        let out = run(&x, &y, &mut r);
+        let out = run_sparse(&to_sparse(&x), &to_sparse(&y), &mut r);
         assert!(!out.output);
         // The fallback announces only the stalled candidate set (≈ the
         // intersection), not the original 200 elements.
@@ -442,8 +366,8 @@ mod tests {
             } else {
                 overlapping_pair(n, s, overlap, &mut r)
             };
-            let out = intersect(&x, &y, &mut r);
-            assert_eq!(out.intersection, x.intersection(&y), "trial {trial}");
+            let (_, found) = intersect(&x, &y, &mut r);
+            assert_eq!(found, x.intersection(&y), "trial {trial}");
         }
     }
 
@@ -456,7 +380,7 @@ mod tests {
             (0..trials)
                 .map(|_| {
                     let (x, y) = overlapping_pair(n, s, 3, r);
-                    intersect(&x, &y, r).bits
+                    intersect(&x, &y, r).0
                 })
                 .sum::<f64>()
                 / trials as f64
@@ -472,19 +396,7 @@ mod tests {
     fn intersect_of_identical_sets_returns_them() {
         let mut r = rng(10);
         let x = BitSet::from_elements(1000, [3, 99, 500]);
-        let out = intersect(&x, &x, &mut r);
-        assert_eq!(out.intersection, x);
-    }
-
-    #[test]
-    fn empty_sets_cost_one_bit() {
-        let mut r = rng(6);
-        let x = BitSet::new(100);
-        let y = BitSet::from_elements(100, [3, 7]);
-        let out = run(&x, &y, &mut r);
-        assert!(out.output);
-        assert_eq!(out.bits, 1.0);
-        assert_eq!(out.rounds, 0);
+        assert_eq!(intersect(&x, &x, &mut r).1, x);
     }
 
     fn to_sparse(s: &BitSet) -> SparseBitSet {

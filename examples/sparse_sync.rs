@@ -11,13 +11,13 @@
 //! Run with: `cargo run --release --example sparse_sync`
 
 use broadcast_ic::core::table::{f, Table};
-use broadcast_ic::encoding::bitset::BitSet;
+use broadcast_ic::encoding::bitset::SparseBitSet;
 use broadcast_ic::protocols::sparse;
 use rand::{Rng, SeedableRng};
 
-fn random_disjoint(n: usize, s: usize, rng: &mut impl Rng) -> (BitSet, BitSet) {
-    let mut x = BitSet::new(n);
-    let mut y = BitSet::new(n);
+fn random_disjoint(n: usize, s: usize, rng: &mut impl Rng) -> (SparseBitSet, SparseBitSet) {
+    let mut x = SparseBitSet::new(n);
+    let mut y = SparseBitSet::new(n);
     while x.len() < s {
         x.insert(rng.random_range(0..n));
     }
@@ -48,7 +48,7 @@ fn main() {
         let mut bits = 0.0;
         for _ in 0..trials {
             let (x, y) = random_disjoint(n, s, &mut rng);
-            let out = sparse::run(&x, &y, &mut rng);
+            let out = sparse::run_sparse(&x, &y, &mut rng);
             assert!(out.output, "these diffs are conflict-free");
             bits += out.bits;
         }
@@ -68,7 +68,7 @@ fn main() {
     let (mut x, y) = random_disjoint(n, 256, &mut rng);
     let shared = y.iter().next().expect("nonempty");
     x.insert(shared);
-    let out = sparse::run(&x, &y, &mut rng);
+    let out = sparse::run_sparse(&x, &y, &mut rng);
     assert!(!out.output);
     println!(
         "planted one conflicting key → detected in {:.0} bits (fallback: {})",

@@ -3,7 +3,7 @@
 //! internal information — including the cross-cutting claims that tie them
 //! back to the paper's main results.
 
-use broadcast_ic::encoding::bitset::BitSet;
+use broadcast_ic::encoding::bitset::{BitSet, SparseBitSet};
 use broadcast_ic::encoding::huffman::HuffmanCode;
 use broadcast_ic::info::estimate::FreqTable;
 use broadcast_ic::lowerbound::internal::{
@@ -66,8 +66,8 @@ fn sparse_protocol_is_zero_error_over_many_instances() {
     let n = 1 << 14;
     for trial in 0..60 {
         let s = 5 + trial % 40;
-        let mut x = BitSet::new(n);
-        let mut y = BitSet::new(n);
+        let mut x = SparseBitSet::new(n);
+        let mut y = SparseBitSet::new(n);
         while x.len() < s {
             x.insert(r.random_range(0..n));
         }
@@ -75,7 +75,7 @@ fn sparse_protocol_is_zero_error_over_many_instances() {
             y.insert(r.random_range(0..n));
         }
         let expect = x.intersection(&y).is_empty();
-        let out = sparse::run(&x, &y, &mut r);
+        let out = sparse::run_sparse(&x, &y, &mut r);
         assert_eq!(out.output, expect, "trial {trial}");
     }
 }

@@ -4,7 +4,7 @@
 //! decodable.
 
 use broadcast_ic::blackboard::protocol::run;
-use broadcast_ic::blackboard::runner::{monte_carlo, transcript_table};
+use broadcast_ic::blackboard::runner::monte_carlo_seeded;
 use broadcast_ic::info::estimate::FreqTable;
 use broadcast_ic::lowerbound::hard_dist::HardDist;
 use broadcast_ic::protocols::and::{and_function, AllSpeakAnd, SequentialAnd, TruncatedAnd};
@@ -127,12 +127,13 @@ fn deterministic_protocol_transcript_entropy_equals_exact_ic() {
     let tree = sequential_and(k);
     let prior = 1.0 - 1.0 / k as f64;
     let mut r = rng(12);
-    let table: FreqTable<String> = transcript_table(
-        &p,
-        |rng| (0..k).map(|_| rand::Rng::random_bool(rng, prior)).collect(),
-        150_000,
-        &mut r,
-    );
+    let mut table: FreqTable<String> = FreqTable::new();
+    for _ in 0..150_000 {
+        let x: Vec<bool> = (0..k)
+            .map(|_| rand::Rng::random_bool(&mut r, prior))
+            .collect();
+        table.record(run(&p, &x, &mut r).board.transcript_key());
+    }
     let exact = tree.information_cost_product(&vec![prior; k]);
     let estimated = table.entropy_miller_madow();
     assert!(
@@ -148,13 +149,12 @@ fn monte_carlo_error_matches_exact_tree_error_for_truncated_and() {
     let p = TruncatedAnd::new(k, speakers);
     let tree = truncated_and(k, speakers);
     let prior = 0.8;
-    let mut r = rng(21);
-    let report = monte_carlo(
+    let report = monte_carlo_seeded::<_, _, _, rand_chacha::ChaCha8Rng>(
         &p,
         |rng| (0..k).map(|_| rand::Rng::random_bool(rng, prior)).collect(),
         and_function,
         120_000,
-        &mut r,
+        21,
     );
     // Exact distributional error under the product prior.
     let mut exact = 0.0;

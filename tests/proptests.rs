@@ -42,17 +42,15 @@ proptest! {
     }
 
     #[test]
-    fn elias_gamma_delta_round_trip(vals in prop::collection::vec(1u64..=u64::MAX, 1..50)) {
+    fn elias_gamma_round_trip(vals in prop::collection::vec(1u64..=u64::MAX, 1..50)) {
         let mut w = BitWriter::new();
         for &v in &vals {
             elias::gamma_encode(v, &mut w);
-            elias::delta_encode(v, &mut w);
         }
         let bits = w.into_bits();
         let mut r = BitReader::new(&bits);
         for &v in &vals {
             prop_assert_eq!(elias::gamma_decode(&mut r), Some(v));
-            prop_assert_eq!(elias::delta_decode(&mut r), Some(v));
         }
     }
 
@@ -330,7 +328,11 @@ proptest! {
         // I(Π; X) ≤ H(Π) ≤ E[|Π|] for prefix-free transcripts... the tree's
         // labels are one bit per level, so E[bits] bounds the entropy.
         let ic = tree.information_cost_product(&priors);
-        let ebits = tree.expected_bits_product(&priors);
+        let ebits: f64 = tree
+            .leaves()
+            .iter()
+            .map(|l| l.prob_under_product(&priors) * l.path_bits as f64)
+            .sum();
         prop_assert!(ic <= ebits + 1e-9, "{} > {}", ic, ebits);
     }
 }
