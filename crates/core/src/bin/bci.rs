@@ -1123,11 +1123,13 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     };
     let known = ["interval-ms", "iters"];
     let opts = parse_opts("top", &args[1..], &[&known[..], &GLOBAL_FLAGS[..]].concat())?;
+    let diag = Diag::from_opts(&opts)?;
     let interval_ms: u64 = get(&opts, "interval-ms", Some(1000u64))?;
     let iters: u64 = get(&opts, "iters", Some(0u64))?;
     if interval_ms == 0 {
         return Err("--interval-ms must be positive".into());
     }
+    diag.debug(&format!("top: scraping {addr} every {interval_ms}ms"));
     let config = bci_net::NetConfig::default();
     let mut client = AdminClient::connect(addr, &config).map_err(|e| e.to_string())?;
     let mut prev: Option<Snapshot> = None;
@@ -1225,7 +1227,8 @@ fn top_line(snap: &bci_telemetry::Snapshot, prev: Option<&bci_telemetry::Snapsho
 /// --experiment <id>` emits; `--seed` overrides the experiment's canonical
 /// master seed; `--topology` restricts a cross-model experiment (see the
 /// `model` column of `experiments list`) to one communication model's
-/// columns. Any other option is an error.
+/// columns; the global `--quiet`/`--verbose` flags gate the stderr
+/// notes. Any other option is an error.
 ///
 /// [`JobPool`]: bci_fabric::pool::JobPool
 fn cmd_experiments(args: &[String]) -> Result<(), String> {
@@ -1252,11 +1255,9 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
     };
     match sub.as_str() {
         "list" => {
-            if let Some(extra) = args.get(1) {
-                return Err(format!(
-                    "experiments list takes no arguments, got '{extra}'"
-                ));
-            }
+            // Nothing to report on stderr, but the global flags are
+            // accepted (and checked) as everywhere else.
+            Diag::from_opts(&parse_opts("experiments list", &args[1..], &GLOBAL_FLAGS)?)?;
             let mut t = Table::new(["id", "points", "seed", "model", "title"]);
             for exp in registry() {
                 t.row([
@@ -1285,11 +1286,13 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                         .join(", ")
                 )
             })?;
+            let known = ["workers", "seed", "topology"];
             let opts = parse_opts(
                 "experiments run",
                 &args[2..],
-                &["workers", "seed", "topology"],
+                &[&known[..], &GLOBAL_FLAGS[..]].concat(),
             )?;
+            let diag = Diag::from_opts(&opts)?;
             let restricted: Box<dyn Experiment>;
             let exp: &dyn Experiment = match opts.get("topology") {
                 None => exp,
@@ -1321,8 +1324,15 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                 job_spans: true,
                 recorder: Recorder::disabled(),
             });
+            let started = std::time::Instant::now();
             let results = run_grid_pooled(exp, &pool, seed);
             print!("{}", render_report(exp, &exp.tables(&results)));
+            diag.info(&format!(
+                "{}: {} points on {workers} worker(s), seed {seed}, in {:.3}s",
+                exp.id(),
+                results.len(),
+                started.elapsed().as_secs_f64()
+            ));
             Ok(())
         }
         other => Err(format!(

@@ -113,10 +113,7 @@ fn experiments_run_rejects_unknown_options() {
             vec!["experiments", "run", "e2", "--wrokers", "4"],
             "--wrokers",
         ),
-        (
-            vec!["experiments", "run", "e2", "--workers", "2", "--quiet"],
-            "--quiet",
-        ),
+        (vec!["experiments", "run", "e2", "--qiuet"], "--qiuet"),
     ] {
         let out = bci(&args);
         assert!(!out.status.success(), "{args:?} should fail");
@@ -129,6 +126,36 @@ fn experiments_run_rejects_unknown_options() {
     }
     let out = bci(&["experiments", "run", "e2", "--workers", "2", "--seed", "5"]);
     assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn experiments_and_top_honour_the_global_flags() {
+    // `--quiet` drops the run's stderr note and leaves the table alone.
+    let normal = bci(&["experiments", "run", "e2", "--workers", "2"]);
+    let quiet = bci(&["experiments", "run", "e2", "--workers", "2", "--quiet"]);
+    let verbose = bci(&["experiments", "run", "e2", "--verbose", "--workers", "2"]);
+    for out in [&normal, &quiet, &verbose] {
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(out.stdout, normal.stdout);
+    }
+    let note = String::from_utf8(normal.stderr).expect("utf8");
+    assert!(
+        note.starts_with("e2: ") && note.contains("worker(s)"),
+        "{note}"
+    );
+    assert!(quiet.stderr.is_empty(), "{quiet:?}");
+    assert!(bci(&["experiments", "list", "--quiet"]).status.success());
+    // Both at once is an error here as everywhere.
+    for args in [
+        vec!["experiments", "run", "e2", "--quiet", "--verbose"],
+        vec!["experiments", "list", "--quiet", "--verbose"],
+        vec!["top", "127.0.0.1:1", "--quiet", "--verbose"],
+    ] {
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(stderr.contains("mutually exclusive"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -30,6 +30,7 @@ pub struct BitSet {
 
 impl BitSet {
     /// Creates an empty set with elements drawn from `{0, …, capacity−1}`.
+    #[inline]
     pub fn new(capacity: usize) -> Self {
         BitSet {
             words: vec![0; capacity.div_ceil(64)],
@@ -79,6 +80,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `elem >= capacity`.
+    #[inline]
     pub fn insert(&mut self, elem: usize) -> bool {
         assert!(elem < self.capacity, "element {elem} out of range");
         let mask = 1u64 << (elem % 64);
@@ -103,6 +105,7 @@ impl BitSet {
     }
 
     /// Whether `elem` is in the set (out-of-range elements are absent).
+    #[inline]
     pub fn contains(&self, elem: usize) -> bool {
         if elem >= self.capacity {
             return false;
@@ -111,6 +114,7 @@ impl BitSet {
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }

@@ -202,29 +202,31 @@ impl Wire for BitVec {
     fn encode(&self, out: &mut Vec<u8>) {
         let len = u32::try_from(self.len()).expect("bitvec fits a frame");
         len.encode(out);
-        let mut byte = 0u8;
-        for (i, bit) in self.iter().enumerate() {
-            if bit {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !self.len().is_multiple_of(8) {
-            out.push(byte);
+        // The bits past `len` are zero, so whole little-endian words cut
+        // to `⌈len/8⌉` bytes are the packed bits.
+        let mut left = self.len().div_ceil(8);
+        out.reserve(left);
+        for word in self.words() {
+            let bytes = word.to_le_bytes();
+            let n = left.min(bytes.len());
+            out.extend_from_slice(&bytes[..n]);
+            left -= n;
         }
     }
 
+    /// Bits past the length in the last byte are ignored.
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::decode(input)? as usize;
         let bytes = take(input, len.div_ceil(8))?;
-        let mut bits = BitVec::with_capacity(len);
-        for i in 0..len {
-            bits.push(bytes[i / 8] & (1 << (i % 8)) != 0);
-        }
-        Ok(bits)
+        let words = bytes
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        Ok(BitVec::from_words(words, len))
     }
 }
 
@@ -312,6 +314,60 @@ mod tests {
         for len in 0..40 {
             let bools: Vec<bool> = (0..len).map(|i| (i * 7 + 3) % 5 < 2).collect();
             round_trip(BitVec::from_bools(&bools));
+        }
+    }
+
+    /// The bit-by-bit `BitVec` encoder the word-level one replaced.
+    fn oracle_encode(bits: &BitVec) -> Vec<u8> {
+        let mut out = (bits.len() as u32).to_wire_bytes();
+        let mut byte = 0u8;
+        for (i, bit) in bits.iter().enumerate() {
+            byte |= u8::from(bit) << (i % 8);
+            if i % 8 == 7 {
+                out.push(byte);
+                byte = 0;
+            }
+        }
+        if !bits.len().is_multiple_of(8) {
+            out.push(byte);
+        }
+        out
+    }
+
+    /// The bit-by-bit `BitVec` decoder the word-level one replaced: it
+    /// reads only the first `len` bits of the payload.
+    fn oracle_decode(bytes: &[u8]) -> BitVec {
+        let mut input = bytes;
+        let len = u32::decode(&mut input).unwrap() as usize;
+        (0..len)
+            .map(|i| input[i / 8] & (1 << (i % 8)) != 0)
+            .collect()
+    }
+
+    #[test]
+    fn bitvec_codec_matches_the_bit_oracle() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..300 {
+            let bits: BitVec = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state & 1 == 1
+                })
+                .collect();
+            let bytes = bits.to_wire_bytes();
+            assert_eq!(bytes, oracle_encode(&bits), "len {len}");
+            assert_eq!(BitVec::from_wire_bytes(&bytes).unwrap(), bits);
+            if len % 8 != 0 {
+                // Garbage above the length in the last byte is ignored.
+                let mut dirty = bytes.clone();
+                *dirty.last_mut().unwrap() |= 0xFF << (len % 8);
+                let decoded = BitVec::from_wire_bytes(&dirty).unwrap();
+                assert_eq!(decoded, oracle_decode(&dirty), "len {len}");
+                assert_eq!(decoded, bits, "len {len}");
+                assert_eq!(decoded.to_wire_bytes(), bytes, "len {len}");
+            }
         }
     }
 

@@ -40,6 +40,14 @@ use rand_chacha::ChaCha8Rng;
 use crate::conn::Outbox;
 use crate::daemon::{MuxOptions, MuxRunReport, SessionRecord};
 
+/// The outcome reason of a session whose protocol panicked choosing the
+/// next speaker, as a board replay does on a reply a peer malformed.
+pub const POLL_PANICKED: &str = "protocol next_speaker panicked";
+
+/// The outcome reason of a session whose protocol panicked computing its
+/// output.
+pub const OUTPUT_PANICKED: &str = "protocol output panicked";
+
 /// Something that happened to the pool, handed to [`MuxCore::handle`]
 /// with the instant the driver observed it.
 #[derive(Debug)]
@@ -354,16 +362,19 @@ where
     /// the previous authoritative write), or finishes the session when
     /// the engine halts. Engine violations — out-of-range speaker,
     /// runaway protocol — finish the session aborted with the
-    /// violation's canonical reason.
+    /// violation's canonical reason, and a protocol that panics choosing
+    /// the speaker or computing the output with [`POLL_PANICKED`] or
+    /// [`OUTPUT_PANICKED`]: the board holds bits remote peers chose.
     fn grant(&mut self, now: Instant, session: u64) {
         let slot = self
             .table
             .get_mut(&session)
             .expect("granting a live session");
-        let next = match slot.engine.poll() {
-            Ok(Step::Grant(grant)) => Some(grant),
-            Ok(Step::Halted) => None,
-            Err(violation) => return self.abort(now, session, violation.to_string()),
+        let next = match catch_unwind(AssertUnwindSafe(|| slot.engine.poll())) {
+            Ok(Ok(Step::Grant(grant))) => Some(grant),
+            Ok(Ok(Step::Halted)) => None,
+            Ok(Err(violation)) => return self.abort(now, session, violation.to_string()),
+            Err(_) => return self.abort(now, session, POLL_PANICKED.into()),
         };
         let (prev_speaker, prev_bits) = slot.prev.take().unwrap_or((NO_PLAYER, BitVec::new()));
         let rng_bytes = next.as_ref().map_or_else(Vec::new, |grant| {
@@ -386,7 +397,7 @@ where
             let slot = &self.table[&session];
             match catch_unwind(AssertUnwindSafe(|| slot.engine.output())) {
                 Ok(o) => self.finish(now, session, 0, String::new(), o.to_wire_bytes()),
-                Err(_) => self.abort(now, session, "protocol output panicked".into()),
+                Err(_) => self.abort(now, session, OUTPUT_PANICKED.into()),
             }
         }
     }

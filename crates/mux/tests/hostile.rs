@@ -1,22 +1,30 @@
 //! Well-framed but adversarial peers on the simulated network, each
-//! next to an honest player 0: a reply for a session that is finished or
-//! was never admitted, and a second reply to one grant, both when the
-//! next grant goes to the other player and when it goes to the same
-//! one. Each must cost exactly what it names — a `mux.late_replies`
-//! count, or the one session it targets — while every honest session
-//! completes with the transcript of an `InProcessTransport` replay of
-//! its seed.
+//! next to an honest peer: a reply for a session that is finished or
+//! was never admitted, a second reply to one grant, both when the next
+//! grant goes to the other player and when it goes to the same one, and
+//! a DISJ reply whose bits do not parse. Each must cost exactly what it
+//! names — a `mux.late_replies` count, or the one session it targets —
+//! while every honest session completes with the transcript of an
+//! `InProcessTransport` replay of its seed.
 
 mod sim;
 
+use std::sync::LazyLock;
 use std::time::Instant;
 
 use bci_blackboard::engine::ProtocolViolation;
-use bci_encoding::bitio::BitVec;
+use bci_blackboard::protocol::Protocol;
+use bci_encoding::bitio::{BitVec, BitWriter};
+use bci_encoding::bitset::BitSet;
+use bci_encoding::wire::Wire;
+use bci_mux::sequencer::POLL_PANICKED;
 use bci_mux::{MuxCore, MuxOptions, Outbox};
 use bci_net::frame::{BroadcastFrame, Frame, NO_PLAYER};
 use bci_net::NetConfig;
+use bci_protocols::disj::broadcast::BroadcastDisj;
+use bci_protocols::workload::random_sets;
 use bci_telemetry::{Recorder, Snapshot};
+use rand_chacha::ChaCha8Rng;
 
 use sim::{
     coin_inputs, fingerprint, honest, inprocess_digests, Coins, Peer, Script, SimNet, SimRun,
@@ -36,9 +44,28 @@ static PAIRS: Coins = Coins {
     streak: 2,
 };
 
-/// Runs [`SESSIONS`] sessions of `protocol` with the honest player 0 and
-/// `player1`.
-fn simulate(protocol: &'static Coins, player1: Script<'static>) -> (SimRun, Snapshot) {
+/// Two-player DISJ over a universe that is not a power of two, so a
+/// 4-bit coordinate can name an element past it.
+static DISJ: LazyLock<BroadcastDisj> = LazyLock::new(|| BroadcastDisj::new(12, 2));
+
+/// Samples two half-density sets over [`DISJ`]'s universe.
+fn disj_inputs(_session: u64, rng: &mut ChaCha8Rng) -> Vec<BitSet> {
+    random_sets(DISJ.universe(), 2, 0.5, rng)
+}
+
+/// Runs [`SESSIONS`] sessions of `protocol`, with inputs from `sample`,
+/// between `players`.
+fn simulate<P, F>(
+    protocol: &'static P,
+    sample: F,
+    players: [Script<'static>; 2],
+) -> (SimRun, Snapshot)
+where
+    P: Protocol,
+    P::Input: Wire,
+    P::Output: Wire,
+    F: Fn(u64, &mut ChaCha8Rng) -> Vec<P::Input>,
+{
     let recorder = Recorder::metrics_only();
     let config = NetConfig::default();
     let opts = MuxOptions {
@@ -49,16 +76,9 @@ fn simulate(protocol: &'static Coins, player1: Script<'static>) -> (SimRun, Snap
     let base = Instant::now();
     let outboxes = vec![Outbox::default(); 2];
     let core = MuxCore::new(
-        base,
-        protocol,
-        outboxes,
-        SESSIONS,
-        SEED,
-        coin_inputs,
-        &opts,
-        &recorder,
+        base, protocol, outboxes, SESSIONS, SEED, sample, &opts, &recorder,
     );
-    let peers = vec![Peer::new(honest(protocol, 0)), Peer::new(player1)];
+    let peers = players.map(Peer::new).into();
     let run = SimNet::new(base, core, peers, &config).run();
     (run, recorder.snapshot())
 }
@@ -103,26 +123,43 @@ fn doubles_first_answer_in(protocol: &'static Coins, target: u64) -> Script<'sta
     })
 }
 
-/// Simulates `protocol` with `player1()` 100 times, checks every repeat
-/// gives the same records, counters and end, and returns the first.
+/// Simulates `protocol` between the honest player 0 and `player1()` 100
+/// times, checks every repeat gives the same records, counters and end,
+/// and returns the first.
 fn simulate_100(
     protocol: &'static Coins,
     player1: impl Fn() -> Script<'static>,
 ) -> (SimRun, Snapshot) {
-    let (run, snapshot) = simulate(protocol, player1());
+    repeat_100(|| simulate(protocol, coin_inputs, [honest(protocol, 0), player1()]))
+}
+
+/// Runs `simulate` 100 times, checks every repeat gives the same
+/// records, counters and end, and returns the first.
+fn repeat_100(simulate: impl Fn() -> (SimRun, Snapshot)) -> (SimRun, Snapshot) {
+    let (run, snapshot) = simulate();
     let first = fingerprint(&run, &snapshot);
     for _ in 1..100 {
-        let (run, snapshot) = simulate(protocol, player1());
+        let (run, snapshot) = simulate();
         assert_eq!(fingerprint(&run, &snapshot), first);
     }
     (run, snapshot)
 }
 
 /// Asserts that the sessions not in `spoiled` completed with their
-/// in-process replay's digest under `protocol`, and both players saw
-/// every session end.
-fn assert_honest_sessions_match_inprocess(protocol: &Coins, run: &SimRun, spoiled: &[u64]) {
-    let replay = inprocess_digests(protocol, SESSIONS, SEED, coin_inputs);
+/// in-process replay's digest under `protocol` and `sample`, and both
+/// players saw every session end.
+fn assert_honest_sessions_match_inprocess<P, F>(
+    protocol: &P,
+    sample: F,
+    run: &SimRun,
+    spoiled: &[u64],
+) where
+    P: Protocol + Sync,
+    P::Input: Sync + Wire,
+    P::Output: Wire,
+    F: Fn(u64, &mut ChaCha8Rng) -> Vec<P::Input>,
+{
+    let replay = inprocess_digests(protocol, SESSIONS, SEED, sample);
     assert_eq!(run.report.records.len() as u64, SESSIONS);
     for record in &run.report.records {
         if spoiled.contains(&record.session) {
@@ -161,7 +198,7 @@ fn a_reply_for_a_dead_session_counts_one_late_reply_and_nothing_else() {
             "{name}"
         );
         assert_eq!(snapshot.counter("mux.sessions_aborted"), 0, "{name}");
-        assert_honest_sessions_match_inprocess(&COINS, &run, &[]);
+        assert_honest_sessions_match_inprocess(&COINS, coin_inputs, &run, &[]);
     }
 }
 
@@ -180,7 +217,7 @@ fn a_second_reply_to_one_grant_aborts_only_that_session() {
     let target = &run.report.records[TARGET as usize];
     assert_eq!((target.kind, target.reason.as_str()), (2, reason.as_str()));
     assert_eq!(target.turns, 2, "the first copy was applied");
-    assert_honest_sessions_match_inprocess(&COINS, &run, &[TARGET]);
+    assert_honest_sessions_match_inprocess(&COINS, coin_inputs, &run, &[TARGET]);
     assert_eq!(snapshot.counter("mux.sessions_aborted"), 1);
     assert_eq!(snapshot.counter("mux.sessions_completed"), SESSIONS - 1);
     // Player 0 answered the grant the first copy earned before the abort
@@ -204,10 +241,69 @@ fn a_second_reply_when_the_same_player_speaks_next_is_a_stale_turn() {
     let target = &run.report.records[TARGET as usize];
     assert_eq!((target.kind, target.reason.as_str()), (2, reason.as_str()));
     assert_eq!(target.turns, 3, "the first copy was applied");
-    assert_honest_sessions_match_inprocess(&PAIRS, &run, &[TARGET]);
+    assert_honest_sessions_match_inprocess(&PAIRS, coin_inputs, &run, &[TARGET]);
     assert_eq!(snapshot.counter("mux.sessions_aborted"), 1);
     assert_eq!(snapshot.counter("mux.sessions_completed"), SESSIONS - 1);
     // Player 1 answered turn 3's grant before the abort reached it; that
     // answer lands late.
     assert_eq!(snapshot.counter("mux.late_replies"), 1);
+}
+
+#[test]
+fn a_disj_reply_that_does_not_parse_aborts_only_that_session() {
+    // Player 0's reply at turn 0 of session 2 is replaced: with two
+    // players, replaying it to pick turn 1's speaker is the daemon's
+    // only parse of it.
+    const TARGET: u64 = 2;
+    let mut bad_coordinate = BitWriter::new();
+    bad_coordinate.write_bit(true);
+    bad_coordinate.write_bits(15, 4); // past the universe [12]
+    bad_coordinate.write_bit(false);
+    let cases = [
+        ("empty", BitVec::new()),
+        ("coordinate 15", bad_coordinate.into_bits()),
+    ];
+    for (name, bits) in cases {
+        let (run, snapshot) = repeat_100(|| {
+            let player0 = replaces_first_answer_in(&DISJ, TARGET, bits.clone());
+            simulate(&*DISJ, disj_inputs, [player0, honest(&*DISJ, 1)])
+        });
+        let target = &run.report.records[TARGET as usize];
+        assert_eq!(
+            (target.kind, target.reason.as_str()),
+            (2, POLL_PANICKED),
+            "{name}"
+        );
+        assert_eq!(target.turns, 1, "{name}: the reply was applied");
+        assert_honest_sessions_match_inprocess(&*DISJ, disj_inputs, &run, &[TARGET]);
+        assert_eq!(snapshot.counter("mux.sessions_aborted"), 1, "{name}");
+        assert_eq!(
+            snapshot.counter("mux.sessions_completed"),
+            SESSIONS - 1,
+            "{name}"
+        );
+        assert_eq!(snapshot.counter("mux.late_replies"), 0, "{name}");
+    }
+}
+
+/// The honest player 0 of `protocol`, which sends `bits` in place of its
+/// first answer in `target`.
+fn replaces_first_answer_in(
+    protocol: &'static BroadcastDisj,
+    target: u64,
+    bits: BitVec,
+) -> Script<'static> {
+    let mut play = honest(protocol, 0);
+    let mut bits = Some(bits);
+    Box::new(move |now, session, frame| {
+        let mut answer = play(now, session, frame)?;
+        if session == target {
+            if let Some((_, Frame::Broadcast(reply))) = answer.first_mut() {
+                if let Some(bits) = bits.take() {
+                    reply.bits = bits;
+                }
+            }
+        }
+        Some(answer)
+    })
 }
