@@ -1068,14 +1068,19 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
         return Err("stat needs an address: bci stat <host:port> [--json|--prom|--events]".into());
     };
     let (mut json, mut prom, mut events) = (false, false, false);
+    let mut global = HashMap::new();
     for flag in &args[1..] {
         match flag.as_str() {
             "--json" => json = true,
             "--prom" => prom = true,
             "--events" => events = true,
+            "--quiet" | "--verbose" => {
+                global.insert(flag[2..].to_owned(), "true".to_owned());
+            }
             other => return Err(format!("unknown stat flag '{other}'")),
         }
     }
+    let diag = Diag::from_opts(&global)?;
     if !json && !prom && !events {
         json = true;
     }
@@ -1086,6 +1091,9 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
     if events {
         what |= stats_request::EVENTS;
     }
+    diag.debug(&format!(
+        "stat: scraping {addr} (json {json}, prom {prom}, events {events})"
+    ));
     let config = bci_net::NetConfig::default();
     let reply = scrape(addr, what, &config).map_err(|e| e.to_string())?;
     if json || prom {

@@ -145,11 +145,27 @@ fn experiments_and_top_honour_the_global_flags() {
     );
     assert!(quiet.stderr.is_empty(), "{quiet:?}");
     assert!(bci(&["experiments", "list", "--quiet"]).status.success());
+    // `stat` takes them too: nothing listens on port 1, so the scrape
+    // fails, and `--verbose` names what it tried first.
+    let quiet = bci(&["stat", "127.0.0.1:1", "--quiet"]);
+    let verbose = bci(&["stat", "127.0.0.1:1", "--prom", "--verbose"]);
+    for out in [&quiet, &verbose] {
+        assert!(!out.status.success(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("unknown stat flag"), "{stderr}");
+    }
+    let stderr = String::from_utf8_lossy(&verbose.stderr);
+    assert!(
+        stderr.starts_with("stat: scraping 127.0.0.1:1 (json false, prom true, events false)"),
+        "{stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&quiet.stderr).contains("stat: scraping"));
     // Both at once is an error here as everywhere.
     for args in [
         vec!["experiments", "run", "e2", "--quiet", "--verbose"],
         vec!["experiments", "list", "--quiet", "--verbose"],
         vec!["top", "127.0.0.1:1", "--quiet", "--verbose"],
+        vec!["stat", "127.0.0.1:1", "--quiet", "--verbose"],
     ] {
         let out = bci(&args);
         assert!(!out.status.success(), "{args:?} should fail");

@@ -10,9 +10,6 @@
 //! * [`planted_intersection`] — non-disjoint instances with a planted
 //!   intersection, for correctness and early-termination behaviour.
 //! * [`random_sets`] — iid `Bernoulli(density)` sets, the unstructured case.
-//! * [`single_holder`] — one player holds *all* the zeros: maximizes the
-//!   number of cycles in the batched protocol (only `z/k` coordinates are
-//!   published per cycle).
 
 use bci_encoding::bitset::BitSet;
 use rand::Rng;
@@ -20,21 +17,42 @@ use rand::Rng;
 /// Each player's set contains each coordinate independently with probability
 /// `density`.
 ///
+/// Coordinate `j` of a player is in the set iff the `j`-th `u64` drawn for
+/// that player passes [`Rng::random_bool`]'s test, so the sets and the
+/// generator's position afterwards are exactly those of one `random_bool`
+/// call per coordinate. The draws are taken up to 64 at a time through
+/// [`rand::RngCore::fill_bytes`], and each becomes one bit of a backing word
+/// by an integer compare: `random_bool` accepts `x` iff `(x >> 11)·2⁻⁵³ < p`,
+/// both sides exact in `f64`, which holds iff `(x >> 11) < ⌈p·2⁵³⌉`.
+/// `density` 0 and 1 draw nothing, as `random_bool` does.
+///
 /// # Panics
 ///
 /// Panics if `k == 0` or `density ∉ [0, 1]`.
 pub fn random_sets<R: Rng + ?Sized>(n: usize, k: usize, density: f64, rng: &mut R) -> Vec<BitSet> {
     assert!(k > 0, "need at least one player");
     assert!((0.0..=1.0).contains(&density), "density outside [0,1]");
+    if density <= 0.0 {
+        return vec![BitSet::new(n); k];
+    }
+    if density >= 1.0 {
+        return vec![BitSet::full(n); k];
+    }
+    let threshold = (density * (1u64 << 53) as f64).ceil() as u64;
+    let mut draws = [0u8; 64 * 8];
     (0..k)
         .map(|_| {
-            let mut s = BitSet::new(n);
-            for j in 0..n {
-                if rng.random_bool(density) {
-                    s.insert(j);
-                }
-            }
-            s
+            let words = (0..n.div_ceil(64))
+                .map(|w| {
+                    let bytes = &mut draws[..8 * (n - 64 * w).min(64)];
+                    rng.fill_bytes(bytes);
+                    bytes.chunks_exact(8).enumerate().fold(0, |word, (i, x)| {
+                        let x = u64::from_le_bytes(x.try_into().expect("8 bytes"));
+                        word | u64::from((x >> 11) < threshold) << i
+                    })
+                })
+                .collect();
+            BitSet::from_words(n, words)
         })
         .collect()
 }
@@ -169,25 +187,12 @@ pub fn pairwise_disjoint<R: Rng + ?Sized>(
         .collect()
 }
 
-/// The cycle-count stressor: player 0 holds the empty set (all zeros), every
-/// other player holds all of `[n]`. Disjoint for `k ≥ 1`, and only player 0
-/// can ever publish, `⌈z/k⌉` coordinates per cycle.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn single_holder(n: usize, k: usize) -> Vec<BitSet> {
-    assert!(k > 0, "need at least one player");
-    let mut sets = vec![BitSet::full(n); k];
-    sets[0] = BitSet::new(n);
-    sets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disj::disj_function;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
 
     fn rng(seed: u64) -> rand_chacha::ChaCha8Rng {
         rand_chacha::ChaCha8Rng::seed_from_u64(seed)
@@ -232,6 +237,107 @@ mod tests {
         assert!(common.len() >= 5);
     }
 
+    /// The per-coordinate sampler `random_sets` must reproduce exactly.
+    fn random_sets_oracle(n: usize, k: usize, density: f64, rng: &mut impl Rng) -> Vec<BitSet> {
+        (0..k)
+            .map(|_| {
+                let mut s = BitSet::new(n);
+                for j in 0..n {
+                    if rng.random_bool(density) {
+                        s.insert(j);
+                    }
+                }
+                s
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn random_sets_matches_the_per_coordinate_oracle(
+            n in 0usize..=300,
+            k in 1usize..=6,
+            pick in 0usize..7,
+            arbitrary in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let densities = [0.0, 2f64.powi(-60), 0.3, 0.7, 1.0 - 2f64.powi(-53), 1.0, arbitrary];
+            let density = densities[pick];
+            let mut a = rng(seed);
+            let mut b = rng(seed);
+            prop_assert_eq!(
+                random_sets(n, k, density, &mut a),
+                random_sets_oracle(n, k, density, &mut b)
+            );
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    /// Replays chosen draws; `fill_bytes` yields them as little-endian
+    /// `next_u64`s, as the workspace's generators do.
+    struct Replay(std::vec::IntoIter<u64>);
+
+    impl RngCore for Replay {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("random_sets draws whole u64s")
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a draw left")
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&self.next_u64().to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn random_sets_agrees_with_random_bool_at_the_threshold() {
+        // Random draws land next to ⌈p·2⁵³⌉ with probability ~2⁻⁵², so
+        // place them there: the 53-bit draws t − 1, t and t + 1, each with
+        // every low bit set (`random_bool` ignores them).
+        for density in [2f64.powi(-60), 0.1, 0.3, 0.5, 0.7, 1.0 - 2f64.powi(-53)] {
+            let t = (density * (1u64 << 53) as f64).ceil() as u64;
+            let draws: Vec<u64> = [t - 1, t, t + 1].map(|m| m << 11 | 0x7ff).to_vec();
+            let sets = random_sets(3, 1, density, &mut Replay(draws.clone().into_iter()));
+            let oracle = random_sets_oracle(3, 1, density, &mut Replay(draws.into_iter()));
+            assert_eq!(sets, oracle, "density {density}");
+        }
+    }
+
+    #[test]
+    fn random_sets_stream_is_pinned() {
+        // A change here changes every seeded DISJ input in the repository.
+        let sets = random_sets(256, 4, 0.7, &mut rng(1));
+        let words: Vec<u64> = sets
+            .iter()
+            .flat_map(|s| s.words().iter().copied())
+            .collect();
+        assert_eq!(
+            words,
+            [
+                0xf5ee_5f2d_f3d7_7fb6,
+                0x36cb_f15b_bf91_f87e,
+                0xae37_8ed3_e6cf_f096,
+                0xf57f_cbfe_fff8_b7bb,
+                0x632a_f7f5_f65e_e7f7,
+                0xf7f7_6f67_ffdf_df7d,
+                0xa7b3_6dd9_3fd3_fbef,
+                0xc7ff_fe8d_cfde_faf4,
+                0x57e3_7fdf_ff72_b9f9,
+                0x5e3b_bd67_f6fd_f7c8,
+                0x51ff_7f92_ff7f_dbe4,
+                0x8b3f_9fce_e1f5_f89f,
+                0xfff5_dabd_9ebf_e75e,
+                0xefd7_6ff5_3ff3_ffdf,
+                0x812d_ff9b_edfb_3bff,
+                0x853d_7c7f_dc0f_cd2f,
+            ]
+        );
+    }
+
     #[test]
     fn random_sets_density_is_respected() {
         let mut r = rng(5);
@@ -249,14 +355,6 @@ mod tests {
         assert!(random_sets(100, 2, 1.0, &mut r)
             .iter()
             .all(|s| s.len() == 100));
-    }
-
-    #[test]
-    fn single_holder_shape() {
-        let inputs = single_holder(30, 4);
-        assert!(disj_function(&inputs));
-        assert!(inputs[0].is_empty());
-        assert!(inputs[1..].iter().all(|s| s.len() == 30));
     }
 
     #[test]

@@ -67,12 +67,29 @@ fn theorem2_total_bound_holds_across_grid() {
     }
 }
 
+/// The cycle-count stressor: player 0 holds the empty set (all zeros), every
+/// other player holds all of `[n]`. Disjoint for `k ≥ 1`, and only player 0
+/// can ever publish, `⌈z/k⌉` coordinates per cycle.
+fn single_holder(n: usize, k: usize) -> Vec<BitSet> {
+    let mut sets = vec![BitSet::full(n); k];
+    sets[0] = BitSet::new(n);
+    sets
+}
+
+#[test]
+fn single_holder_shape() {
+    let inputs = single_holder(30, 4);
+    assert!(disj_function(&inputs));
+    assert!(inputs[0].is_empty());
+    assert!(inputs[1..].iter().all(|s| s.len() == 30));
+}
+
 #[test]
 fn single_holder_exercises_many_cycles_and_stays_correct() {
     // One player owns all zeros: the batched protocol advances only z/k
     // coordinates per cycle — the cycle-count worst case.
     for &(n, k) in &[(400usize, 4usize), (1000, 8)] {
-        let inputs = workload::single_holder(n, k);
+        let inputs = single_holder(n, k);
         let run = batched::run(&inputs);
         assert!(run.output, "single-holder instances are disjoint");
         assert!(
