@@ -237,6 +237,9 @@ pub struct Peer<'p> {
     /// Peer → daemon bytes not yet decoded, and the daemon's decoder.
     up: VecDeque<u8>,
     reader: FrameReader,
+    /// Every byte each direction of the link has carried, in order.
+    down_log: Vec<u8>,
+    up_log: Vec<u8>,
     /// Answers waiting out `delay`, in the order they become due.
     sends: VecDeque<(Instant, Vec<(u64, Frame)>)>,
     busy_until: Option<Instant>,
@@ -265,6 +268,8 @@ impl<'p> Peer<'p> {
             peer_reader: FrameReader::new_mux(),
             up: VecDeque::new(),
             reader: FrameReader::new_mux(),
+            down_log: Vec::new(),
+            up_log: Vec::new(),
             sends: VecDeque::new(),
             busy_until: None,
             last_sent: None,
@@ -309,7 +314,9 @@ impl<'p> Peer<'p> {
     /// Queues `frames` on the link to the daemon, sent at `now`.
     fn send(&mut self, now: Instant, frames: Vec<(u64, Frame)>) {
         for (session, frame) in frames {
-            self.up.extend(frame.to_bytes_mux(session));
+            let bytes = frame.to_bytes_mux(session);
+            self.up.extend(&bytes);
+            self.up_log.extend_from_slice(&bytes);
         }
         self.last_sent = Some(now);
     }
@@ -394,6 +401,9 @@ pub struct SimRun {
     pub ended: Duration,
     /// `Outcome` frames each peer read, and whether it saw the final one.
     pub outcomes: Vec<(u64, bool)>,
+    /// Every byte each player's link carried: daemon → peer, then
+    /// peer → daemon.
+    pub links: Vec<(Vec<u8>, Vec<u8>)>,
 }
 
 /// The core, its peers, and the virtual clock.
@@ -474,11 +484,22 @@ where
             .iter()
             .map(|p| (p.outcomes, p.released))
             .collect();
+        let links = self
+            .peers
+            .iter_mut()
+            .map(|p| {
+                (
+                    std::mem::take(&mut p.down_log),
+                    std::mem::take(&mut p.up_log),
+                )
+            })
+            .collect();
         let readers = self.peers.iter().map(|p| &p.reader);
         SimRun {
             report: self.core.into_report(self.now, readers),
             ended,
             outcomes,
+            links,
         }
     }
 
@@ -563,6 +584,7 @@ where
             let n = room.min(out.pending().len());
             if !peer.closed {
                 peer.down.extend(&out.pending()[..n]);
+                peer.down_log.extend_from_slice(&out.pending()[..n]);
             }
             out.consume(n);
             if out.pending().is_empty() {
