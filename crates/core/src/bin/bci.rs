@@ -52,13 +52,7 @@ fn main() -> ExitCode {
     if cmd == "experiments" {
         // Takes positional subcommands (`list`, `run <id>`), so it parses
         // its own argument tail instead of going through `parse_opts`.
-        return match cmd_experiments(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
-                ExitCode::FAILURE
-            }
-        };
+        return exit_code(cmd_experiments(&args[1..]), &Diag::default());
     }
     if cmd == "stat" || cmd == "top" {
         // The address is a positional operand and `--json` is a boolean
@@ -69,31 +63,16 @@ fn main() -> ExitCode {
         } else {
             cmd_top(&args[1..])
         };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
-                ExitCode::FAILURE
-            }
-        };
+        return exit_code(result, &Diag::default());
     }
     let parsed = match known_options(cmd) {
         Some(known) => parse_opts(cmd, &args[1..], &[known, &GLOBAL_FLAGS[..]].concat()),
         None => Err(format!("unknown command '{cmd}'")),
     };
-    let opts = match parsed {
-        Ok(o) => o,
-        Err(e) => {
-            Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    let diag = match Diag::from_opts(&opts) {
-        Ok(d) => d,
-        Err(e) => {
-            Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
-            return ExitCode::FAILURE;
-        }
+    let parsed = parsed.and_then(|opts| Diag::from_opts(&opts).map(|diag| (opts, diag)));
+    let (opts, diag) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return exit_code(Err(e.into()), &Diag::default()),
     };
     let result = match cmd.as_str() {
         "disj" => cmd_disj(&opts),
@@ -114,13 +93,48 @@ fn main() -> ExitCode {
             Ok(())
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            diag.error(&format!("error: {e}\n\n{USAGE}"));
-            ExitCode::FAILURE
-        }
+    exit_code(result, &diag)
+}
+
+/// Why a command failed.
+#[derive(Debug)]
+enum CliError {
+    /// Its arguments: the message is followed by [`USAGE`]. A `String`
+    /// error converts to this.
+    Usage(String),
+    /// The run itself (a refused connection, a failed session, an
+    /// unwritable file): one line and a hint at `bci help`.
+    Run(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Usage(e)
     }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Usage(e.to_owned())
+    }
+}
+
+/// A failure of the run, not of its arguments.
+fn run_err(e: impl std::fmt::Display) -> CliError {
+    CliError::Run(e.to_string())
+}
+
+type CmdResult = Result<(), CliError>;
+
+/// Prints a command's error, with [`USAGE`] only after an argument
+/// error, and maps the result to the exit code.
+fn exit_code(result: CmdResult, diag: &Diag) -> ExitCode {
+    match result {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliError::Usage(e)) => diag.error(&format!("error: {e}\n\n{USAGE}")),
+        Err(CliError::Run(e)) => diag.error(&format!("error: {e}\nsee 'bci help'")),
+    }
+    ExitCode::FAILURE
 }
 
 const USAGE: &str = "bci — protocols and information costs in the broadcast model
@@ -363,7 +377,7 @@ fn rng_from(opts: &HashMap<String, String>) -> Result<rand_chacha::ChaCha8Rng, S
     )?))
 }
 
-fn cmd_disj(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_disj(opts: &HashMap<String, String>) -> CmdResult {
     let n: usize = get(opts, "n", None)?;
     let k: usize = get(opts, "k", None)?;
     let density: f64 = get(opts, "density", Some(0.5))?;
@@ -373,7 +387,7 @@ fn cmd_disj(opts: &HashMap<String, String>) -> Result<(), String> {
         "planted" => workload::planted_zero_cover(n, k, 0.0, &mut rng),
         "random" => workload::random_sets(n, k, density, &mut rng),
         "intersect" => workload::planted_intersection(n, k, 1, density, &mut rng),
-        other => return Err(format!("unknown workload '{other}'")),
+        other => return Err(format!("unknown workload '{other}'").into()),
     };
     let expect = disj_function(&inputs);
     println!("DISJ_{{n={n}, k={k}}} ({workload_name}): disjoint = {expect}\n");
@@ -410,7 +424,7 @@ fn cmd_disj(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_union(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_union(opts: &HashMap<String, String>) -> CmdResult {
     let n: usize = get(opts, "n", None)?;
     let k: usize = get(opts, "k", None)?;
     let density: f64 = get(opts, "density", Some(0.5))?;
@@ -435,7 +449,7 @@ fn cmd_union(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cic(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_cic(opts: &HashMap<String, String>) -> CmdResult {
     let k: usize = get(opts, "k", None)?;
     if k < 2 {
         return Err("--k must be at least 2".into());
@@ -450,7 +464,7 @@ fn cmd_cic(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gap(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gap(opts: &HashMap<String, String>) -> CmdResult {
     let k: usize = get(opts, "k", None)?;
     let rep = and_gap(k, 0.05, 0.1);
     println!("AND_{k}: information vs communication (eps=0.05, eps'=0.1)");
@@ -464,7 +478,7 @@ fn cmd_gap(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sample(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sample(opts: &HashMap<String, String>) -> CmdResult {
     let u: usize = get(opts, "universe", None)?;
     let sharp: f64 = get(opts, "sharpness", None)?;
     let trials: u64 = get(opts, "trials", Some(200u64))?;
@@ -492,7 +506,7 @@ fn cmd_sample(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sparse(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sparse(opts: &HashMap<String, String>) -> CmdResult {
     let n: usize = get(opts, "n", None)?;
     let s: usize = get(opts, "s", None)?;
     let trials: u64 = get(opts, "trials", Some(20u64))?;
@@ -528,7 +542,7 @@ fn cmd_sparse(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_amortize(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_amortize(opts: &HashMap<String, String>) -> CmdResult {
     let k: usize = get(opts, "k", None)?;
     let copies: usize = get(opts, "copies", None)?;
     let trials: usize = get(opts, "trials", Some(10usize))?;
@@ -549,7 +563,7 @@ fn cmd_amortize(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
     use std::time::Duration;
 
     let sessions: u64 = get(opts, "sessions", Some(1024u64))?;
@@ -573,9 +587,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
         return Err("--k must be positive".into());
     }
     if fault_name != "none" && fault_player >= k {
-        return Err(format!(
-            "--fault-player {fault_player} out of range for k = {k}"
-        ));
+        return Err(format!("--fault-player {fault_player} out of range for k = {k}").into());
     }
 
     let trace_path = opts.get("trace").cloned();
@@ -610,7 +622,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
             player: fault_player,
             sessions: selector,
         }),
-        other => return Err(format!("unknown fault '{other}'")),
+        other => return Err(format!("unknown fault '{other}'").into()),
     };
 
     println!(
@@ -650,13 +662,13 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
             );
             print_fabric_report(&report, &recorder);
         }
-        other => return Err(format!("unknown protocol '{other}'")),
+        other => return Err(format!("unknown protocol '{other}'").into()),
     }
     if let Some(path) = trace_path {
         let events = recorder.events();
         diag.debug(&format!("captured {} telemetry events", events.len()));
         std::fs::write(&path, recorder.events_jsonl())
-            .map_err(|e| format!("cannot write trace to '{path}': {e}"))?;
+            .map_err(|e| run_err(format!("cannot write trace to '{path}': {e}")))?;
         diag.info(&format!("wrote {} events to {path}", events.len()));
     }
     Ok(())
@@ -664,7 +676,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
 
 /// `bci trace` — run one workload with event recording on and dump the
 /// JSON-lines event stream to stdout (or `--out PATH`).
-fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
     use std::time::Duration;
 
     let engine = opts.get("engine").map_or("fabric", String::as_str);
@@ -709,7 +721,7 @@ fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
                 &recorder,
             );
         }
-        other => return Err(format!("unknown engine '{other}'")),
+        other => return Err(format!("unknown engine '{other}'").into()),
     }
 
     let events = recorder.events();
@@ -723,7 +735,7 @@ fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
     match opts.get("out") {
         Some(path) => {
             std::fs::write(path, &jsonl)
-                .map_err(|e| format!("cannot write trace to '{path}': {e}"))?;
+                .map_err(|e| run_err(format!("cannot write trace to '{path}': {e}")))?;
             diag.info(&format!("wrote {} events to {path}", events.len()));
         }
         None => print!("{jsonl}"),
@@ -761,7 +773,7 @@ fn net_config_from(opts: &HashMap<String, String>) -> Result<bci_net::NetConfig,
 /// them parked and resumed concurrently by one reactor thread. The
 /// coordinator owns the blackboard and samples the inputs, so the whole
 /// run is reproducible from `--seed` alone.
-fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
     use bci_mux::daemon::{
         accept_mux_roster, linger_admin, run_mux_daemon, MuxOptions, SessionInfo,
         DEFAULT_MAX_INFLIGHT,
@@ -779,9 +791,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
     let roster_secs: u64 = get(opts, "roster-timeout-s", Some(60u64))?;
     let protocol_name = opts.get("protocol").map_or("disj", String::as_str);
     if protocol_name != "disj" {
-        return Err(format!(
-            "unknown protocol '{protocol_name}' (serve supports: disj)"
-        ));
+        return Err(format!("unknown protocol '{protocol_name}' (serve supports: disj)").into());
     }
     if players == 0 || sessions == 0 {
         return Err("--players and --sessions must be positive".into());
@@ -800,10 +810,10 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
     };
 
     let listener = TcpListener::bind(("0.0.0.0", port))
-        .map_err(|e| format!("cannot bind port {port}: {e}"))?;
+        .map_err(|e| run_err(format!("cannot bind port {port}: {e}")))?;
     let bound = listener
         .local_addr()
-        .map_err(|e| format!("local addr: {e}"))?;
+        .map_err(|e| run_err(format!("local addr: {e}")))?;
     diag.info(&format!(
         "serving {protocol_name} (n={n}, k={players}) on {bound} [inflight={inflight}]: \
          waiting for {players} players (up to {roster_secs}s)"
@@ -821,7 +831,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
         Instant::now() + Duration::from_secs(roster_secs),
         &recorder,
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(run_err)?;
     diag.info(&format!(
         "roster complete: {players} players registered; admin stats channel live on {bound}"
     ));
@@ -877,7 +887,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
         report.digest_fold()
     );
     if failed > 0 {
-        return Err(format!("{failed} session(s) did not complete"));
+        return Err(run_err(format!("{failed} session(s) did not complete")));
     }
     Ok(())
 }
@@ -886,7 +896,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
 /// `bci serve`. The protocol parameters (universe size, roster size)
 /// arrive in the handshake ack, so the client needs only the address and
 /// its player index.
-fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
     use bci_mux::player::{connect_mux_player, run_mux_player};
     use bci_net::NetConfig;
     use std::net::ToSocketAddrs;
@@ -896,9 +906,7 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
     let seed: u64 = get(opts, "seed", Some(1u64))?;
     let protocol_name = opts.get("protocol").map_or("disj", String::as_str);
     if protocol_name != "disj" {
-        return Err(format!(
-            "unknown protocol '{protocol_name}' (join supports: disj)"
-        ));
+        return Err(format!("unknown protocol '{protocol_name}' (join supports: disj)").into());
     }
     let addr = addr_str
         .to_socket_addrs()
@@ -907,8 +915,8 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         .ok_or_else(|| format!("'{addr_str}' resolved to no address"))?;
 
     let config = NetConfig::default();
-    let (conn, ack, retries) = connect_mux_player(addr, player, protocol_name, &config, seed)
-        .map_err(|e| e.to_string())?;
+    let (conn, ack, retries) =
+        connect_mux_player(addr, player, protocol_name, &config, seed).map_err(run_err)?;
     let n = ack.params.first().copied().unwrap_or(0) as usize;
     let k = ack.players as usize;
     diag.info(&format!(
@@ -917,7 +925,7 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         ack.seed
     ));
     let proto = BroadcastDisj::new(n, k);
-    let report = run_mux_player(&proto, conn, player, &config, false).map_err(|e| e.to_string())?;
+    let report = run_mux_player(&proto, conn, player, &config, false).map_err(run_err)?;
     println!("player {player}: {} session(s) finished", report.sessions);
     Ok(())
 }
@@ -927,7 +935,7 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
 /// percentiles, wire bytes against transcript bits, and an end-to-end
 /// transcript check against the in-process transport. Exits nonzero if any session fails
 /// or any transcript diverges, so CI can gate on it directly.
-fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
     use bci_mux::load::{bench_document, run_load, LoadSpec};
     use bci_mux::LoadReport;
     use std::net::ToSocketAddrs;
@@ -967,7 +975,7 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
             .map_or_else(|| "in-process mux daemon".to_owned(), |a| a.to_string()),
         spec.max_inflight
     ));
-    let mut reports: Vec<LoadReport> = vec![run_load(&spec).map_err(|e| e.to_string())?];
+    let mut reports: Vec<LoadReport> = vec![run_load(&spec).map_err(run_err)?];
     if scrape_ms > 0 {
         // Same workload again with a live admin scraper attached — the
         // report pair becomes the scrape-overhead measurement.
@@ -976,7 +984,7 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         ));
         let mut scraped = spec.clone();
         scraped.scrape_interval = Some(Duration::from_millis(scrape_ms));
-        reports.push(run_load(&scraped).map_err(|e| e.to_string())?);
+        reports.push(run_load(&scraped).map_err(run_err)?);
     }
 
     let mut t = Table::new([
@@ -991,6 +999,8 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         "wire bytes",
         "transcript bits",
         "bits/bit",
+        "frames/write",
+        "frames/read",
         "scrapes",
         "digest",
     ]);
@@ -1007,6 +1017,8 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
             r.wire.bytes_total().to_string(),
             r.wire.transcript_bits.to_string(),
             f(r.wire_bits_per_transcript_bit(), 2),
+            f(r.wire.frames_per_write(), 2),
+            f(r.wire.frames_per_read(), 2),
             r.scrapes.to_string(),
             match r.verified() {
                 Some(true) => "match".to_owned(),
@@ -1030,27 +1042,27 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
         }
         let doc = bench_document(&doc_spec, &reports);
         std::fs::write(path, format!("{doc}\n"))
-            .map_err(|e| format!("cannot write report to '{path}': {e}"))?;
+            .map_err(|e| run_err(format!("cannot write report to '{path}': {e}")))?;
         diag.info(&format!("wrote bci.bench.v1 report to {path}"));
     }
 
     for r in &reports {
         if r.failed > 0 {
-            return Err(format!(
+            return Err(run_err(format!(
                 "{} failed {} of {} session(s)",
                 r.kind.label(),
                 r.failed,
                 r.sessions
-            ));
+            )));
         }
         if r.verified() == Some(false) {
-            return Err(format!(
+            return Err(run_err(format!(
                 "{} transcripts diverged from the in-process transport \
                  ({:#018x} != {:#018x})",
                 r.kind.label(),
                 r.digest,
                 r.digest_inprocess.unwrap_or(0)
-            ));
+            )));
         }
     }
     Ok(())
@@ -1060,7 +1072,7 @@ fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
 /// channel. Prints the live snapshot as JSON (`--json`, the default),
 /// Prometheus text exposition (`--prom`), or the flight-recorder ring as
 /// JSON lines (`--events`); the flags combine.
-fn cmd_stat(args: &[String]) -> Result<(), String> {
+fn cmd_stat(args: &[String]) -> CmdResult {
     use bci_net::admin::scrape;
     use bci_net::frame::stats_request;
 
@@ -1077,7 +1089,7 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
             "--quiet" | "--verbose" => {
                 global.insert(flag[2..].to_owned(), "true".to_owned());
             }
-            other => return Err(format!("unknown stat flag '{other}'")),
+            other => return Err(format!("unknown stat flag '{other}'").into()),
         }
     }
     let diag = Diag::from_opts(&global)?;
@@ -1095,12 +1107,12 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
         "stat: scraping {addr} (json {json}, prom {prom}, events {events})"
     ));
     let config = bci_net::NetConfig::default();
-    let reply = scrape(addr, what, &config).map_err(|e| e.to_string())?;
+    let reply = scrape(addr, what, &config).map_err(run_err)?;
     if json || prom {
         let snap = reply
             .payload
             .into_snapshot()
-            .map_err(|e| format!("malformed snapshot from {addr}: {e}"))?;
+            .map_err(|e| run_err(format!("malformed snapshot from {addr}: {e}")))?;
         if json {
             println!("{}", snap.to_json());
         }
@@ -1119,7 +1131,7 @@ fn cmd_stat(args: &[String]) -> Result<(), String> {
 /// per tick (sessions/sec and latency percentiles computed over the tick
 /// window via histogram deltas, not cumulative totals). `--iters 0`
 /// refreshes until interrupted.
-fn cmd_top(args: &[String]) -> Result<(), String> {
+fn cmd_top(args: &[String]) -> CmdResult {
     use bci_net::admin::AdminClient;
     use bci_telemetry::Snapshot;
     use std::time::Duration;
@@ -1139,11 +1151,11 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
     }
     diag.debug(&format!("top: scraping {addr} every {interval_ms}ms"));
     let config = bci_net::NetConfig::default();
-    let mut client = AdminClient::connect(addr, &config).map_err(|e| e.to_string())?;
+    let mut client = AdminClient::connect(addr, &config).map_err(run_err)?;
     let mut prev: Option<Snapshot> = None;
     let mut tick = 0u64;
     loop {
-        let snap = client.fetch_snapshot().map_err(|e| e.to_string())?;
+        let snap = client.fetch_snapshot().map_err(run_err)?;
         println!("{}", top_line(&snap, prev.as_ref()));
         prev = Some(snap);
         tick += 1;
@@ -1239,7 +1251,7 @@ fn top_line(snap: &bci_telemetry::Snapshot, prev: Option<&bci_telemetry::Snapsho
 /// notes. Any other option is an error.
 ///
 /// [`JobPool`]: bci_fabric::pool::JobPool
-fn cmd_experiments(args: &[String]) -> Result<(), String> {
+fn cmd_experiments(args: &[String]) -> CmdResult {
     use bci_core::experiments::registry::{
         find, registry, render_report, run_grid_pooled, Experiment,
     };
@@ -1308,7 +1320,8 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                     if bci_topology::Topology::parse(name).is_none() {
                         return Err(format!(
                             "--topology: unknown model '{name}' (expected blackboard | star | p2p)"
-                        ));
+                        )
+                        .into());
                     }
                     restricted = exp.with_topology(name).ok_or_else(|| {
                         format!(
@@ -1343,9 +1356,9 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
             ));
             Ok(())
         }
-        other => Err(format!(
-            "unknown experiments subcommand '{other}' (expected list | run)"
-        )),
+        other => {
+            Err(format!("unknown experiments subcommand '{other}' (expected list | run)").into())
+        }
     }
 }
 

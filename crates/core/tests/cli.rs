@@ -451,3 +451,20 @@ fn bad_invocations_fail_with_usage() {
         assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn runtime_errors_print_one_line_and_a_hint_not_the_usage() {
+    // Nothing listens on port 1: the arguments are fine, the run fails.
+    for args in [
+        vec!["join", "--addr", "127.0.0.1:1", "--player", "0"],
+        vec!["stat", "127.0.0.1:1"],
+    ] {
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(stderr.lines().count() <= 2, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("see 'bci help'"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+}

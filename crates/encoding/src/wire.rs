@@ -194,6 +194,21 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// Appends a byte string in `Vec<u8>`'s layout (`u32` count, then the
+/// bytes) with one slice copy instead of one `u8` encode per byte.
+pub fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(bytes.len()).expect("vec fits a frame");
+    len.encode(out);
+    out.extend_from_slice(bytes);
+}
+
+/// Decodes what [`encode_bytes`] (or `Vec<u8>`'s own encoder) wrote,
+/// with one slice copy; fails exactly where `Vec::<u8>::decode` does.
+pub fn decode_bytes(input: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+    let len = u32::decode(input)? as usize;
+    Ok(take(input, len)?.to_vec())
+}
+
 impl Wire for BitVec {
     /// `u32` bit length, then the bits packed LSB-first into bytes — the
     /// payload layout of
@@ -401,6 +416,25 @@ mod tests {
         let mut bytes = "hello".to_owned().to_wire_bytes();
         bytes.pop();
         assert_eq!(String::from_wire_bytes(&bytes), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn byte_strings_code_as_vec_u8_does() {
+        for len in [0usize, 1, 7, 41, 300] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 5) as u8).collect();
+            let mut out = vec![0xEE];
+            encode_bytes(&bytes, &mut out);
+            assert_eq!(out[1..], bytes.to_wire_bytes()[..], "len {len}");
+            let mut input = &out[1..];
+            assert_eq!(decode_bytes(&mut input), Ok(bytes.clone()));
+            assert!(input.is_empty());
+            // Every truncation fails the same way the generic decoder does.
+            for cut in 0..out.len() - 1 {
+                let mut short = &out[1..1 + cut];
+                let generic = Vec::<u8>::decode(&mut &out[1..1 + cut]);
+                assert_eq!(decode_bytes(&mut short), generic, "len {len} cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -40,21 +40,38 @@ pub struct Outbox {
     pub frames_written: u64,
     /// Total Wire-payload bytes queued: framing excluded.
     pub payload_bytes_written: u64,
+    /// Write calls that wrote bytes ([`Outbox::consume`] calls). How
+    /// many frames each one carried depends on timing, so this count is
+    /// diagnostic only.
+    pub write_calls: u64,
 }
 
 impl Outbox {
-    /// Queues one frame for `session`.
+    /// Queues one frame for `session`, encoded in place.
     pub fn queue(&mut self, session: u64, frame: &Frame) {
-        self.queue_encoded(&frame.to_bytes_mux(session));
+        Outbox::fan_out(std::slice::from_mut(self), session, frame);
     }
 
-    /// Queues one frame already encoded by [`Frame::to_bytes_mux`], so a
-    /// frame fanned out to every peer is encoded once. Accounts exactly
-    /// as [`Outbox::queue`] does.
-    pub fn queue_encoded(&mut self, bytes: &[u8]) {
-        self.payload_bytes_written += bytes.len() as u64 - HEADER_BYTES;
+    /// Queues one frame for `session` on every queue in `outs`, encoded
+    /// once: in place on the first queue, then copied to the rest.
+    pub fn fan_out(outs: &mut [Outbox], session: u64, frame: &Frame) {
+        let Some((first, rest)) = outs.split_first_mut() else {
+            return;
+        };
+        let start = first.buf.len();
+        frame.encode_mux_into(session, &mut first.buf);
+        let bytes = &first.buf[start..];
+        for out in rest {
+            out.buf.extend_from_slice(bytes);
+            out.count_frame(bytes.len());
+        }
+        let len = bytes.len();
+        first.count_frame(len);
+    }
+
+    fn count_frame(&mut self, len: usize) {
+        self.payload_bytes_written += len as u64 - HEADER_BYTES;
         self.frames_written += 1;
-        self.buf.extend_from_slice(bytes);
     }
 
     /// The queued bytes not yet written.
@@ -62,8 +79,11 @@ impl Outbox {
         &self.buf[self.cursor..]
     }
 
-    /// Marks the first `n` pending bytes written.
+    /// Marks the first `n` pending bytes written by one write call.
     pub fn consume(&mut self, n: usize) {
+        if n > 0 {
+            self.write_calls += 1;
+        }
         self.cursor += n;
         self.bytes_written += n as u64;
         if self.cursor == self.buf.len() {
@@ -81,6 +101,8 @@ impl Outbox {
         wire.frames_rx += reader.frames_read;
         wire.payload_bytes_tx += self.payload_bytes_written;
         wire.payload_bytes_rx += reader.payload_bytes_read;
+        wire.write_calls += self.write_calls;
+        wire.read_calls += reader.read_calls;
     }
 }
 
@@ -176,14 +198,25 @@ impl MuxConn {
         Ok(())
     }
 
-    /// Queues `frame` and writes everything queued, failing with
-    /// `TimedOut` when the flush runs past `io_timeout`.
+    /// Queues `frame` and writes everything queued ([`MuxConn::send_queued`]).
     pub fn send_now(&mut self, session: u64, frame: &Frame) -> Result<(), NetError> {
         self.out.queue(session, frame);
+        self.send_queued()
+    }
+
+    /// Writes everything queued, failing with `TimedOut` when the flush
+    /// runs past `io_timeout`.
+    pub fn send_queued(&mut self) -> Result<(), NetError> {
         let drained = self.flush()?;
         drained
             .then_some(())
             .ok_or_else(|| timed_out("write stalled past io_timeout"))
+    }
+
+    /// The next frame already read and buffered, without touching the
+    /// socket ([`FrameReader::take_buffered`]).
+    pub fn recv_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
+        self.reader.take_buffered()
     }
 
     /// Reads the next frame: `Ok(Some((session, frame)))` when one
@@ -312,10 +345,15 @@ mod tests {
         let config = NetConfig::default();
         let (mut per_frame, mut per_frame_peer) = pair(&config);
         let (mut encoded, mut encoded_peer) = pair(&config);
+        let mut fanned = vec![Outbox::default(); 3];
         for (session, frame) in &frames {
             per_frame.out.queue(*session, frame);
-            encoded.out.queue_encoded(&frame.to_bytes_mux(*session));
+            Outbox::fan_out(&mut fanned, *session, frame);
         }
+        for out in &fanned {
+            assert_eq!(out.pending(), per_frame.out.pending());
+        }
+        encoded.out = fanned.pop().expect("three queues");
         assert!(per_frame.flush().unwrap() && encoded.flush().unwrap());
         let counters = |c: &MuxConn| {
             let out = &c.out;

@@ -425,6 +425,11 @@ fn run_players(
     })
 }
 
+/// `x` rounded to two decimals.
+fn round2(x: f64) -> Json {
+    Json::Num((x * 100.0).round() / 100.0)
+}
+
 /// The bench document's `meta` object. When the report set contains both
 /// a scraped and an unscraped mux run of the same workload, the pair is
 /// distilled into a scrape-overhead measurement: sessions/sec with and
@@ -440,7 +445,6 @@ fn bench_meta(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
             Json::UInt(spec.max_inflight as u64),
         ),
     ];
-    let round2 = |x: f64| Json::Num((x * 100.0).round() / 100.0);
     let unscraped = reports.iter().find(|r| r.kind == CoordinatorKind::Mux);
     let scraped = reports
         .iter()
@@ -481,6 +485,8 @@ pub fn bench_document(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
         "wire bytes",
         "transcript bits",
         "wire bits/bit",
+        "frames/write",
+        "frames/read",
         "reconnects",
         "scrapes",
         "digest",
@@ -495,13 +501,15 @@ pub fn bench_document(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
                 Json::UInt(r.completed),
                 Json::UInt(r.failed),
                 Json::UInt(r.elapsed.as_millis() as u64),
-                Json::Num((r.sessions_per_sec() * 100.0).round() / 100.0),
+                round2(r.sessions_per_sec()),
                 Json::UInt(r.turn_latency.percentile(50.0)),
                 Json::UInt(r.turn_latency.percentile(95.0)),
                 Json::UInt(r.turn_latency.percentile(99.0)),
                 Json::UInt(r.wire.bytes_total()),
                 Json::UInt(r.wire.transcript_bits),
-                Json::Num((r.wire_bits_per_transcript_bit() * 100.0).round() / 100.0),
+                round2(r.wire_bits_per_transcript_bit()),
+                round2(r.wire.frames_per_write()),
+                round2(r.wire.frames_per_read()),
                 Json::UInt(r.reconnects),
                 Json::UInt(r.scrapes),
                 Json::str(match r.verified() {

@@ -247,6 +247,10 @@ where
 /// `Outcome` (one with `remaining == 0`), one [`MuxPlayer::play`] per
 /// frame, heartbeating whenever nothing was sent for one interval.
 ///
+/// Replies are coalesced: every frame one read brought in is answered
+/// into the connection's queue, and the queue goes out in one write just
+/// before the loop would block on the next read, or before it returns.
+///
 /// `collect_digests` switches on per-session replica digests — the load
 /// harness enables it on player 0 only, so the verification cost is
 /// paid once, not `k` times.
@@ -269,9 +273,18 @@ where
     let mut heartbeat_seq = 0u64;
     loop {
         let (session, frame) = loop {
+            if let Some(hit) = conn.recv_buffered()? {
+                break hit;
+            }
+            // Nothing left to answer without reading: write the replies
+            // queued so far, plus a heartbeat when one is due.
             if last_sent.elapsed() >= config.heartbeat_interval {
                 heartbeat_seq += 1;
-                conn.send_now(CONTROL_SESSION, &Frame::Heartbeat { seq: heartbeat_seq })?;
+                let heartbeat = Frame::Heartbeat { seq: heartbeat_seq };
+                conn.out.queue(CONTROL_SESSION, &heartbeat);
+            }
+            if !conn.out.pending().is_empty() {
+                conn.send_queued()?;
                 last_sent = Instant::now();
             }
             if let Some(hit) = conn.recv()? {
@@ -280,11 +293,9 @@ where
         };
         match state.play(Instant::now(), session, frame)? {
             Played::Idle => {}
-            Played::Reply(reply) => {
-                conn.send_now(session, &reply)?;
-                last_sent = Instant::now();
-            }
+            Played::Reply(reply) => conn.out.queue(session, &reply),
             Played::HangUp | Played::Finished => {
+                conn.send_queued()?;
                 let mut report = state.report;
                 conn.out.tally(conn.reader(), &mut report.wire);
                 return Ok(report);

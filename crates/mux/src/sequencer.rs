@@ -350,14 +350,6 @@ where
         }
     }
 
-    /// Queues `frame` for `session` on every player's queue, encoded once.
-    fn fan_out(&mut self, session: u64, frame: &Frame) {
-        let bytes = frame.to_bytes_mux(session);
-        for out in &mut self.out {
-            out.queue_encoded(&bytes);
-        }
-    }
-
     /// Polls the session's engine and issues the next grant (folding in
     /// the previous authoritative write), or finishes the session when
     /// the engine halts. Engine violations — out-of-range speaker,
@@ -392,7 +384,7 @@ where
             next: next.as_ref().map_or(NO_PLAYER, |g| g.speaker as u32),
             rng: rng_bytes,
         });
-        self.fan_out(session, &frame);
+        Outbox::fan_out(&mut self.out, session, &frame);
         if next.is_none() {
             let slot = &self.table[&session];
             match catch_unwind(AssertUnwindSafe(|| slot.engine.output())) {
@@ -484,7 +476,7 @@ where
             output: output.clone(),
             remaining,
         });
-        self.fan_out(session, &frame);
+        Outbox::fan_out(&mut self.out, session, &frame);
         let counter = match kind {
             0 => "mux.sessions_completed",
             1 => "mux.sessions_timed_out",

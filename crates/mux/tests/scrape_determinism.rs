@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use bci_mux::daemon::ADMIN_TICK;
 use bci_mux::load::{run_load, LoadSpec};
 use bci_mux::CoordinatorKind;
 
@@ -41,15 +42,35 @@ fn scraped_mux_run_is_bit_identical_to_unscraped() {
     assert_eq!(unscraped.verified(), Some(true));
 }
 
+/// Admin ticks a scraped run must span before its snapshots are checked.
+const MIN_TICKS: u32 = 10;
+
 #[test]
 fn mux_scraper_lands_snapshots_while_the_run_is_in_flight() {
-    // Enough sessions that the run outlives the scraper's connect
-    // handshake; the 1ms interval then lands many mid-run snapshots.
-    let mut s = spec(2048);
-    s.scrape_interval = Some(Duration::from_millis(1));
-    let report = run_load(&s).expect("scraped run");
-    assert_eq!(report.completed, s.sessions);
-    assert_eq!(report.verified(), Some(true));
+    // Admin peers are served once per ADMIN_TICK, and `mux.stats_served`
+    // counts a reply only after the snapshot it carried, so a snapshot
+    // showing it needs the scraper's third tick. Size the scraped run
+    // from an unscraped run's measured rate to span twice MIN_TICKS, and
+    // lengthen it until it spans MIN_TICKS, so the checks below hold on
+    // any host speed; the 1ms interval then lands many mid-run snapshots.
+    let probe = run_load(&spec(2048)).expect("unscraped run");
+    let target = ADMIN_TICK * (2 * MIN_TICKS);
+    let mut sessions = ((probe.sessions_per_sec() * target.as_secs_f64()) as u64).max(2048);
+    let (s, report) = loop {
+        let mut s = spec(sessions);
+        s.scrape_interval = Some(Duration::from_millis(1));
+        let report = run_load(&s).expect("scraped run");
+        assert_eq!(report.completed, s.sessions);
+        assert_eq!(report.verified(), Some(true));
+        if report.elapsed >= ADMIN_TICK * MIN_TICKS {
+            break (s, report);
+        }
+        assert!(
+            sessions < 1 << 24,
+            "runs stay shorter than {MIN_TICKS} admin ticks"
+        );
+        sessions *= 2;
+    };
     assert!(
         report.scrapes > 0,
         "scraper should land at least one live snapshot over {} sessions",

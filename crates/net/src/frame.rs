@@ -27,7 +27,7 @@ use std::fmt;
 use std::io::{self, Read};
 
 use bci_encoding::bitio::BitVec;
-use bci_encoding::wire::{Wire, WireError};
+use bci_encoding::wire::{decode_bytes, encode_bytes, Wire, WireError};
 use bci_telemetry::{Histogram, Snapshot};
 
 /// `Hello` version spoken by the multiplexed coordinator (`bci-mux`):
@@ -172,14 +172,14 @@ impl Wire for InputFrame {
     fn encode(&self, out: &mut Vec<u8>) {
         self.session.encode(out);
         self.player.encode(out);
-        self.payload.encode(out);
+        encode_bytes(&self.payload, out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(InputFrame {
             session: u32::decode(input)?,
             player: u32::decode(input)?,
-            payload: Vec::decode(input)?,
+            payload: decode_bytes(input)?,
         })
     }
 }
@@ -217,7 +217,7 @@ impl Wire for BroadcastFrame {
         self.speaker.encode(out);
         self.bits.encode(out);
         self.next.encode(out);
-        self.rng.encode(out);
+        encode_bytes(&self.rng, out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -226,7 +226,7 @@ impl Wire for BroadcastFrame {
             speaker: u32::decode(input)?,
             bits: BitVec::decode(input)?,
             next: u32::decode(input)?,
-            rng: Vec::decode(input)?,
+            rng: decode_bytes(input)?,
         })
     }
 }
@@ -250,7 +250,7 @@ impl Wire for OutcomeFrame {
     fn encode(&self, out: &mut Vec<u8>) {
         self.kind.encode(out);
         self.reason.encode(out);
-        self.output.encode(out);
+        encode_bytes(&self.output, out);
         self.remaining.encode(out);
     }
 
@@ -258,7 +258,7 @@ impl Wire for OutcomeFrame {
         Ok(OutcomeFrame {
             kind: u8::decode(input)?,
             reason: String::decode(input)?,
-            output: Vec::decode(input)?,
+            output: decode_bytes(input)?,
             remaining: u32::decode(input)?,
         })
     }
@@ -551,15 +551,22 @@ impl Frame {
         }
     }
 
-    /// Serializes into a write-ready buffer: the length prefix, then
-    /// `session`, then the tag and payload.
+    /// Appends the frame, write-ready, to `out` in one pass: a length
+    /// placeholder, `session`, the tag and payload, then the length
+    /// patched in.
+    pub fn encode_mux_into(&self, session: u64, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(&session.to_le_bytes());
+        self.encode_body(out);
+        let len = u32::try_from(out.len() - start - 4).expect("frame fits u32");
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// [`Frame::encode_mux_into`] a fresh buffer.
     pub fn to_bytes_mux(&self, session: u64) -> Vec<u8> {
-        let mut body = session.to_le_bytes().to_vec();
-        self.encode_body(&mut body);
-        let len = u32::try_from(body.len()).expect("frame fits u32");
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        self.encode_mux_into(session, &mut out);
         out
     }
 
@@ -595,6 +602,10 @@ impl Frame {
     }
 }
 
+/// Most bytes one read may take: a read goes straight into the free
+/// tail of the reader's buffer, up to this much at a time.
+pub const READ_CHUNK: usize = 64 << 10;
+
 /// Incremental frame decoder over any [`Read`].
 ///
 /// `poll_mux` returns `Ok(Some((session, frame)))` when a complete frame
@@ -603,11 +614,19 @@ impl Frame {
 /// complete frame available), and errors on EOF, I/O failure, or a
 /// malformed frame. Partial frames persist in the buffer across polls.
 ///
+/// The unread bytes are `buf[start..end]`: a frame is consumed by moving
+/// `start`, reads land straight in the free tail past `end`, at most
+/// [`READ_CHUNK`] bytes at a time, and the unread bytes move to the front
+/// only before a read. So the buffer never holds more than one partial
+/// frame (at most `4 + max_len` bytes) plus one read.
+///
 /// [`FrameReader::new_mux`] accepts frames up to [`MAX_FRAME_LEN`];
 /// [`FrameReader::with_limits`] sets another cap.
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
     /// Frames whose length field exceeds this are rejected before any
     /// payload is buffered.
     max_len: usize,
@@ -619,6 +638,9 @@ pub struct FrameReader {
     /// Total Wire-payload bytes decoded: [`Self::bytes_read`] minus the
     /// [`HEADER_BYTES`] of framing each frame pays.
     pub payload_bytes_read: u64,
+    /// Read calls that returned bytes. How many frames each one carried
+    /// depends on timing, so this count is diagnostic only.
+    pub read_calls: u64,
 }
 
 impl FrameReader {
@@ -631,48 +653,70 @@ impl FrameReader {
     pub fn with_limits(max_len: usize) -> Self {
         FrameReader {
             buf: Vec::new(),
+            start: 0,
+            end: 0,
             max_len,
             bytes_read: 0,
             frames_read: 0,
             payload_bytes_read: 0,
+            read_calls: 0,
         }
     }
 
-    fn take_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
-        if self.buf.len() < 4 {
+    /// Bytes of buffer the reader holds, never more than
+    /// `4 + max_len + READ_CHUNK`.
+    pub fn buffer_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The next complete frame already buffered, without reading:
+    /// `Ok(None)` when what is buffered is not a whole frame yet.
+    pub fn take_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
+        let pending = &self.buf[self.start..self.end];
+        if pending.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes")) as usize;
         if len == 0 {
             return Err(NetError::BadFrame("zero-length frame"));
         }
         if len > self.max_len {
             return Err(NetError::BadFrame("oversized frame"));
         }
-        if self.buf.len() < 4 + len {
+        if pending.len() < 4 + len {
             return Ok(None);
         }
         if len < 9 {
             return Err(NetError::BadFrame("truncated session header"));
         }
-        let session = u64::from_le_bytes(self.buf[4..12].try_into().expect("8 bytes"));
-        let body = &self.buf[12..4 + len];
+        let session = u64::from_le_bytes(pending[4..12].try_into().expect("8 bytes"));
+        let body = &pending[12..4 + len];
         let frame = Frame::from_body(body)?;
         // The body still holds the tag byte; payload is everything after.
         self.payload_bytes_read += (body.len() - 1) as u64;
-        self.buf.drain(..4 + len);
+        self.start += 4 + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
         self.frames_read += 1;
         Ok(Some((session, frame)))
     }
 
     fn fill_from(&mut self, stream: &mut impl Read) -> Result<Option<()>, NetError> {
-        let mut tmp = [0u8; 4096];
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
         loop {
-            match stream.read(&mut tmp) {
+            match stream.read(&mut self.buf[self.end..self.end + READ_CHUNK]) {
                 Ok(0) => return Err(NetError::Disconnected),
                 Ok(n) => {
+                    self.end += n;
                     self.bytes_read += n as u64;
-                    self.buf.extend_from_slice(&tmp[..n]);
+                    self.read_calls += 1;
                     return Ok(Some(()));
                 }
                 Err(e)
@@ -707,6 +751,20 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serves its bytes one per `read` call, then "would block".
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&byte, rest)) = self.0.split_first() else {
+                return Err(io::ErrorKind::WouldBlock.into());
+            };
+            buf[0] = byte;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -790,21 +848,14 @@ mod tests {
         let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_bytes_mux(3)).collect();
         let mut reader = FrameReader::new_mux();
         let mut out = Vec::new();
-        for &byte in &stream {
-            // A one-byte Read yields the byte then "WouldBlock" (empty
-            // slice read returns Ok(0) = EOF, so stop before that).
-            if let Some((session, frame)) = reader.take_buffered().unwrap() {
-                assert_eq!(session, 3);
-                out.push(frame);
-            }
-            reader.buf.push(byte);
-            reader.bytes_read += 1;
-        }
-        while let Some((_, frame)) = reader.take_buffered().unwrap() {
+        let mut dribble = Dribble(&stream);
+        while let Some((session, frame)) = reader.poll_mux(&mut dribble).unwrap() {
+            assert_eq!(session, 3);
             out.push(frame);
         }
         assert_eq!(out, frames);
         assert_eq!(reader.bytes_read, stream.len() as u64);
+        assert_eq!(reader.read_calls, stream.len() as u64, "one byte per read");
         assert_eq!(
             reader.payload_bytes_read + reader.frames_read * HEADER_BYTES,
             reader.bytes_read,
@@ -842,10 +893,10 @@ mod tests {
     fn mux_reader_rejects_truncated_session_headers() {
         // A v2 frame must be at least session id + tag = 9 bytes long.
         let mut reader = FrameReader::new_mux();
-        reader.buf.extend_from_slice(&5u32.to_le_bytes());
-        reader.buf.extend_from_slice(&[0; 5]);
+        let mut bytes = 5u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 5]);
         assert!(matches!(
-            reader.take_buffered(),
+            reader.poll_mux(&mut Dribble(&bytes)),
             Err(NetError::BadFrame("truncated session header"))
         ));
     }
@@ -868,19 +919,16 @@ mod tests {
     #[test]
     fn oversized_and_zero_length_frames_are_rejected() {
         let mut reader = FrameReader::new_mux();
-        reader.buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            reader.take_buffered(),
+            reader.poll_mux(&mut Dribble(&0u32.to_le_bytes())),
             Err(NetError::BadFrame("zero-length frame"))
         ));
 
         let mut reader = FrameReader::new_mux();
-        reader
-            .buf
-            .extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        let announced = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         // The length field alone convicts the frame — no payload needed.
         assert!(matches!(
-            reader.take_buffered(),
+            reader.poll_mux(&mut Dribble(&announced)),
             Err(NetError::BadFrame("oversized frame"))
         ));
     }

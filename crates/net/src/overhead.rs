@@ -36,6 +36,12 @@ pub struct WireStats {
     pub transcript_bits: u64,
     /// Total connect retries across all players.
     pub reconnects: u64,
+    /// Write calls that put bytes on the wire. How many frames share a
+    /// call depends on timing, so the call counts stay out of every
+    /// digest and every equality gate.
+    pub write_calls: u64,
+    /// Read calls that took bytes off the wire.
+    pub read_calls: u64,
 }
 
 impl WireStats {
@@ -62,15 +68,32 @@ impl WireStats {
         self.payload_bytes_rx += other.payload_bytes_rx;
         self.transcript_bits += other.transcript_bits;
         self.reconnects += other.reconnects;
+        self.write_calls += other.write_calls;
+        self.read_calls += other.read_calls;
+    }
+
+    /// Frames written per write call (0.0 before any write).
+    pub fn frames_per_write(&self) -> f64 {
+        ratio(self.frames_tx, self.write_calls)
+    }
+
+    /// Frames decoded per read call (0.0 before any read).
+    pub fn frames_per_read(&self) -> f64 {
+        ratio(self.frames_rx, self.read_calls)
     }
 
     /// Wire bits per transcript bit: `8 × bytes_total / transcript_bits`
     /// (`∞`-avoiding: 0.0 when the transcript is empty).
     pub fn overhead_ratio(&self) -> f64 {
-        if self.transcript_bits == 0 {
-            return 0.0;
-        }
-        (self.bytes_total() * 8) as f64 / self.transcript_bits as f64
+        ratio(self.bytes_total() * 8, self.transcript_bits)
+    }
+}
+
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 

@@ -1,15 +1,16 @@
 //! Property tests (proptest) for the incremental [`FrameReader`]: any
 //! frame stream must decode identically no matter how the bytes are cut
 //! into reads — byte-at-a-time, randomized split boundaries, headers
-//! torn across reads — and malicious length prefixes must be rejected
-//! before any payload allocation.
+//! torn across reads, reads far past one [`READ_CHUNK`] — while the
+//! buffer stays within one frame plus one read, and malicious length
+//! prefixes must be rejected before any payload allocation.
 
 use std::io::{self, Read};
 
 use bci_encoding::bitio::BitVec;
 use bci_net::frame::{
     BroadcastFrame, Frame, FrameReader, Hello, InputFrame, NetError, OutcomeFrame, HEADER_BYTES,
-    MAX_FRAME_LEN, MIN_FRAME_LEN_CAP, PROTOCOL_VERSION_MUX,
+    MAX_FRAME_LEN, MIN_FRAME_LEN_CAP, PROTOCOL_VERSION_MUX, READ_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -219,5 +220,164 @@ proptest! {
             Err(NetError::BadFrame(msg)) => prop_assert_eq!(msg, "zero-length frame"),
             other => prop_assert!(false, "expected rejection, got {other:?}"),
         }
+    }
+}
+
+/// An `Input` frame `len` bytes long (its length field reads
+/// `len - 4`), for `len >= 25`.
+fn input_frame_of_len(len: usize, fill: u8) -> Frame {
+    Frame::Input(InputFrame {
+        session: 7,
+        player: 1,
+        payload: vec![fill; len - 25],
+    })
+}
+
+/// Serves `data` in `chunks`-sized reads like [`ChunkedReader`], and
+/// remembers the largest buffer a read was offered.
+struct Watched {
+    inner: ChunkedReader,
+    largest_offer: usize,
+}
+
+impl Read for Watched {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.largest_offer = self.largest_offer.max(buf.len());
+        self.inner.read(buf)
+    }
+}
+
+/// Drains `data` through a reader capped at `max_len`, checking after
+/// every poll that the buffer stays within one partial frame plus one
+/// read.
+fn drain_bounded(data: Vec<u8>, chunks: Vec<usize>, max_len: usize) -> Vec<(u64, Frame)> {
+    let mut stream = Watched {
+        inner: ChunkedReader::new(data, chunks),
+        largest_offer: 0,
+    };
+    let mut reader = FrameReader::with_limits(max_len);
+    let mut out = Vec::new();
+    while let Some(hit) = reader.poll_mux(&mut stream).expect("valid stream") {
+        assert!(reader.buffer_len() <= 4 + max_len + READ_CHUNK);
+        out.push(hit);
+    }
+    assert!(reader.buffer_len() <= 4 + max_len + READ_CHUNK);
+    assert!(
+        stream.largest_offer <= READ_CHUNK,
+        "a read asked for more than one chunk"
+    );
+    out
+}
+
+/// Frames of up to ~150 KiB, mixed with ordinary ones.
+fn bulky_frames() -> impl Strategy<Value = Vec<(u64, Frame)>> {
+    prop::collection::vec(
+        (
+            any::<u64>(),
+            any_frame(),
+            any::<bool>(),
+            25usize..150_000,
+            any::<u8>(),
+        ),
+        1..6,
+    )
+    .prop_map(|items| {
+        items
+            .into_iter()
+            .map(|(session, frame, bulky, len, fill)| match bulky {
+                true => (session, input_frame_of_len(len, fill)),
+                false => (session, frame),
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Reads of any size, some far past one chunk, decode the same
+    /// frames, and the buffer stays within one frame plus one read.
+    #[test]
+    fn v2_decodes_identically_at_any_chunk_size(
+        frames in bulky_frames(),
+        chunks in prop::collection::vec(
+            (any::<bool>(), 1usize..64, 1usize..200_000)
+                .prop_map(|(small, a, b)| if small { a } else { b }),
+            0..24,
+        ),
+    ) {
+        let mut data = Vec::new();
+        for (session, frame) in &frames {
+            frame.encode_mux_into(*session, &mut data);
+        }
+        let decoded = drain_bounded(data, chunks, 1 << 18);
+        prop_assert_eq!(decoded, frames);
+    }
+
+    /// Encoding after bytes already queued appends exactly the frame's
+    /// own bytes, with its length field counting what follows it.
+    #[test]
+    fn encode_mux_into_appends_to_bytes_mux(
+        prefix in prop::collection::vec(any::<u8>(), 0..64),
+        session in any::<u64>(),
+        frame in any_frame(),
+    ) {
+        let mut out = prefix.clone();
+        frame.encode_mux_into(session, &mut out);
+        let start = prefix.len();
+        prop_assert_eq!(&out[..start], &prefix[..]);
+        prop_assert_eq!(&out[start..], &frame.to_bytes_mux(session)[..]);
+        let len = u32::from_le_bytes(out[start..start + 4].try_into().unwrap()) as usize;
+        prop_assert_eq!(len, out.len() - start - 4);
+        prop_assert_eq!(u64::from_le_bytes(out[start + 4..start + 12].try_into().unwrap()), session);
+        prop_assert_eq!(Frame::from_body(&out[start + 12..]).unwrap(), frame);
+    }
+}
+
+/// A frame whose header or body straddles the end of a full first read
+/// is finished by the next one.
+#[test]
+fn frames_straddling_a_full_read_are_reassembled() {
+    for head in [1, 3, 4, 5, 12, 13, 30, 200] {
+        // The filler ends `head` bytes before the first read does; the
+        // next frame starts there and runs on into the second read.
+        let filler = input_frame_of_len(READ_CHUNK - head, 0xAA);
+        for tail in [
+            input_frame_of_len(25, 1),
+            input_frame_of_len(READ_CHUNK + 99, 2),
+        ] {
+            let frames = vec![
+                (1, filler.clone()),
+                (2, tail),
+                (3, Frame::Heartbeat { seq: 9 }),
+            ];
+            let mut data = Vec::new();
+            for (session, frame) in &frames {
+                frame.encode_mux_into(*session, &mut data);
+            }
+            let decoded = drain_bounded(data, Vec::new(), MAX_FRAME_LEN);
+            assert_eq!(decoded, frames, "header {head} bytes before the refill");
+        }
+    }
+}
+
+/// A frame exactly `max_len` long is accepted, one byte longer rejected,
+/// for a cap below one read and one spanning several.
+#[test]
+fn frames_of_exactly_max_len_are_accepted() {
+    for max_len in [MIN_FRAME_LEN_CAP, 3 * READ_CHUNK + 7] {
+        let exact = input_frame_of_len(4 + max_len, 5);
+        let data = exact.to_bytes_mux(11);
+        assert_eq!(data.len(), 4 + max_len);
+        for chunks in [Vec::new(), vec![1; 64], vec![4, 8, 1 << 20]] {
+            let decoded = drain_bounded(data.clone(), chunks, max_len);
+            assert_eq!(decoded, vec![(11, exact.clone())], "cap {max_len}");
+        }
+        let over = input_frame_of_len(5 + max_len, 5).to_bytes_mux(11);
+        let mut reader = FrameReader::with_limits(max_len);
+        assert!(matches!(
+            reader.poll_mux(&mut ChunkedReader::new(over, Vec::new())),
+            Err(NetError::BadFrame("oversized frame"))
+        ));
     }
 }
