@@ -295,6 +295,72 @@ fn removed_and_misspelled_fabric_options_are_rejected_by_name() {
 }
 
 #[test]
+fn fabric_report_rows_are_pinned_and_worker_count_free() {
+    // Every row below is a function of the seed alone; the timing rows
+    // (latency, queue depth, elapsed, sessions/sec) are left out.
+    const PINNED: [&str; 8] = [
+        "sessions",
+        "completed",
+        "timed out",
+        "aborted",
+        "errors",
+        "error rate",
+        "bits/session mean",
+        "bits/session stddev",
+    ];
+    let cases: [(&[&str], [&str; 8]); 3] = [
+        (
+            &[],
+            ["64", "64", "0", "0", "0", "0.0000", "1751.55", "59.58"],
+        ),
+        (
+            &["--protocol", "and"],
+            ["64", "64", "0", "0", "0", "0.0000", "3.47", "0.90"],
+        ),
+        (
+            &[
+                "--fault",
+                "crash",
+                "--fault-player",
+                "1",
+                "--fault-every",
+                "8",
+            ],
+            ["64", "56", "0", "8", "0", "0.0000", "1747.11", "60.50"],
+        ),
+    ];
+    for (extra, expected) in cases {
+        for workers in ["1", "4"] {
+            let mut args = vec![
+                "fabric",
+                "--sessions",
+                "64",
+                "--seed",
+                "1",
+                "--workers",
+                workers,
+            ];
+            args.extend_from_slice(extra);
+            let out = bci(&args);
+            assert!(out.status.success(), "{args:?}: {out:?}");
+            let stdout = String::from_utf8(out.stdout).expect("utf8");
+            for (row, want) in PINNED.iter().zip(expected) {
+                let got = stdout
+                    .lines()
+                    .find_map(|line| {
+                        let line = line.trim_start();
+                        let value = line.strip_prefix(row)?.trim();
+                        // `sessions` must not match `sessions/sec`.
+                        (!value.is_empty() && !value.contains(' ')).then_some(value)
+                    })
+                    .unwrap_or_else(|| panic!("{args:?}: no '{row}' row in\n{stdout}"));
+                assert_eq!(got, want, "{args:?}: row '{row}'");
+            }
+        }
+    }
+}
+
+#[test]
 fn removed_and_unknown_network_options_are_rejected_by_name() {
     // The options of the deleted thread-per-connection coordinator must
     // fail loudly, not be ignored or swallow the next argument.
