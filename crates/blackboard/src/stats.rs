@@ -96,25 +96,6 @@ impl CommStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &CommStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for CommStats {
@@ -170,32 +151,6 @@ mod tests {
         assert_eq!(s.stddev(), 2.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let data = [1.0, 3.0, 5.0, 7.0, 11.0, 13.0];
-        let whole: CommStats = data.into_iter().collect();
-        let mut a: CommStats = data[..2].iter().copied().collect();
-        let b: CommStats = data[2..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: CommStats = [1.0, 2.0].into_iter().collect();
-        let before = a.clone();
-        a.merge(&CommStats::new());
-        assert_eq!(a, before);
-
-        let mut e = CommStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -28,8 +28,7 @@ use bci_compression::gap::and_gap;
 use bci_compression::sampling::{exchange_many, lemma7_bound, SamplerConfig};
 use bci_core::table::{f, Table};
 use bci_encoding::bitset::SparseBitSet;
-use bci_fabric::driver::{monte_carlo_fabric, FabricReport};
-use bci_fabric::scheduler::SchedulerConfig;
+use bci_fabric::driver::{monte_carlo_fabric, FabricReport, SchedulerConfig};
 use bci_fabric::session::{FaultKind, FaultPlan, FaultSpec, SessionSelector};
 use bci_fabric::transport::InProcessTransport;
 use bci_info::divergence::kl;
@@ -643,7 +642,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
                 &plan,
                 &config,
             );
-            print_fabric_report(&report, &recorder);
+            print_fabric_report(&report, workers, &recorder);
         }
         "and" => {
             let proto = SequentialAnd::new(k);
@@ -660,7 +659,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> CmdResult {
                 &plan,
                 &config,
             );
-            print_fabric_report(&report, &recorder);
+            print_fabric_report(&report, workers, &recorder);
         }
         other => return Err(format!("unknown protocol '{other}'").into()),
     }
@@ -1362,33 +1361,36 @@ fn cmd_experiments(args: &[String]) -> CmdResult {
     }
 }
 
-fn print_fabric_report<O>(report: &FabricReport<O>, recorder: &Recorder) {
-    let m = &report.metrics;
+fn print_fabric_report<O>(report: &FabricReport<O>, workers: usize, recorder: &Recorder) {
+    let run = &report.report;
     let mut t = Table::new(["metric", "value"]);
-    t.row(["sessions".to_owned(), m.sessions.to_string()]);
-    t.row(["completed".to_owned(), m.completed.to_string()]);
-    t.row(["timed out".to_owned(), m.timed_out.to_string()]);
-    t.row(["aborted".to_owned(), m.aborted.to_string()]);
-    t.row(["errors".to_owned(), report.report.errors.to_string()]);
-    t.row(["error rate".to_owned(), f(report.report.error_rate(), 4)]);
-    t.row(["bits/session mean".to_owned(), f(m.bits.mean(), 2)]);
-    t.row(["bits/session stddev".to_owned(), f(m.bits.stddev(), 2)]);
-    t.row(["latency p50".to_owned(), format!("{:?}", m.latency_p50())]);
-    t.row(["latency p95".to_owned(), format!("{:?}", m.latency_p95())]);
-    t.row(["latency p99".to_owned(), format!("{:?}", m.latency_p99())]);
-    t.row(["latency max".to_owned(), format!("{:?}", m.latency_max)]);
+    t.row(["sessions".to_owned(), report.records.len().to_string()]);
+    t.row(["completed".to_owned(), run.trials.to_string()]);
+    t.row(["timed out".to_owned(), report.timed_out.to_string()]);
+    t.row(["aborted".to_owned(), report.aborted.to_string()]);
+    t.row(["errors".to_owned(), run.errors.to_string()]);
+    t.row(["error rate".to_owned(), f(run.error_rate(), 4)]);
+    t.row(["bits/session mean".to_owned(), f(run.comm.mean(), 2)]);
+    t.row(["bits/session stddev".to_owned(), f(run.comm.stddev(), 2)]);
+    for p in [50, 95, 99] {
+        let latency = report.latency_percentile(f64::from(p));
+        t.row([format!("latency p{p}"), format!("{latency:?}")]);
+    }
     t.row([
-        "queue depth p50".to_owned(),
-        m.queue_depth.percentile(50.0).to_string(),
+        "latency max".to_owned(),
+        format!("{:?}", report.latency_max),
     ]);
+    for p in [50, 95] {
+        let depth = report.queue_depth.percentile(f64::from(p));
+        t.row([format!("queue depth p{p}"), depth.to_string()]);
+    }
     t.row([
-        "queue depth p95".to_owned(),
-        m.queue_depth.percentile(95.0).to_string(),
+        "max queue depth".to_owned(),
+        report.max_queue_depth.to_string(),
     ]);
-    t.row(["max queue depth".to_owned(), m.max_queue_depth.to_string()]);
-    t.row(["workers".to_owned(), m.workers.to_string()]);
-    t.row(["elapsed".to_owned(), format!("{:?}", m.elapsed)]);
-    t.row(["sessions/sec".to_owned(), f(m.sessions_per_sec(), 1)]);
+    t.row(["workers".to_owned(), workers.to_string()]);
+    t.row(["elapsed".to_owned(), format!("{:?}", report.elapsed)]);
+    t.row(["sessions/sec".to_owned(), f(report.sessions_per_sec(), 1)]);
     if recorder.enabled() {
         let snap = recorder.snapshot();
         t.row([

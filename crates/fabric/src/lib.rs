@@ -25,23 +25,18 @@
 //! * [`pool`] — the generic deterministic [`JobPool`]: the bounded batch
 //!   queue, producer backpressure, and in-order result collection, usable
 //!   for any `Fn(seed, &point) -> T` job (experiment sweeps run on it).
-//! * [`scheduler`] — the protocol-aware layer over the pool: one job per
-//!   session, per-session fault injection and telemetry.
-//! * [`driver`] — [`monte_carlo_fabric`], the
-//!   parallel Monte-Carlo entry point whose
-//!   [`RunReport`](bci_blackboard::runner::RunReport) is bit-identical to
+//! * [`driver`] — [`monte_carlo_fabric`], the parallel Monte-Carlo entry
+//!   point: one pool job per session, with per-session fault injection
+//!   and telemetry. Its [`FabricReport`] holds a
+//!   [`RunReport`](bci_blackboard::runner::RunReport) bit-identical to
 //!   [`monte_carlo_seeded`](bci_blackboard::runner::monte_carlo_seeded)
-//!   on fault-free runs.
-//! * [`metrics`] — latency percentiles, throughput, bits/session, queue
-//!   depth.
+//!   on fault-free runs, plus outcome counts, latency percentiles,
+//!   throughput and queue depth.
 //!
 //! # Example
 //!
 //! ```
-//! use bci_fabric::driver::monte_carlo_fabric;
-//! use bci_fabric::scheduler::SchedulerConfig;
-//! use bci_fabric::session::FaultPlan;
-//! use bci_fabric::transport::InProcessTransport;
+//! use bci_fabric::{monte_carlo_fabric, FaultPlan, InProcessTransport, SchedulerConfig};
 //! use bci_protocols::disj::broadcast::BroadcastDisj;
 //! use bci_protocols::disj::disj_function;
 //! use bci_protocols::workload;
@@ -63,15 +58,11 @@
 //! ```
 
 pub mod driver;
-pub mod metrics;
 pub mod pool;
-pub mod scheduler;
 pub mod session;
 pub mod transport;
 
-pub use driver::{monte_carlo_fabric, FabricReport};
-pub use metrics::FabricMetrics;
+pub use driver::{monte_carlo_fabric, FabricReport, SchedulerConfig, SessionRecord};
 pub use pool::{JobPool, PoolConfig, PoolRun};
-pub use scheduler::{SchedulerConfig, SessionRecord};
 pub use session::{FaultKind, FaultPlan, FaultSpec, SessionOutcome, SessionSelector};
 pub use transport::{InProcessTransport, Transport, DISABLED_RECORDER};

@@ -2,23 +2,19 @@
 //! decoupled from protocol sessions.
 //!
 //! [`JobPool`] runs `Fn(seed, &point) -> T` jobs over a slice of sweep
-//! points on a fixed worker pool, with the same bounded-queue backpressure
-//! the [session scheduler](crate::scheduler) uses: the producer enumerates
-//! index batches into a [`std::sync::mpsc::sync_channel`] and blocks when
-//! workers fall behind. Determinism does not depend on the schedule —
-//! job `i`'s seed is derived from `(master_seed, i)` via
-//! [`bci_blackboard::runner::derive_trial_seed`], and
-//! outputs are returned **in point order**, so the result vector is
-//! byte-identical to a serial `points.iter().map(...)` loop for any worker
-//! count.
+//! points on a fixed worker pool, with bounded-queue backpressure: the
+//! producer enumerates index batches into a
+//! [`std::sync::mpsc::sync_channel`] and blocks when workers fall behind.
+//! Determinism does not depend on the schedule — job `i`'s seed is derived
+//! from `(master_seed, i)` via
+//! [`bci_blackboard::runner::derive_trial_seed`], and outputs are returned
+//! **in point order**, so the result vector is byte-identical to a serial
+//! `points.iter().map(...)` loop for any worker count.
 //!
-//! The session scheduler is itself a client: `run_sessions` submits one
-//! job per session and folds per-worker [`CommStats`] shards through the
-//! pool's worker-local accumulators (see [`JobPool::run_with`]). Experiment
-//! sweeps (`bci-bench`'s `report_for`, `bci experiments run`) are the other
-//! client: one job per grid point.
-//!
-//! [`CommStats`]: bci_blackboard::stats::CommStats
+//! [`monte_carlo_fabric`](crate::driver::monte_carlo_fabric) is one
+//! client: it submits one job per session. Experiment sweeps (`bci-bench`'s
+//! `report_for`, `bci experiments run`) are the other: one job per grid
+//! point.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,12 +39,12 @@ pub struct PoolConfig {
     pub queue_capacity: usize,
     /// Prefix for the pool's counter/histogram names (`{prefix}.queue_depth`,
     /// `{prefix}.backpressure_stalls`, `{prefix}.stall_us`, `{prefix}.job_us`).
-    /// The session scheduler passes `"fabric"` to keep its historical metric
+    /// `monte_carlo_fabric` passes `"fabric"` to keep its historical metric
     /// names; standalone pools default to `"pool"`.
     pub metric_prefix: &'static str,
     /// Emit a [`SpanKind::Job`] span (plus a `{prefix}.job_us` histogram
     /// sample) per job. Clients that already emit their own per-job spans —
-    /// the session scheduler emits [`SpanKind::Session`] — turn this off so
+    /// `monte_carlo_fabric` emits [`SpanKind::Session`] — turn this off so
     /// the event stream is not doubled.
     pub job_spans: bool,
     /// Telemetry sink. The default ([`Recorder::disabled`]) records nothing
@@ -72,12 +68,10 @@ impl Default for PoolConfig {
 
 /// Everything a pool run produces: ordered outputs plus pool telemetry.
 #[derive(Debug)]
-pub struct PoolRun<T, A = ()> {
+pub struct PoolRun<T> {
     /// One output per point, **in point order** (serial order), regardless
     /// of worker count or scheduling.
     pub outputs: Vec<T>,
-    /// One worker-local accumulator per worker (see [`JobPool::run_with`]).
-    pub shards: Vec<A>,
     /// Highest queue depth (batches) observed during the run. The gauge
     /// counts a batch from just before the producer enqueues it until just
     /// after a worker dequeues it, so it can transiently exceed the queue
@@ -86,8 +80,6 @@ pub struct PoolRun<T, A = ()> {
     /// Queue-depth histogram: one sample per enqueued batch, at enqueue
     /// time.
     pub queue_depth_hist: Histogram,
-    /// Per-job wall-clock histogram (microseconds).
-    pub job_latency_hist: Histogram,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
 }
@@ -127,19 +119,6 @@ impl JobPool {
     /// The pool's configuration.
     pub fn config(&self) -> &PoolConfig {
         &self.config
-    }
-
-    /// Runs one job per point; job `i` receives
-    /// `derive_trial_seed(master_seed, i)`.
-    pub fn run<P, T, J>(&self, points: &[P], master_seed: u64, job: &J) -> PoolRun<T>
-    where
-        P: Sync,
-        T: Send,
-        J: Fn(u64, &P) -> T + Sync,
-    {
-        self.run_with(points, master_seed, &|| (), &|seed, point, _| {
-            job(seed, point)
-        })
     }
 
     /// Runs points whose work splits into independently-seeded *chunks* —
@@ -197,17 +176,9 @@ impl JobPool {
         let run = self.run(&subjobs, master_seed, &|_, &(i, chunk)| {
             job(derive_trial_seed(master_seed, i as u64), &points[i], chunk)
         });
-        let PoolRun {
-            outputs,
-            shards,
-            max_queue_depth,
-            queue_depth_hist,
-            job_latency_hist,
-            elapsed,
-        } = run;
         // Sub-job outputs come back in sub-job order (= point-major), so
         // each point's chunk outputs are a contiguous run.
-        let mut outputs = outputs.into_iter();
+        let mut outputs = run.outputs.into_iter();
         let merged = counts
             .iter()
             .enumerate()
@@ -215,49 +186,29 @@ impl JobPool {
             .collect();
         PoolRun {
             outputs: merged,
-            shards,
-            max_queue_depth,
-            queue_depth_hist,
-            job_latency_hist,
-            elapsed,
+            ..run
         }
     }
 
-    /// Like [`run`](JobPool::run), but threads a worker-local accumulator
-    /// through every job a worker executes. `init` builds one accumulator
-    /// per worker; the per-worker final values come back as
-    /// [`PoolRun::shards`] (in worker-spawn order). This is how the session
-    /// scheduler keeps per-worker [`CommStats`] shards without cross-worker
-    /// locking.
-    ///
-    /// [`CommStats`]: bci_blackboard::stats::CommStats
-    pub fn run_with<P, T, A, I, J>(
-        &self,
-        points: &[P],
-        master_seed: u64,
-        init: &I,
-        job: &J,
-    ) -> PoolRun<T, A>
+    /// Runs one job per point; job `i` receives
+    /// `derive_trial_seed(master_seed, i)`.
+    pub fn run<P, T, J>(&self, points: &[P], master_seed: u64, job: &J) -> PoolRun<T>
     where
         P: Sync,
         T: Send,
-        A: Send,
-        I: Fn() -> A + Sync,
-        J: Fn(u64, &P, &mut A) -> T + Sync,
+        J: Fn(u64, &P) -> T + Sync,
     {
         let config = &self.config;
         let start = Instant::now();
         let (batch_tx, batch_rx) = mpsc::sync_channel::<Range<usize>>(config.queue_capacity);
         let batch_rx = Mutex::new(batch_rx);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Duration, T)>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, T)>();
         let queue_depth = AtomicUsize::new(0);
         let max_queue_depth = AtomicUsize::new(0);
 
         let mut slots: Vec<Option<T>> = Vec::with_capacity(points.len());
         slots.resize_with(points.len(), || None);
-        let mut shards: Vec<A> = Vec::with_capacity(config.workers);
         let mut queue_depth_hist = Histogram::new(QUEUE_DEPTH_BOUNDS);
-        let mut job_latency_hist = Histogram::new(LATENCY_US_BOUNDS);
 
         let recorder = &config.recorder;
         let prefix = config.metric_prefix;
@@ -269,7 +220,6 @@ impl JobPool {
                 let batch_rx = &batch_rx;
                 let queue_depth = &queue_depth;
                 handles.push(scope.spawn(move || {
-                    let mut acc = init();
                     loop {
                         // Take the receiver lock only long enough to pop one
                         // batch; the batch itself is processed lock-free.
@@ -285,12 +235,14 @@ impl JobPool {
                         for index in batch {
                             let seed = derive_trial_seed(master_seed, index as u64);
                             let spans = config.job_spans && recorder.enabled();
-                            let token = spans
-                                .then(|| recorder.span_start(SpanKind::Job, index as u64, vec![]));
-                            let began = Instant::now();
-                            let output = job(seed, &points[index], &mut acc);
-                            let latency = began.elapsed();
-                            if let Some(token) = token {
+                            let token = spans.then(|| {
+                                let token =
+                                    recorder.span_start(SpanKind::Job, index as u64, vec![]);
+                                (token, Instant::now())
+                            });
+                            let output = job(seed, &points[index]);
+                            if let Some((token, began)) = token {
+                                let latency = began.elapsed();
                                 recorder.hist_record(
                                     metric_name(prefix, "job_us"),
                                     latency.as_micros() as u64,
@@ -303,12 +255,11 @@ impl JobPool {
                                     vec![("latency_us", Json::UInt(latency.as_micros() as u64))],
                                 );
                             }
-                            if result_tx.send((index, latency, output)).is_err() {
-                                return acc; // collector went away
+                            if result_tx.send((index, output)).is_err() {
+                                return; // collector went away
                             }
                         }
                     }
-                    acc
                 }));
             }
             drop(result_tx); // the collector detects completion by hangup
@@ -370,15 +321,14 @@ impl JobPool {
             }
             drop(batch_tx); // workers drain the queue and exit
 
-            for (index, latency, output) in result_rx.iter() {
-                job_latency_hist.record(latency.as_micros() as u64);
+            for (index, output) in result_rx.iter() {
                 slots[index] = Some(output);
             }
             for handle in handles {
                 // Deliberate: a panicking job must fail the whole run, not
                 // silently drop its output, so the worker's panic payload is
                 // re-raised on the caller's thread here.
-                shards.push(handle.join().expect("worker panicked"));
+                handle.join().expect("worker panicked");
             }
         });
 
@@ -392,10 +342,8 @@ impl JobPool {
             .collect();
         PoolRun {
             outputs,
-            shards,
             max_queue_depth: max_queue_depth.load(Ordering::Relaxed),
             queue_depth_hist,
-            job_latency_hist,
             elapsed: start.elapsed(),
         }
     }
@@ -446,7 +394,6 @@ mod tests {
         for workers in [1usize, 2, 5, 8] {
             let run = pool(workers).run(&points, 9, &|seed, &p| seed ^ u64::from(p));
             assert_eq!(run.outputs, serial, "workers = {workers}");
-            assert_eq!(run.shards.len(), workers);
         }
     }
 
@@ -509,14 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulators_partition_the_work() {
-        let points: Vec<usize> = (0..200).collect();
-        let run = pool(3).run_with(&points, 0, &|| 0usize, &|_, _, acc| *acc += 1);
-        assert_eq!(run.shards.iter().sum::<usize>(), 200);
-        assert_eq!(run.outputs.len(), 200);
-    }
-
-    #[test]
     fn empty_grid_is_fine() {
         let run = pool(4).run(&[] as &[u8], 1, &|_, _| 0u8);
         assert!(run.outputs.is_empty());
@@ -541,7 +480,6 @@ mod tests {
             "depth {} exceeds capacity + workers + 1",
             run.max_queue_depth
         );
-        assert_eq!(run.job_latency_hist.count(), 64);
         assert!(run.elapsed > Duration::ZERO);
     }
 

@@ -170,11 +170,6 @@ impl FaultPlan {
         self
     }
 
-    /// All faults, regardless of selector.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
-    }
-
     /// The faults that apply to `session_id`.
     pub fn for_session(&self, session_id: u64) -> Vec<FaultSpec> {
         self.specs
@@ -182,11 +177,6 @@ impl FaultPlan {
             .filter(|s| s.sessions.matches(session_id))
             .copied()
             .collect()
-    }
-
-    /// `true` if no session is ever affected.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
     }
 }
 
@@ -221,8 +211,6 @@ mod tests {
             });
         assert_eq!(plan.for_session(3).len(), 2);
         assert_eq!(plan.for_session(4).len(), 1);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new().is_empty());
     }
 
     #[test]

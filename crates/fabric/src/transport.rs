@@ -3,10 +3,10 @@
 //! A [`Transport`] executes one protocol session.
 //! [`InProcessTransport`] runs the whole session on the calling worker
 //! thread, like [`bci_blackboard::protocol::run`] plus deadlines and
-//! fault emulation; it is the fabric's one transport. Its turn loop,
-//! `drive_session`, is a sequencer: it owns the board, lends the
-//! session RNG out with each grant and takes it back with the reply, so
-//! the transcript and the randomness stream are the serial executor's.
+//! fault emulation; it is the fabric's one transport. Its turn loop is a
+//! sequencer over a [`TurnEngine`]: it owns the board, lends the session
+//! RNG out with each grant and takes it back with the reply, so the
+//! transcript and the randomness stream are the serial executor's.
 //! The `bci-mux` daemon runs the same discipline over TCP, one thread per
 //! player, and its transcripts match this transport's bit for bit.
 //!
@@ -18,9 +18,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use bci_blackboard::board::Board;
-use bci_blackboard::engine::{Grant, Step, TurnEngine};
+use bci_blackboard::engine::{Step, TurnEngine};
 use bci_blackboard::protocol::Protocol;
-use bci_encoding::bitio::BitVec;
 use bci_telemetry::{Json, Recorder, SpanKind};
 use rand_chacha::ChaCha8Rng;
 
@@ -96,83 +95,6 @@ pub trait Transport: Sync {
         P::Input: Sync;
 }
 
-/// Drives one session's [`TurnEngine`] to completion, with `perform`
-/// supplying the I/O half of the contract: given the granted turn and the
-/// current board, produce the speaker's bits and the handed-back session
-/// RNG, or a terminal [`SessionOutcome`] (crash, timeout) that ends the
-/// session.
-///
-/// Deadline checks, engine polling, violation → outcome mapping, hop
-/// telemetry and result sealing all live here, so every fault path
-/// funnels through [`SessionResult::seal`]. The `bci-mux` daemon's core
-/// drives the same engine over the wire.
-fn drive_session<P, F>(
-    protocol: &P,
-    input_count: usize,
-    rng: &ChaCha8Rng,
-    ctx: &SessionContext<'_>,
-    start: Instant,
-    mut perform: F,
-) -> SessionResult<P::Output>
-where
-    P: Protocol,
-    F: FnMut(&Grant, &Board) -> Result<(BitVec, ChaCha8Rng), SessionOutcome>,
-{
-    let mut engine = match TurnEngine::with_rng(protocol, input_count, rng) {
-        Ok(engine) => engine,
-        Err(violation) => {
-            return SessionResult::seal(violation.into(), None, Board::new(), start.elapsed())
-        }
-    };
-    loop {
-        if let Some(deadline) = ctx.deadline {
-            if start.elapsed() >= deadline {
-                return SessionResult::seal(
-                    SessionOutcome::TimedOut,
-                    None,
-                    engine.into_board(),
-                    start.elapsed(),
-                );
-            }
-        }
-        let grant = match engine.poll() {
-            Ok(Step::Grant(grant)) => grant,
-            Ok(Step::Halted) => break,
-            Err(violation) => {
-                return SessionResult::seal(
-                    violation.into(),
-                    None,
-                    engine.into_board(),
-                    start.elapsed(),
-                )
-            }
-        };
-        let (bits, rng_back) = match perform(&grant, engine.board()) {
-            Ok(reply) => reply,
-            Err(outcome) => {
-                return SessionResult::seal(outcome, None, engine.into_board(), start.elapsed())
-            }
-        };
-        let msg_bits = bits.len();
-        if let Err(violation) = engine.apply(grant.speaker, bits, Some(&rng_back.state_bytes())) {
-            return SessionResult::seal(
-                violation.into(),
-                None,
-                engine.into_board(),
-                start.elapsed(),
-            );
-        }
-        ctx.record_hop(grant.turn, grant.speaker, msg_bits, engine.board());
-    }
-    let output = engine.output();
-    SessionResult::seal(
-        SessionOutcome::Completed,
-        Some(output),
-        engine.into_board(),
-        start.elapsed(),
-    )
-}
-
 /// Runs the whole session on the calling thread.
 ///
 /// Faults are emulated: a crashed player aborts the session the moment it
@@ -195,10 +117,29 @@ impl Transport for InProcessTransport {
         P::Input: Sync,
     {
         let start = Instant::now();
-        drive_session(protocol, inputs.len(), &rng, ctx, start, |grant, board| {
+        let mut engine = match TurnEngine::with_rng(protocol, inputs.len(), &rng) {
+            Ok(engine) => engine,
+            Err(violation) => {
+                return SessionResult::seal(violation.into(), None, Board::new(), start.elapsed())
+            }
+        };
+        // Every exit from the turn loop names its outcome; the board and
+        // the latency are sealed in one place below.
+        let outcome = loop {
+            if ctx
+                .deadline
+                .is_some_and(|deadline| start.elapsed() >= deadline)
+            {
+                break SessionOutcome::TimedOut;
+            }
+            let grant = match engine.poll() {
+                Ok(Step::Grant(grant)) => grant,
+                Ok(Step::Halted) => break SessionOutcome::Completed,
+                Err(violation) => break violation.into(),
+            };
             let speaker = grant.speaker;
             if ctx.fault_for(speaker, |k| matches!(k, FaultKind::CrashedPlayer)) {
-                return Err(SessionOutcome::Aborted(format!("player {speaker} crashed")));
+                break SessionOutcome::Aborted(format!("player {speaker} crashed"));
             }
             if ctx.fault_for(speaker, |k| matches!(k, FaultKind::DroppedWakeup)) {
                 // The wakeup is lost: nothing happens until the deadline.
@@ -207,21 +148,25 @@ impl Transport for InProcessTransport {
                     .map(|d| d.saturating_sub(start.elapsed()))
                     .unwrap_or(DEFAULT_STALL_CAP);
                 std::thread::sleep(stall);
-                return Err(SessionOutcome::TimedOut);
+                break SessionOutcome::TimedOut;
             }
             if let Some(delay) = ctx.slow_delay(speaker) {
                 std::thread::sleep(delay);
             }
             let mut rng = grant.resume_rng();
-            match catch_unwind(AssertUnwindSafe(|| {
-                protocol.message(speaker, &inputs[speaker], board, &mut rng)
-            })) {
-                Ok(bits) => Ok((bits, rng)),
-                Err(_) => Err(SessionOutcome::Aborted(format!(
-                    "player {speaker} panicked"
-                ))),
+            let Ok(bits) = catch_unwind(AssertUnwindSafe(|| {
+                protocol.message(speaker, &inputs[speaker], engine.board(), &mut rng)
+            })) else {
+                break SessionOutcome::Aborted(format!("player {speaker} panicked"));
+            };
+            let msg_bits = bits.len();
+            if let Err(violation) = engine.apply(speaker, bits, Some(&rng.state_bytes())) {
+                break violation.into();
             }
-        })
+            ctx.record_hop(grant.turn, speaker, msg_bits, engine.board());
+        };
+        let output = outcome.is_completed().then(|| engine.output());
+        SessionResult::seal(outcome, output, engine.into_board(), start.elapsed())
     }
 }
 
@@ -230,6 +175,7 @@ mod tests {
     use super::*;
     use bci_blackboard::runner::derive_trial_rng;
     use bci_blackboard::PlayerId;
+    use bci_encoding::bitio::BitVec;
     use bci_protocols::and::SequentialAnd;
     use bci_protocols::disj::broadcast::BroadcastDisj;
     use bci_protocols::workload;

@@ -272,7 +272,7 @@ impl MuxConn {
 mod tests {
     use super::*;
     use bci_encoding::bitio::BitVec;
-    use bci_net::frame::{BroadcastFrame, OutcomeFrame};
+    use bci_net::frame::{outcome_kind, BroadcastFrame, OutcomeFrame};
     use std::net::TcpListener;
 
     fn pair(config: &NetConfig) -> (MuxConn, MuxConn) {
@@ -331,7 +331,7 @@ mod tests {
             (
                 3,
                 Frame::Outcome(OutcomeFrame {
-                    kind: 2,
+                    kind: outcome_kind::ABORTED,
                     reason: "player 1 disconnected".into(),
                     output: vec![],
                     remaining: 0,

@@ -20,7 +20,9 @@ use std::time::{Duration, Instant};
 use bci_blackboard::protocol::Protocol;
 use bci_encoding::wire::Wire;
 use bci_net::admin::{check_admin_hello, stats_reply};
-use bci_net::frame::{Frame, FrameReader, Hello, NetError, CONTROL_SESSION, PROTOCOL_VERSION_MUX};
+use bci_net::frame::{
+    outcome_kind, Frame, FrameReader, Hello, NetError, CONTROL_SESSION, PROTOCOL_VERSION_MUX,
+};
 use bci_net::overhead::fold_digest_u64;
 use bci_net::{NetConfig, WireStats};
 use bci_telemetry::Recorder;
@@ -90,8 +92,7 @@ impl Default for MuxOptions {
 pub struct SessionRecord {
     /// The session id.
     pub session: u64,
-    /// 0 = completed, 1 = timed out, 2 = aborted (the
-    /// `SessionOutcome` variants, in declaration order).
+    /// How the session ended: one of the [`outcome_kind`] values.
     pub kind: u8,
     /// Abort reason; empty otherwise.
     pub reason: String,
@@ -121,7 +122,10 @@ pub struct MuxRunReport {
 impl MuxRunReport {
     /// Sessions that completed.
     pub fn completed(&self) -> usize {
-        self.records.iter().filter(|r| r.kind == 0).count()
+        self.records
+            .iter()
+            .filter(|r| r.kind == outcome_kind::COMPLETED)
+            .count()
     }
 
     /// Sessions that timed out or aborted.

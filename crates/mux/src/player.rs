@@ -26,7 +26,8 @@ use bci_blackboard::protocol::Protocol;
 use bci_encoding::wire::Wire;
 use bci_net::backoff::connect_with_backoff;
 use bci_net::frame::{
-    BroadcastFrame, Frame, Hello, NetError, CONTROL_SESSION, NO_PLAYER, PROTOCOL_VERSION_MUX,
+    outcome_kind, BroadcastFrame, Frame, Hello, NetError, CONTROL_SESSION, NO_PLAYER,
+    PROTOCOL_VERSION_MUX,
 };
 use bci_net::overhead::transcript_digest;
 use bci_net::{NetConfig, WireStats};
@@ -213,7 +214,7 @@ where
             }
             Frame::Outcome(outcome) => {
                 self.report.sessions += 1;
-                if outcome.kind == 0 {
+                if outcome.kind == outcome_kind::COMPLETED {
                     self.report.completed += 1;
                 }
                 if let Some(replica) = self.replicas.remove(&session) {

@@ -28,7 +28,7 @@ use bci_encoding::bitio::BitVec;
 use bci_encoding::wire::Wire;
 use bci_fabric::transport::DEFAULT_STALL_CAP;
 use bci_net::frame::{
-    BroadcastFrame, Frame, FrameReader, InputFrame, NetError, OutcomeFrame, NO_PLAYER,
+    outcome_kind, BroadcastFrame, Frame, FrameReader, InputFrame, NetError, OutcomeFrame, NO_PLAYER,
 };
 use bci_net::overhead::transcript_digest;
 use bci_net::WireStats;
@@ -388,7 +388,13 @@ where
         if next.is_none() {
             let slot = &self.table[&session];
             match catch_unwind(AssertUnwindSafe(|| slot.engine.output())) {
-                Ok(o) => self.finish(now, session, 0, String::new(), o.to_wire_bytes()),
+                Ok(o) => self.finish(
+                    now,
+                    session,
+                    outcome_kind::COMPLETED,
+                    String::new(),
+                    o.to_wire_bytes(),
+                ),
                 Err(_) => self.abort(now, session, OUTPUT_PANICKED.into()),
             }
         }
@@ -478,8 +484,8 @@ where
         });
         Outbox::fan_out(&mut self.out, session, &frame);
         let counter = match kind {
-            0 => "mux.sessions_completed",
-            1 => "mux.sessions_timed_out",
+            outcome_kind::COMPLETED => "mux.sessions_completed",
+            outcome_kind::TIMED_OUT => "mux.sessions_timed_out",
             _ => "mux.sessions_aborted",
         };
         self.recorder.counter_add(counter, 1);
@@ -496,7 +502,7 @@ where
             self.recorder.point(SpanKind::Session, session, attrs);
         }
         let board = slot.engine.into_board();
-        if kind != 0 && self.opts.dump_flight_on_failure {
+        if kind != outcome_kind::COMPLETED && self.opts.dump_flight_on_failure {
             self.dump_flight(now, session, kind, &reason);
         }
         self.records.push(SessionRecord {
@@ -513,7 +519,7 @@ where
 
     /// Finishes `session` aborted with `reason`.
     fn abort(&mut self, now: Instant, session: u64, reason: String) {
-        self.finish(now, session, 2, reason, Vec::new());
+        self.finish(now, session, outcome_kind::ABORTED, reason, Vec::new());
     }
 
     /// Dumps the flight ring to stderr for a failed session, at most
@@ -596,7 +602,13 @@ where
                 self.deadlines.pop_front();
             } else if due <= now {
                 self.deadlines.pop_front();
-                self.finish(now, session, 1, String::new(), Vec::new());
+                self.finish(
+                    now,
+                    session,
+                    outcome_kind::TIMED_OUT,
+                    String::new(),
+                    Vec::new(),
+                );
                 expired = true;
             } else {
                 break;

@@ -39,6 +39,7 @@ use bci_fabric::session::SessionOutcome;
 use bci_fabric::transport::{InProcessTransport, SessionContext, Transport, DISABLED_RECORDER};
 use bci_mux::daemon::{accept_mux_roster, SessionInfo, SessionRecord};
 use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxOptions};
+use bci_net::frame::outcome_kind;
 use bci_net::overhead::transcript_digest;
 use bci_net::NetConfig;
 use bci_protocols::disj::disj_function;
@@ -271,7 +272,12 @@ proptest! {
         // samples inputs itself, so agreement here proves the whole
         // seeding discipline matches, not just the turn loop.
         let record = mux_single_session(&proto, master_seed, |rng| sample_inputs(players, rng));
-        prop_assert_eq!(record.kind, 0, "mux session must complete: {}", record.reason);
+        prop_assert_eq!(
+            record.kind,
+            outcome_kind::COMPLETED,
+            "mux session must complete: {}",
+            record.reason
+        );
         prop_assert_eq!(record.digest, transcript_digest(&serial.board));
         prop_assert_eq!(record.transcript_bits, serial.bits_written as u64);
         prop_assert_eq!(record.turns as usize, proto.total_turns());
@@ -324,7 +330,7 @@ where
     let record = mux_single_session(&embedded, master_seed, |_| inputs.to_vec());
     prop_assert_eq!(
         record.kind,
-        0,
+        outcome_kind::COMPLETED,
         "mux session must complete: {}",
         record.reason
     );

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use bci_mux::daemon::{accept_mux_roster, MuxRunReport, SessionInfo};
 use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxConn, MuxOptions};
-use bci_net::frame::{Frame, CONTROL_SESSION};
+use bci_net::frame::{outcome_kind::ABORTED, Frame, CONTROL_SESSION};
 use bci_net::NetConfig;
 use bci_telemetry::{Recorder, Snapshot};
 
@@ -174,7 +174,7 @@ fn silent_player_aborts_on_missed_heartbeats() {
     });
     assert_all_ended(
         &outcome,
-        2,
+        ABORTED,
         "player 1 missed 4 heartbeats",
         "mux.sessions_aborted",
     );
@@ -189,7 +189,12 @@ fn silent_player_aborts_on_missed_heartbeats() {
 fn hung_up_player_aborts_and_the_daemon_returns() {
     let case = Case::new(4, 4);
     let outcome = run_case(&case, |conn, _done| drop(conn));
-    assert_all_ended(&outcome, 2, "player 1 disconnected", "mux.sessions_aborted");
+    assert_all_ended(
+        &outcome,
+        ABORTED,
+        "player 1 disconnected",
+        "mux.sessions_aborted",
+    );
     assert!(
         outcome.wall < Duration::from_secs(3),
         "hang-up took {:?}",
@@ -219,7 +224,7 @@ fn player_that_stops_reading_aborts_on_stalled_writes() {
     assert_eq!(outcome.report.records.len(), case.sessions as usize);
     assert_all_ended(
         &outcome,
-        2,
+        ABORTED,
         "player 1 stalled writes past io_timeout",
         "mux.sessions_aborted",
     );

@@ -19,6 +19,7 @@ use bci_encoding::bitset::BitSet;
 use bci_encoding::wire::Wire;
 use bci_mux::sequencer::POLL_PANICKED;
 use bci_mux::{MuxCore, MuxOptions, Outbox};
+use bci_net::frame::outcome_kind::{ABORTED, COMPLETED};
 use bci_net::frame::{BroadcastFrame, Frame, NO_PLAYER};
 use bci_net::NetConfig;
 use bci_protocols::disj::broadcast::BroadcastDisj;
@@ -165,7 +166,7 @@ fn assert_honest_sessions_match_inprocess<P, F>(
         if spoiled.contains(&record.session) {
             continue;
         }
-        assert_eq!(record.kind, 0, "{record:?}");
+        assert_eq!(record.kind, COMPLETED, "{record:?}");
         assert_eq!(record.digest, replay[record.session as usize], "{record:?}");
     }
     assert_eq!(run.outcomes, [(SESSIONS, true), (SESSIONS, true)]);
@@ -215,7 +216,10 @@ fn a_second_reply_to_one_grant_aborts_only_that_session() {
     }
     .to_string();
     let target = &run.report.records[TARGET as usize];
-    assert_eq!((target.kind, target.reason.as_str()), (2, reason.as_str()));
+    assert_eq!(
+        (target.kind, target.reason.as_str()),
+        (ABORTED, reason.as_str())
+    );
     assert_eq!(target.turns, 2, "the first copy was applied");
     assert_honest_sessions_match_inprocess(&COINS, coin_inputs, &run, &[TARGET]);
     assert_eq!(snapshot.counter("mux.sessions_aborted"), 1);
@@ -239,7 +243,10 @@ fn a_second_reply_when_the_same_player_speaks_next_is_a_stale_turn() {
     }
     .to_string();
     let target = &run.report.records[TARGET as usize];
-    assert_eq!((target.kind, target.reason.as_str()), (2, reason.as_str()));
+    assert_eq!(
+        (target.kind, target.reason.as_str()),
+        (ABORTED, reason.as_str())
+    );
     assert_eq!(target.turns, 3, "the first copy was applied");
     assert_honest_sessions_match_inprocess(&PAIRS, coin_inputs, &run, &[TARGET]);
     assert_eq!(snapshot.counter("mux.sessions_aborted"), 1);
@@ -271,7 +278,7 @@ fn a_disj_reply_that_does_not_parse_aborts_only_that_session() {
         let target = &run.report.records[TARGET as usize];
         assert_eq!(
             (target.kind, target.reason.as_str()),
-            (2, POLL_PANICKED),
+            (ABORTED, POLL_PANICKED),
             "{name}"
         );
         assert_eq!(target.turns, 1, "{name}: the reply was applied");

@@ -1,7 +1,8 @@
 //! The engine's runaway guard surfacing through the mux daemon: every
 //! session of a never-halting protocol must end as a structured abort
-//! (`SessionRecord.kind == 2`) after `NetConfig::max_steps` turns, and
-//! the final outcome must still reach the clients so they exit cleanly.
+//! (`SessionRecord.kind == outcome_kind::ABORTED`) after
+//! `NetConfig::max_steps` turns, and the final outcome must still reach
+//! the clients so they exit cleanly.
 
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
@@ -11,6 +12,7 @@ use bci_blackboard::protocol::Protocol;
 use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
 use bci_mux::{connect_mux_player, run_mux_daemon, run_mux_player, MuxOptions, SessionInfo};
+use bci_net::frame::outcome_kind;
 use bci_net::NetConfig;
 use bci_telemetry::Recorder;
 use rand::{Rng, RngCore};
@@ -119,7 +121,12 @@ fn every_runaway_session_is_aborted_with_the_step_budget() {
     assert_eq!(report.completed(), 0);
     assert_eq!(report.failed(), sessions as usize);
     for record in &report.records {
-        assert_eq!(record.kind, 2, "session {} must abort", record.session);
+        assert_eq!(
+            record.kind,
+            outcome_kind::ABORTED,
+            "session {} must abort",
+            record.session
+        );
         assert!(
             record.reason.contains("exceeded") && record.reason.contains("32"),
             "abort reason must name the step budget: {}",

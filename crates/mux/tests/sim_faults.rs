@@ -11,6 +11,7 @@ mod sim;
 use std::time::{Duration, Instant};
 
 use bci_mux::{MuxCore, MuxOptions, Outbox};
+use bci_net::frame::outcome_kind;
 use bci_net::NetConfig;
 use bci_telemetry::{Recorder, Snapshot};
 
@@ -146,7 +147,7 @@ fn check(
     assert_eq!(run.outcomes[0], (sessions, true));
 }
 
-const TIMED_OUT: (u8, &str) = (1, "");
+const TIMED_OUT: (u8, &str) = (outcome_kind::TIMED_OUT, "");
 
 #[test]
 fn held_grants_time_out_every_session() {
@@ -182,7 +183,7 @@ fn silent_player_aborts_on_missed_heartbeats() {
         ("mux.sessions_aborted", 4),
         ("mux.sessions_started", 4),
     ];
-    let reason = (2, "player 1 missed 4 heartbeats");
+    let reason = (outcome_kind::ABORTED, "player 1 missed 4 heartbeats");
     check(&silent(), 4, reason, &counters, 201 * MS);
 }
 
@@ -202,7 +203,7 @@ fn hung_up_player_aborts_and_the_daemon_returns() {
     check(
         &outcome,
         4,
-        (2, "player 1 disconnected"),
+        (outcome_kind::ABORTED, "player 1 disconnected"),
         &counters,
         Duration::ZERO,
     );
@@ -210,7 +211,10 @@ fn hung_up_player_aborts_and_the_daemon_returns() {
     assert_eq!(turns, [1, 0, 0, 0]);
 }
 
-const STALLED: (u8, &str) = (2, "player 1 stalled writes past io_timeout");
+const STALLED: (u8, &str) = (
+    outcome_kind::ABORTED,
+    "player 1 stalled writes past io_timeout",
+);
 
 #[test]
 fn player_that_stops_reading_aborts_on_stalled_writes() {
@@ -260,7 +264,13 @@ fn slow_player_finishes_every_session_under_a_generous_deadline() {
         ("mux.sessions_completed", 4),
         ("mux.sessions_started", 4),
     ];
-    check(&outcome, 4, (0, ""), &counters, 80 * MS);
+    check(
+        &outcome,
+        4,
+        (outcome_kind::COMPLETED, ""),
+        &counters,
+        80 * MS,
+    );
     let latencies: Vec<u64> = outcome
         .0
         .report
@@ -285,7 +295,7 @@ fn player_whose_message_panics_hangs_up_and_every_session_aborts() {
         ("mux.sessions_aborted", 4),
         ("mux.sessions_started", 4),
     ];
-    let reason = (2, "player 1 disconnected");
+    let reason = (outcome_kind::ABORTED, "player 1 disconnected");
     check(&outcome, 4, reason, &counters, Duration::ZERO);
     assert!(outcome.0.report.records.iter().all(|r| r.turns == 1));
 }

@@ -234,8 +234,7 @@ impl Wire for BroadcastFrame {
 /// How a session ended, coordinator → players.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutcomeFrame {
-    /// 0 = completed, 1 = timed out, 2 = aborted (the
-    /// `SessionOutcome` variants, in declaration order).
+    /// How the session ended: one of the [`outcome_kind`] values.
     pub kind: u8,
     /// The abort reason; empty otherwise.
     pub reason: String,
@@ -262,6 +261,17 @@ impl Wire for OutcomeFrame {
             remaining: u32::decode(input)?,
         })
     }
+}
+
+/// The [`OutcomeFrame::kind`] values: the `SessionOutcome` variants, in
+/// declaration order.
+pub mod outcome_kind {
+    /// The protocol ran to completion.
+    pub const COMPLETED: u8 = 0;
+    /// The session hit its deadline.
+    pub const TIMED_OUT: u8 = 1;
+    /// The session was cut short (crash, disconnect, runaway, bad reply).
+    pub const ABORTED: u8 = 2;
 }
 
 /// One named `u64` metric (a counter or gauge) inside a
@@ -790,7 +800,7 @@ mod tests {
             }),
             Frame::Heartbeat { seq: 99 },
             Frame::Outcome(OutcomeFrame {
-                kind: 2,
+                kind: outcome_kind::ABORTED,
                 reason: "player 1 crashed".into(),
                 output: vec![],
                 remaining: 0,

@@ -2,7 +2,7 @@
 //! against how many transcript bits it carries, and the transcript
 //! digests that compare a networked run with the in-process transport.
 //!
-//! Digests follow the scheduler's seeding discipline
+//! Digests follow the fabric's seeding discipline
 //! (`derive_trial_seed(master, session)` → sample inputs → the same RNG
 //! becomes the session RNG), so a networked fold is comparable to any
 //! fabric monte-carlo run with the same seeds.

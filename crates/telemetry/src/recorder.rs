@@ -59,7 +59,7 @@ pub enum SpanKind {
     Hop,
     /// One serial Monte-Carlo trial.
     Trial,
-    /// One batch moving through the scheduler queue.
+    /// One batch moving through a job pool's queue.
     Batch,
     /// One generic job executed by a fabric job pool (e.g. an experiment
     /// sweep point).

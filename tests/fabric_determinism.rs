@@ -13,13 +13,10 @@ use std::time::{Duration, Instant};
 
 use broadcast_ic::blackboard::protocol::run;
 use broadcast_ic::blackboard::runner::{derive_trial_rng, monte_carlo_seeded};
-use broadcast_ic::blackboard::stats::CommStats;
-use broadcast_ic::fabric::driver::monte_carlo_fabric;
-use broadcast_ic::fabric::scheduler::SchedulerConfig;
 use broadcast_ic::fabric::session::{
     FaultKind, FaultPlan, FaultSpec, SessionOutcome, SessionSelector,
 };
-use broadcast_ic::fabric::transport::InProcessTransport;
+use broadcast_ic::fabric::{monte_carlo_fabric, InProcessTransport, SchedulerConfig};
 use broadcast_ic::protocols::and::{and_function, SequentialAnd};
 use broadcast_ic::protocols::disj::broadcast::BroadcastDisj;
 use broadcast_ic::protocols::disj::disj_function;
@@ -157,39 +154,6 @@ proptest! {
             fabric.report.comm.variance().to_bits(),
             serial.comm.variance().to_bits()
         );
-    }
-
-    /// Merging per-worker stat shards equals one serial accumulation, for
-    /// any split of the stream — the sharded-aggregation contract the
-    /// fabric's metrics rely on.
-    #[test]
-    fn sharded_merge_equals_serial_accumulation(
-        values in prop::collection::vec(0.0f64..10_000.0, 1..200),
-        cut_a in 0usize..200,
-        cut_b in 0usize..200,
-    ) {
-        let a = cut_a.min(values.len());
-        let b = cut_b.min(values.len()).max(a);
-        let mut serial = CommStats::new();
-        for &v in &values {
-            serial.record(v);
-        }
-        let mut shards = [CommStats::new(), CommStats::new(), CommStats::new()];
-        for &v in &values[..a] { shards[0].record(v); }
-        for &v in &values[a..b] { shards[1].record(v); }
-        for &v in &values[b..] { shards[2].record(v); }
-        let mut merged = CommStats::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        prop_assert_eq!(merged.count(), serial.count());
-        prop_assert!((merged.mean() - serial.mean()).abs() <= 1e-9 * serial.mean().abs().max(1.0));
-        prop_assert!(
-            (merged.variance() - serial.variance()).abs()
-                <= 1e-6 * serial.variance().abs().max(1.0)
-        );
-        prop_assert_eq!(merged.min().to_bits(), serial.min().to_bits());
-        prop_assert_eq!(merged.max().to_bits(), serial.max().to_bits());
     }
 }
 

@@ -121,24 +121,6 @@ proptest! {
     }
 
     #[test]
-    fn commstats_merge_equals_concatenation(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..50),
-        split in any::<prop::sample::Index>(),
-    ) {
-        use broadcast_ic::blackboard::stats::CommStats;
-        let cut = split.index(xs.len());
-        let whole: CommStats = xs.iter().copied().collect();
-        let mut a: CommStats = xs[..cut].iter().copied().collect();
-        let b: CommStats = xs[cut..].iter().copied().collect();
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-3);
-        prop_assert_eq!(a.min(), whole.min());
-        prop_assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
     fn arithmetic_coder_round_trips_random_streams(
         (weights, symbols) in (2usize..12).prop_flat_map(|n| (
             prop::collection::vec(0.01f64..1.0, n),

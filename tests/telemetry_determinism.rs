@@ -7,8 +7,7 @@
 use std::time::Duration;
 
 use broadcast_ic::blackboard::runner::monte_carlo_seeded;
-use broadcast_ic::fabric::driver::monte_carlo_fabric;
-use broadcast_ic::fabric::scheduler::SchedulerConfig;
+use broadcast_ic::fabric::driver::{monte_carlo_fabric, SchedulerConfig};
 use broadcast_ic::fabric::session::FaultPlan;
 use broadcast_ic::fabric::transport::InProcessTransport;
 use broadcast_ic::protocols::disj::broadcast::BroadcastDisj;
